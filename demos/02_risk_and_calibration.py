@@ -14,7 +14,6 @@ from strokesim.risk import (
     ensemble_score,
     expected_stroke_count,
     logistic_score,
-    refresh_risks,
     weights_for_age,
 )
 from strokesim.seeds import derive_seed
@@ -49,7 +48,6 @@ spec, tables = load_population_file("strokesim:population_ie.json")
 rng = np.random.default_rng(derive_seed(42))
 pop = build_population(spec, rng)
 assign_risk_factors(pop, tables, rng)
-refresh_risks(pop, ens)
 
 expected = expected_stroke_count(ens, pop, 3650)
 print(f"expected strokes over 10 years: {expected:.1f} "

@@ -13,14 +13,12 @@ import numpy as np
 from strokesim.config import load_experiment_file
 from strokesim.engine import Scenario, run_replication
 from strokesim.population import assign_risk_factors, build_population
-from strokesim.risk import refresh_risks
 from strokesim.seeds import derive_seed
 
 cfg = load_experiment_file()
 rng = np.random.default_rng(derive_seed(cfg.base_seed))
 pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
-refresh_risks(pop, cfg.ensemble)
 
 result = run_replication(
     pop, cfg.ensemble, cfg.make_scenario(Scenario.BASELINE),

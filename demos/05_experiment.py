@@ -22,14 +22,12 @@ from strokesim.montecarlo import (
     write_summary_json,
 )
 from strokesim.population import assign_risk_factors, build_population
-from strokesim.risk import refresh_risks
 from strokesim.seeds import derive_seed
 
 cfg = load_experiment_file()
 rng = np.random.default_rng(derive_seed(cfg.base_seed))
 pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
-refresh_risks(pop, cfg.ensemble)
 
 exp = ExperimentConfig(
     base_seed=cfg.base_seed,

@@ -50,7 +50,6 @@ from .risk import (
     ensemble_score,
     expected_stroke_count,
     logistic_score,
-    refresh_risks,
 )
 from .seeds import derive_seed
 from .stats import TTestResult, regularized_incomplete_beta, t_test
@@ -90,7 +89,6 @@ __all__ = [
     "percent_difference",
     "population_stats",
     "read_population_csv",
-    "refresh_risks",
     "regularized_incomplete_beta",
     "run_experiment",
     "run_replication",

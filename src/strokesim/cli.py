@@ -24,6 +24,7 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
+    worker_count,
     write_runs_csv,
     write_summary_csv,
     write_summary_json,
@@ -155,13 +156,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     pop = _build_scored_population(cfg, base_seed)
     scenarios = [cfg.make_scenario(kind) for kind in SCENARIO_CHOICES[args.scenario]]
+    workers = worker_count(args.workers, len(scenarios) * n_runs)
     exp_cfg = ExperimentConfig(
         base_seed=base_seed,
         scenarios=scenarios,
         n_runs=n_runs,
         significance_level=cfg.significance_level,
         use_skip_sampling=use_skip,
-        workers=args.workers,
+        workers=workers,
         common_random_numbers=cfg.common_random_numbers,
         welch=cfg.welch,
     )
@@ -186,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "base_seed": base_seed,
         "population_seed": derive_seed(base_seed),
         "use_skip_sampling": use_skip,
-        "workers": args.workers,
+        "workers": workers,
         "calibration_offset": cfg.ensemble.calibration_offset,
         "seeds": {
             name: [m.seed for m in metrics] for name, metrics in result.runs.items()

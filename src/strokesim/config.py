@@ -18,7 +18,7 @@ import importlib.resources
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -33,6 +33,7 @@ from .engine import (
     SeverityDistribution,
 )
 from .errors import ConfigurationError
+from .montecarlo import ExperimentConfig
 from .population import (
     DemographicSpec,
     RegionSpec,
@@ -40,7 +41,7 @@ from .population import (
     RiskFactorTables,
     parse_age_range,
 )
-from .risk import EnsembleRiskModel, LogisticModel, WeightRow
+from .risk import CALIBRATION_TOL, EnsembleRiskModel, LogisticModel, WeightRow
 
 BUNDLED_PREFIX = "strokesim:"
 DEFAULT_EXPERIMENT = BUNDLED_PREFIX + "experiment_ie.json"
@@ -70,8 +71,19 @@ def _read_ref(ref: str | Path, base_dir: Optional[Path]) -> tuple[str, str]:
 
 
 def _parse_json(text: str, name: str) -> Any:
+    """Parse a config file, rejecting NaN, Infinity and literals that
+    overflow to infinity (json.loads accepts all three)."""
+    def non_finite(token: str) -> float:
+        raise ConfigurationError(f"{name}: non-finite number {token} is not allowed")
+
+    def finite_float(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            non_finite(token)
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -91,6 +103,12 @@ def _get(obj: dict, key: str, where: str, expect: Optional[type] = None, default
         if not (expect is float and isinstance(value, int) and not isinstance(value, bool)):
             raise ConfigurationError(f"{where}.{key}: expected {expect.__name__}")
     return value
+
+
+def _field_defaults(cls: type) -> dict[str, Any]:
+    """A dataclass's declared field defaults; loaders fall back on these so
+    each default is written once, on its class."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
 
 
 def _age_range(value: Any, where: str) -> tuple[int, int]:
@@ -121,11 +139,14 @@ def load_population_file(
             employment={k: float(v) for k, v in _get(entry, "employment", where, dict).items()},
             households={k: float(v) for k, v in _get(entry, "households", where, dict).items()},
         ))
+    demo_defaults = _field_defaults(DemographicSpec)
     spec = DemographicSpec(
         regions=regions,
         total_agents=_get(demo, "total_agents", f"{name}.demographics", int),
-        scale_factor=_get(demo, "scale_factor", f"{name}.demographics", int, default=100),
-        min_age=_get(demo, "min_age", f"{name}.demographics", int, default=35),
+        scale_factor=_get(demo, "scale_factor", f"{name}.demographics", int,
+                          default=demo_defaults["scale_factor"]),
+        min_age=_get(demo, "min_age", f"{name}.demographics", int,
+                     default=demo_defaults["min_age"]),
     )
     spec.validate()
 
@@ -355,10 +376,19 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
 
     sim = _get(data, "simulation", name, dict, default={})
     sim_where = f"{name}.simulation"
-    ages = _get(sim, "conversation_ages", sim_where, list, default=[50, 60, 70, 80, 90])
+    sim_defaults = _field_defaults(ScenarioConfig)
+    ages = _get(sim, "conversation_ages", sim_where, list,
+                default=sim_defaults["conversation_ages"])
 
     exp = _get(data, "experiment", name, dict, default={})
     exp_where = f"{name}.experiment"
+    exp_defaults = _field_defaults(ExperimentConfig)
+
+    def sim_get(key: str, expect: type) -> Any:
+        return _get(sim, key, sim_where, expect, default=sim_defaults[key])
+
+    def exp_get(key: str, expect: type) -> Any:
+        return _get(exp, key, exp_where, expect, default=exp_defaults[key])
 
     cal = _get(data, "calibration", name, dict, default={})
     cal_where = f"{name}.calibration"
@@ -380,23 +410,17 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
         severity=severity,
         odds_ratios=odds_ratios,
         conversation_ages=tuple(int(a) for a in ages),
-        high_risk_threshold=float(_get(sim, "high_risk_threshold", sim_where, float, default=0.1)),
-        bmi_reduction_sd_fraction=float(
-            _get(sim, "bmi_reduction_sd_fraction", sim_where, float, default=0.5)
-        ),
-        bp_reduction_sd_fraction=float(
-            _get(sim, "bp_reduction_sd_fraction", sim_where, float, default=0.1)
-        ),
-        horizon_days=_get(sim, "horizon_days", sim_where, int, default=3650),
-        days_per_year=_get(sim, "days_per_year", sim_where, int, default=365),
+        high_risk_threshold=float(sim_get("high_risk_threshold", float)),
+        bmi_reduction_sd_fraction=float(sim_get("bmi_reduction_sd_fraction", float)),
+        bp_reduction_sd_fraction=float(sim_get("bp_reduction_sd_fraction", float)),
+        horizon_days=sim_get("horizon_days", int),
+        days_per_year=sim_get("days_per_year", int),
         base_seed=_get(exp, "base_seed", exp_where, int, default=42),
-        n_runs=_get(exp, "n_runs", exp_where, int, default=1000),
-        significance_level=float(
-            _get(exp, "significance_level", exp_where, float, default=0.05)
-        ),
-        use_skip_sampling=_get(exp, "use_skip_sampling", exp_where, bool, default=True),
-        common_random_numbers=_get(exp, "common_random_numbers", exp_where, bool, default=False),
-        welch=_get(exp, "welch", exp_where, bool, default=False),
+        n_runs=exp_get("n_runs", int),
+        significance_level=float(exp_get("significance_level", float)),
+        use_skip_sampling=exp_get("use_skip_sampling", bool),
+        common_random_numbers=exp_get("common_random_numbers", bool),
+        welch=exp_get("welch", bool),
         calibration_target=float(_get(cal, "target_annual_risk", cal_where, float, default=0.0)),
-        calibration_tol=float(_get(cal, "tol", cal_where, float, default=1e-9)),
+        calibration_tol=float(_get(cal, "tol", cal_where, float, default=CALIBRATION_TOL)),
     )

@@ -12,6 +12,12 @@ path draws one uniform per agent per day, the skip path draws the day of
 first success directly from the geometric distribution (one uniform per
 agent per year).  The skip path is the production path; the naive path
 exists as the oracle it is tested against.
+
+Each model rule is implemented once, as the kernel `run_replication`
+calls: `_conversation_mask` (notification), `_apply_reduction_rows`
+(risk reduction), `_spillover_mask` (family spillover),
+`_first_success_offsets` (arrival sampling) and `compute_outcome` (DALY
+accounting).  The tests exercise these kernels directly.
 """
 
 from __future__ import annotations
@@ -28,16 +34,16 @@ from .population import (
     BMI_RANGE,
     DBP_RANGE,
     SBP_RANGE,
-    Agent,
     BaselineStats,
     Population,
     population_stats,
 )
 from .risk import (
     DAYS_PER_FIVE_YEARS,
+    DAYS_PER_YEAR,
     FEATURE_NAMES,
+    HORIZON_DAYS,
     EnsembleRiskModel,
-    ensemble_score,
     feature_matrix,
     five_year_matrix,
 )
@@ -229,8 +235,8 @@ class ScenarioConfig:
     high_risk_threshold: float = 0.1  # on the five-year score, not the daily one
     bmi_reduction_sd_fraction: float = 0.5
     bp_reduction_sd_fraction: float = 0.1
-    horizon_days: int = 3650
-    days_per_year: int = 365
+    horizon_days: int = HORIZON_DAYS
+    days_per_year: int = DAYS_PER_YEAR
 
     def validate(self) -> None:
         if not (0.0 < self.high_risk_threshold < 1.0):
@@ -259,38 +265,7 @@ class RunResult:
     outcomes: list[StrokeOutcome] = field(default_factory=list)
 
 
-# --- scalar operations (the contract; the array engine below must agree) ---
-
-
-def draw_stroke(agent: Agent, rng: np.random.Generator) -> bool:
-    return rng.random() < agent.daily_risk
-
-
-def first_success_offset(p: float, u: float, window: int) -> Optional[int]:
-    """Day offset of the first success of Bernoulli(p) over `window` trials.
-
-    Inverse-transform geometric: floor(log(1-u)/log(1-p)).  Returns None
-    when no success falls inside the window; p = 0 can never succeed and
-    p = 1 succeeds immediately.
-    """
-    if p <= 0.0:
-        return None
-    if p >= 1.0:
-        return 0
-    offset = int(math.floor(math.log1p(-u) / math.log1p(-p)))
-    return offset if offset < window else None
-
-
-def skip_sample_stroke_day(
-    agent: Agent, days_remaining_in_year: int, rng: np.random.Generator
-) -> Optional[int]:
-    """Skip-sampled stroke-day offset within the year, or None.
-
-    Always consumes exactly one uniform (even at p = 0) so the stream
-    layout does not depend on the agent's risk.
-    """
-    u = rng.random()
-    return first_success_offset(agent.daily_risk, u, days_remaining_in_year)
+# --- per-stroke sampling and DALY accounting ---
 
 
 def sample_delay(delay: DelayModel, rng: np.random.Generator) -> float:
@@ -366,14 +341,15 @@ def sample_severity(dist: SeverityDistribution, rng: np.random.Generator) -> Sev
 
 
 def compute_outcome(
-    agent: Agent, day: int, delay_hours: float, severity: Severity, life: LifeTable
+    agent_id: int, day: int, delay_hours: float, severity: Severity, residual: float
 ) -> StrokeOutcome:
     """DALY contribution of one stroke, fixed at the moment it happens.
 
     Death costs the agent's residual life expectancy as YLL; survivors
-    carry their residual years times the disability weight as YLD.
+    carry their residual years times the disability weight as YLD.  A
+    residual that has run below zero counts as zero.
     """
-    residual = max(agent.remaining_life_expectancy, 0.0)
+    residual = max(residual, 0.0)
     if severity is Severity.DEATH:
         weight = 0.0
         yll, yld = residual, 0.0
@@ -381,80 +357,9 @@ def compute_outcome(
         weight = DISABILITY_WEIGHTS[severity]
         yll, yld = 0.0, residual * weight
     return StrokeOutcome(
-        agent_id=agent.id, day=day, delay_hours=delay_hours, severity=severity,
+        agent_id=agent_id, day=day, delay_hours=delay_hours, severity=severity,
         disability_weight=weight, yll=yll, yld=yld, daly=yll + yld,
     )
-
-
-def hold_conversation(agent: Agent, scenario: ScenarioConfig) -> bool:
-    """GP conversation at the scheduled ages; notifies if risk is high."""
-    notified = (
-        agent.age in scenario.conversation_ages
-        and agent.five_year_risk > scenario.high_risk_threshold
-    )
-    if notified:
-        agent.notified_high_risk = True
-    return notified
-
-
-def reduce_risk(
-    agent: Agent,
-    baseline_stats: BaselineStats,
-    scenario: Optional[ScenarioConfig] = None,
-    ens: Optional[EnsembleRiskModel] = None,
-) -> Agent:
-    """One-off risk-factor reduction after a high-risk notification.
-
-    Quits smoking outright; BMI drops half a population sd when above the
-    population mean; both blood pressures drop a tenth of a sd.  Values
-    floor at the physiologic minima.  Passing the ensemble rescores the
-    agent immediately; the engine always does.
-    """
-    cfg = scenario or ScenarioConfig()
-    if agent.smoker:
-        agent.smoker = False
-        agent.cigs_per_day = 0
-    if agent.bmi > baseline_stats.bmi_mean:
-        agent.bmi = max(
-            BMI_RANGE[0], agent.bmi - cfg.bmi_reduction_sd_fraction * baseline_stats.bmi_sd
-        )
-    agent.sbp = max(
-        SBP_RANGE[0], agent.sbp - cfg.bp_reduction_sd_fraction * baseline_stats.sbp_sd
-    )
-    agent.dbp = max(
-        DBP_RANGE[0], agent.dbp - cfg.bp_reduction_sd_fraction * baseline_stats.dbp_sd
-    )
-    agent.risk_reduced = True
-    if ens is not None:
-        score = ensemble_score(ens, agent)
-        agent.five_year_risk = score.five_year
-        agent.daily_risk = score.daily
-    return agent
-
-
-def apply_family_spillover(
-    pop: Population,
-    scenario: ScenarioConfig,
-    ens: Optional[EnsembleRiskModel] = None,
-) -> Population:
-    """Household members of notified agents reduce their own risk.
-
-    Applies to stroke-free, not-yet-reduced agents who share a household
-    with any notified agent.  Safe to reapply; the risk_reduced guard
-    makes it idempotent.
-    """
-    stats = pop.baseline_stats or population_stats(pop)
-    notified_households = {
-        a.household_id for a in pop.agents if a.notified_high_risk
-    }
-    for agent in pop.agents:
-        if (
-            agent.household_id in notified_households
-            and not agent.risk_reduced
-            and agent.stroke is None
-        ):
-            reduce_risk(agent, stats, scenario, ens)
-    return pop
 
 
 # --- the array engine ---
@@ -501,6 +406,22 @@ class PopulationArrays:
         )
 
 
+def first_success_offset(p: float, u: float, window: int) -> Optional[int]:
+    """Day offset of the first success of Bernoulli(p) over `window` trials.
+
+    Inverse-transform geometric: floor(log(1-u)/log(1-p)).  Returns None
+    when no success falls inside the window; p = 0 can never succeed and
+    p = 1 succeeds immediately.  The engine runs the vector form below;
+    this scalar definition is the reference it is tested against.
+    """
+    if p <= 0.0:
+        return None
+    if p >= 1.0:
+        return 0
+    offset = int(math.floor(math.log1p(-u) / math.log1p(-p)))
+    return offset if offset < window else None
+
+
 def _first_success_offsets(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Vector form of first_success_offset; inf marks no-success-ever."""
     out = np.full(p.shape, np.inf)
@@ -514,6 +435,12 @@ def _first_success_offsets(p: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _apply_reduction_rows(
     arrays: PopulationArrays, rows: np.ndarray, cfg: ScenarioConfig
 ) -> None:
+    """One-off risk-factor reduction for `rows`, in place.
+
+    Quits smoking outright; BMI drops a fraction of the population sd when
+    above the population mean; both blood pressures drop a fraction of
+    their sd.  Values floor at the physiologic minima.  The caller rescores.
+    """
     X, stats = arrays.features, arrays.stats
     X[rows, _COL["smoker"]] = 0.0
     X[rows, _COL["cigs_per_day"]] = 0.0
@@ -529,6 +456,29 @@ def _apply_reduction_rows(
     X[rows, _COL["dbp"]] = np.maximum(
         DBP_RANGE[0], X[rows, _COL["dbp"]] - cfg.bp_reduction_sd_fraction * stats.dbp_sd
     )
+
+
+def _conversation_mask(
+    age: np.ndarray, five_year: np.ndarray, active: np.ndarray, cfg: ScenarioConfig
+) -> np.ndarray:
+    """Stroke-free agents a GP conversation notifies this year: those at a
+    scheduled conversation age whose five-year risk is strictly above the
+    high-risk threshold."""
+    return (
+        active
+        & np.isin(age, cfg.conversation_ages)
+        & (five_year > cfg.high_risk_threshold)
+    )
+
+
+def _spillover_mask(
+    household: np.ndarray, notified: np.ndarray, active: np.ndarray, reduced: np.ndarray
+) -> np.ndarray:
+    """Stroke-free, not-yet-reduced agents sharing a household with any
+    notified agent; `household` holds dense indices."""
+    flagged = np.zeros(int(household.max()) + 1, dtype=bool)
+    flagged[household[notified]] = True
+    return active & ~reduced & flagged[household]
 
 
 def run_replication(
@@ -573,8 +523,6 @@ def run_replication(
     five_year = np.zeros(n)
     daily = np.zeros(n)
 
-    conv_ages = np.array(scenario.conversation_ages, dtype=np.int64)
-    n_households = int(arrays.household.max()) + 1
     interventions_on = scenario.scenario is not Scenario.BASELINE
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
 
@@ -595,19 +543,10 @@ def run_replication(
         hours = sample_delay(delay, rng)
         dist = adjust_severity(sev, hours, ors)
         severity = sample_severity(dist, rng)
-        residual = max(float(rle[row]), 0.0)
-        if severity is Severity.DEATH:
-            weight, yll, yld = 0.0, residual, 0.0
-        else:
-            weight = DISABILITY_WEIGHTS[severity]
-            yll, yld = 0.0, residual * weight
-        outcomes.append(StrokeOutcome(
-            agent_id=int(arrays.ids[row]), day=day, delay_hours=hours,
-            severity=severity, disability_weight=weight,
-            yll=yll, yld=yld, daly=yll + yld,
-        ))
+        outcome = compute_outcome(int(arrays.ids[row]), day, hours, severity, float(rle[row]))
+        outcomes.append(outcome)
         severity_counts[severity.value] += 1
-        total_dalys += yll + yld
+        total_dalys += outcome.daly
         stroke_day[row] = day
 
     day = 0
@@ -621,7 +560,7 @@ def run_replication(
         rescore(active)
 
         if interventions_on:
-            talk = active & np.isin(arrays.age, conv_ages) & (five_year > scenario.high_risk_threshold)
+            talk = _conversation_mask(arrays.age, five_year, active, scenario)
             conversations += int(talk.sum())
             notified |= talk
 
@@ -634,9 +573,7 @@ def run_replication(
                 rescore(own)
 
             if spillover_on:
-                flagged = np.zeros(n_households, dtype=bool)
-                flagged[arrays.household[notified]] = True
-                spill = active & ~reduced & flagged[arrays.household]
+                spill = _spillover_mask(arrays.household, notified, active, reduced)
                 if spill.any():
                     rows = np.flatnonzero(spill)
                     _apply_reduction_rows(arrays, rows, scenario)

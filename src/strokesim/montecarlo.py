@@ -159,6 +159,15 @@ def percent_difference(scenario_mean: float, baseline_mean: float) -> float:
     return 100.0 * (scenario_mean - baseline_mean) / baseline_mean
 
 
+def worker_count(requested: Optional[int], n_tasks: int) -> int:
+    """Processes to run `n_tasks` replications on: the request (one per
+    core when None), capped at the core count and at the task count, and
+    never below 1 (so 0 or a negative request runs serially)."""
+    cores = os.cpu_count() or 1
+    wanted = cores if requested is None else requested
+    return max(1, min(wanted, cores, n_tasks))
+
+
 # Worker-process state, installed once per worker by the pool initializer.
 _STATE: Optional[dict] = None
 
@@ -233,9 +242,9 @@ def run_experiment(
                 seed = derive_seed(cfg.base_seed, s_idx, run)
             tasks.append((sc.scenario.value, run, seed))
 
-    workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
+    workers = worker_count(cfg.workers, len(tasks))
     collected: dict[tuple[str, int], RunMetrics] = {}
-    if workers <= 1 or len(tasks) == 1:
+    if workers == 1:
         for task in tasks:
             m = _run_task(task, state)
             collected[(m.scenario, m.run)] = m

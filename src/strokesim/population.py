@@ -17,14 +17,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    from .engine import StrokeOutcome
 
 SEXES = ("female", "male")
 HOUSEHOLD_TYPES = ("single", "couple", "with_children")
@@ -202,7 +198,6 @@ class Agent:
     remaining_life_expectancy: float = 0.0
     notified_high_risk: bool = False
     risk_reduced: bool = False
-    stroke: Optional["StrokeOutcome"] = None
 
 
 @dataclass

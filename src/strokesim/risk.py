@@ -24,6 +24,12 @@ from .population import Agent, Population
 
 DAYS_PER_FIVE_YEARS = 1826
 
+# The default time grid (ten 365-day years) and calibration tolerance;
+# ScenarioConfig and the config loader take theirs from here.
+DAYS_PER_YEAR = 365
+HORIZON_DAYS = 10 * DAYS_PER_YEAR
+CALIBRATION_TOL = 1e-12
+
 # Column order of the feature matrix; coefficient dicts use these names.
 # Sex is encoded as male=1, female=0.
 FEATURE_NAMES = (
@@ -235,17 +241,6 @@ def ensemble_score(ensemble: EnsembleRiskModel, agent: Agent) -> RiskScore:
     return risk_score(five_year)
 
 
-def refresh_risks(pop: Population, ensemble: EnsembleRiskModel) -> Population:
-    """Rescore every stroke-free agent in place; agents with a stroke keep
-    their last score."""
-    for agent in pop.agents:
-        if agent.stroke is None:
-            score = ensemble_score(ensemble, agent)
-            agent.five_year_risk = score.five_year
-            agent.daily_risk = score.daily
-    return pop
-
-
 def expected_stroke_count(
     ensemble: EnsembleRiskModel,
     pop: Population,
@@ -269,9 +264,9 @@ def calibrate_intercepts(
     ensemble: EnsembleRiskModel,
     pop: Population,
     target_annual_risk: float,
-    horizon_days: int = 3650,
-    days_per_year: int = 365,
-    tol: float = 1e-12,
+    horizon_days: int = HORIZON_DAYS,
+    days_per_year: int = DAYS_PER_YEAR,
+    tol: float = CALIBRATION_TOL,
     max_iter: int = 60,
 ) -> EnsembleRiskModel:
     """Find the calibration offset matching a target annual stroke risk.

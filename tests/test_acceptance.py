@@ -24,14 +24,13 @@ from strokesim.engine import (
     PopulationArrays,
     Severity,
     SeverityDistribution,
+    _first_success_offsets,
     adjust_severity,
     compute_outcome,
     sample_delay,
     sample_severity,
-    skip_sample_stroke_day,
 )
 from strokesim.montecarlo import ExperimentConfig, run_experiment
-from strokesim.population import Agent
 from strokesim.risk import expected_stroke_count
 from strokesim.stats import t_test
 
@@ -190,13 +189,12 @@ def test_criterion_4_severity_baseline_conformance(report):
 def test_criterion_5_skip_sampling_equivalence(report):
     p, window, trials = 0.01, 365, 1_000_000
 
-    risky = Agent(id=0, age=60, sex="male", region="r", household_id=0,
-                  employment="employed", daily_risk=p)
+    # the engine's kernel, one uniform per trial (rng.random(n) is the same
+    # stream as n single draws)
     rng = np.random.default_rng(5005)
-    skip_counts = np.zeros(window + 1, dtype=np.int64)  # last cell: no stroke
-    for _ in range(trials):
-        day = skip_sample_stroke_day(risky, window, rng)
-        skip_counts[window if day is None else day] += 1
+    offsets = _first_success_offsets(np.full(trials, p), rng.random(trials))
+    days = np.where(offsets < window, offsets, window).astype(np.int64)
+    skip_counts = np.bincount(days, minlength=window + 1)  # last cell: no stroke
 
     naive_rng = np.random.default_rng(5006)
     naive_counts = np.zeros(window + 1, dtype=np.int64)
@@ -218,18 +216,11 @@ def test_criterion_5_skip_sampling_equivalence(report):
 
 
 def test_criterion_6_daly_oracle(report):
-    def person(idx, residual):
-        return Agent(id=idx, age=60, sex="female", region="r", household_id=idx,
-                     employment="employed", remaining_life_expectancy=residual)
-
-    # compute_outcome reads the residual years stored on the agent
-    from strokesim.engine import LifeTable
-    life = LifeTable(ages=[0, 110], female=[85.0, 1.0], male=[82.0, 1.0])
-
+    # compute_outcome takes the agent's residual years at the stroke
     outcomes = [
-        compute_outcome(person(0, 15.0), 100, 2.0, Severity.DEATH, life),
-        compute_outcome(person(1, 22.0), 200, 2.0, Severity.MILD, life),
-        compute_outcome(person(2, 9.0), 300, 2.0, Severity.NO_DISABILITY, life),
+        compute_outcome(0, 100, 2.0, Severity.DEATH, 15.0),
+        compute_outcome(1, 200, 2.0, Severity.MILD, 22.0),
+        compute_outcome(2, 300, 2.0, Severity.NO_DISABILITY, 9.0),
     ]
     total = sum(o.daly for o in outcomes)
     assert outcomes[0].daly == 15.0

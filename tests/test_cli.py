@@ -1,7 +1,9 @@
 """CLI surface: generate / calibrate / run, manifests, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -253,6 +255,16 @@ def test_run_flags_override_config(config_path, tmp_path):
     assert int(rows[0]["seed"]) == derive_seed(11, 0, 0)
 
 
+def test_run_manifest_records_workers_used(config_path, tmp_path, monkeypatch):
+    # on one core the request is capped at 1, so this starts no process
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out", str(out), "--runs", "2",
+                 "--scenario", "baseline", "--workers", "64"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["workers"] == 1
+
+
 def test_run_subset_scenarios_share_baseline_rows(config_path, tmp_path):
     full, subset = tmp_path / "full", tmp_path / "subset"
     run_cli(config_path, full)
@@ -262,6 +274,22 @@ def test_run_subset_scenarios_share_baseline_rows(config_path, tmp_path):
     with open(subset / "runs.csv", newline="") as handle:
         subset_rows = list(csv.DictReader(handle))
     assert subset_rows == full_rows
+
+
+# Output digests of `strokesim run --runs 4 --workers 1` on the bundled
+# config.  A change that claims to keep the model and its random stream
+# must leave these alone; one that changes them re-pins them and says why.
+GOLDEN_DIGESTS = {
+    "runs.csv": "5a75af4394bec24f1a310125261f5e6fd7e96c289794c833cc95c5fad1dc2943",
+    "summary.json": "89dbe2126a3d37a8c550092654abb3d70c201fd7f485a2639a2733f708af962a",
+}
+
+
+def test_run_bundled_config_matches_golden_digest(tmp_path):
+    out = tmp_path / "golden"
+    assert main(["run", "--runs", "4", "--workers", "1", "--out", str(out)]) == 0
+    for name, digest in GOLDEN_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 # --- parser and errors ---

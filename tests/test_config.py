@@ -1,0 +1,81 @@
+"""Config loading: defaults taken from the dataclasses, non-finite numbers rejected."""
+
+import importlib.resources
+import inspect
+import json
+
+import pytest
+
+from strokesim.config import load_experiment_file, load_life_table, load_risk_model
+from strokesim.engine import ScenarioConfig
+from strokesim.errors import ConfigurationError
+from strokesim.montecarlo import ExperimentConfig
+from strokesim.population import DemographicSpec
+from strokesim.risk import CALIBRATION_TOL, calibrate_intercepts
+
+BUNDLED_REFS = {
+    "population": "strokesim:population_ie.json",
+    "risk_model": "strokesim:risk_model_ie.json",
+    "life_table": "strokesim:life_table_ie.json",
+}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))  # json.dumps writes float("nan") as NaN
+    return path
+
+
+def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
+    pop = json.loads(importlib.resources.files("strokesim")
+                     .joinpath("data", "population_ie.json").read_text())
+    del pop["demographics"]["scale_factor"], pop["demographics"]["min_age"]
+    write_json(tmp_path / "pop.json", pop)
+    cfg = load_experiment_file(write_json(tmp_path / "exp.json",
+                                          {**BUNDLED_REFS, "population": "pop.json"}))
+    scenario = ScenarioConfig()
+    for name in ("conversation_ages", "high_risk_threshold", "bmi_reduction_sd_fraction",
+                 "bp_reduction_sd_fraction", "horizon_days", "days_per_year"):
+        assert getattr(cfg, name) == getattr(scenario, name), name
+    experiment = ExperimentConfig(base_seed=0, scenarios=[scenario])
+    for name in ("n_runs", "significance_level", "use_skip_sampling",
+                 "common_random_numbers", "welch"):
+        assert getattr(cfg, name) == getattr(experiment, name), name
+    spec = DemographicSpec(regions=[], total_agents=1)
+    assert cfg.demographics.min_age == spec.min_age
+    assert cfg.demographics.scale_factor == spec.scale_factor
+    assert cfg.calibration_tol == CALIBRATION_TOL == 1e-12
+    params = inspect.signature(calibrate_intercepts).parameters
+    assert params["horizon_days"].default == scenario.horizon_days
+    assert params["days_per_year"].default == scenario.days_per_year
+    assert params["tol"].default == CALIBRATION_TOL
+
+
+def test_nan_delay_mean_rejected(tmp_path):
+    delay = {"bands": [{"cum_threshold": 1.0, "hours": [0.0, None],
+                        "mean": float("nan"), "sd": 1.0}]}
+    path = write_json(tmp_path / "exp.json", {**BUNDLED_REFS, "delay": delay})
+    with pytest.raises(ConfigurationError, match=r"exp\.json: non-finite number NaN"):
+        load_experiment_file(path)
+
+
+def test_nan_life_table_entry_rejected(tmp_path):
+    path = write_json(tmp_path / "life.json",
+                      {"ages": [35, 110], "female": [48.0, float("nan")], "male": [45.0, 1.0]})
+    with pytest.raises(ConfigurationError, match=r"life\.json: non-finite number NaN"):
+        load_life_table(path)
+
+
+def test_nan_model_intercept_rejected(tmp_path):
+    model = {"models": [{"age_range": [35, None], "intercept": float("nan"),
+                         "coefficients": {}}],
+             "weights": [{"age_range": [35, None], "weights": [1.0]}]}
+    path = write_json(tmp_path / "model.json", model)
+    with pytest.raises(ConfigurationError, match=r"model\.json: non-finite number NaN"):
+        load_risk_model(path)
+
+
+def test_overflowing_literal_rejected(tmp_path):
+    path = tmp_path / "life.json"
+    path.write_text('{"ages": [35, 110], "female": [48.0, 1e999], "male": [45.0, 1.0]}')
+    with pytest.raises(ConfigurationError, match=r"life\.json: non-finite number 1e999"):
+        load_life_table(path)

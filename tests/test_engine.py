@@ -21,20 +21,25 @@ from strokesim.engine import (
     SeverityDistribution,
     StrokeOutcome,
     adjust_severity,
-    apply_family_spillover,
     compute_outcome,
     first_success_offset,
+    _apply_reduction_rows,
+    _conversation_mask,
     _first_success_offsets,
-    hold_conversation,
-    reduce_risk,
+    _spillover_mask,
     run_replication,
     sample_delay,
     sample_severity,
-    skip_sample_stroke_day,
 )
 from strokesim.errors import ConfigurationError
 from strokesim.population import Agent, BaselineStats, Population
-from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
+from strokesim.risk import (
+    FEATURE_NAMES,
+    EnsembleRiskModel,
+    LogisticModel,
+    WeightRow,
+    five_year_matrix,
+)
 
 
 def agent(age=60, sex="male", household_id=0, **kwargs):
@@ -42,10 +47,6 @@ def agent(age=60, sex="male", household_id=0, **kwargs):
                   household_id=household_id, employment="employed")
     params.update(kwargs)
     return Agent(**params)
-
-
-def flat_life(value=20.0):
-    return LifeTable(ages=[0, 110], female=[value + 5.0, value + 5.0], male=[value, value])
 
 
 def one_member(intercept, coefficients=None):
@@ -227,19 +228,23 @@ def test_vector_offsets_match_scalar():
 
 
 def test_skip_sample_consumes_one_uniform_even_at_zero_risk():
-    safe = agent(daily_risk=0.0)
+    assert (_first_success_offsets(np.zeros(3), np.array([0.0, 0.5, 0.99])) == np.inf).all()
+    # a replication draws one uniform per stroke-free agent per year, whatever
+    # the risk, so the stream layout does not depend on the scores
+    pop = small_pop(n=5)
     rng = np.random.default_rng(5)
-    assert skip_sample_stroke_day(safe, 365, rng) is None
+    result = run_replication(*run_args(pop, one_member(-60.0), horizon=3 * 365), rng=rng)
+    assert result.total_strokes == 0
     ref = np.random.default_rng(5)
-    ref.random()
+    ref.random(3 * 5)
     assert rng.random() == ref.random()
 
 
 def test_skip_sample_distribution_matches_truncated_geometric():
-    risky = agent(daily_risk=0.05)
     rng = np.random.default_rng(77)
     window = 50
-    counts = Counter(skip_sample_stroke_day(risky, window, rng) for _ in range(40000))
+    offsets = _first_success_offsets(np.full(40000, 0.05), rng.random(40000))
+    counts = Counter(int(k) if k < window else None for k in offsets)
     p_none = (1 - 0.05) ** window
     assert counts[None] / 40000 == pytest.approx(p_none, abs=0.01)
     for k in (0, 1, 5, 20):
@@ -396,8 +401,7 @@ def test_sample_severity_frequencies():
 
 
 def test_compute_outcome_death_counts_residual_years():
-    a = agent(remaining_life_expectancy=15.2)
-    out = compute_outcome(a, 120, 2.0, Severity.DEATH, flat_life())
+    out = compute_outcome(0, 120, 2.0, Severity.DEATH, 15.2)
     assert out.yll == 15.2
     assert out.yld == 0.0
     assert out.daly == 15.2
@@ -406,20 +410,19 @@ def test_compute_outcome_death_counts_residual_years():
 
 
 def test_compute_outcome_survivors_weight_residual_years():
-    a = agent(remaining_life_expectancy=22.0)
-    mild = compute_outcome(a, 0, 2.0, Severity.MILD, flat_life())
+    mild = compute_outcome(0, 0, 2.0, Severity.MILD, 22.0)
     assert mild.yll == 0.0
     assert mild.yld == pytest.approx(22.0 * 0.35, abs=1e-12)
-    modsev = compute_outcome(a, 0, 2.0, Severity.MODERATE_SEVERE, flat_life())
+    modsev = compute_outcome(0, 0, 2.0, Severity.MODERATE_SEVERE, 22.0)
     assert modsev.daly == pytest.approx(22.0 * 0.7, abs=1e-12)
-    none = compute_outcome(a, 0, 2.0, Severity.NO_DISABILITY, flat_life())
+    none = compute_outcome(0, 0, 2.0, Severity.NO_DISABILITY, 22.0)
     assert none.daly == 0.0
 
 
 def test_compute_outcome_floors_negative_residual():
-    a = agent(remaining_life_expectancy=-2.0)
-    out = compute_outcome(a, 3649, 2.0, Severity.DEATH, flat_life())
+    out = compute_outcome(0, 3649, 2.0, Severity.DEATH, -2.0)
     assert out.daly == 0.0
+    assert out.yll == 0.0
 
 
 def test_disability_weights_table():
@@ -429,84 +432,89 @@ def test_disability_weights_table():
     assert Severity.DEATH not in DISABILITY_WEIGHTS
 
 
-# --- scalar interventions ---
+# --- intervention kernels ---
 
 
 def test_hold_conversation_age_and_threshold():
     cfg = ScenarioConfig()
-    a = agent(age=50, five_year_risk=0.2)
-    assert hold_conversation(a, cfg)
-    assert a.notified_high_risk
+    age = np.array([50, 50, 55, 60, 70])
+    five_year = np.array([0.2, 0.1, 0.9, 0.3, 0.3])
+    active = np.array([True, True, True, True, False])
+    talk = _conversation_mask(age, five_year, active, cfg)
+    # notified; at the threshold (strictly above only); off schedule;
+    # notified; already had a stroke
+    assert talk.tolist() == [True, False, False, True, False]
 
-    at_threshold = agent(age=50, five_year_risk=0.1)
-    assert not hold_conversation(at_threshold, cfg)  # strictly above only
-    assert not at_threshold.notified_high_risk
 
-    wrong_age = agent(age=55, five_year_risk=0.9)
-    assert not hold_conversation(wrong_age, cfg)
+def reduction_arrays(agents, stats):
+    pop = population_of(agents)
+    pop.baseline_stats = stats
+    return PopulationArrays.from_population(pop)
+
+
+def column(arrays, name):
+    return arrays.features[:, FEATURE_NAMES.index(name)]
 
 
 def test_reduce_risk_applies_all_reductions():
     stats = BaselineStats(sbp_mean=130.0, sbp_sd=15.0, dbp_mean=80.0, dbp_sd=10.0,
                           bmi_mean=27.0, bmi_sd=4.0)
     a = agent(sbp=140.0, dbp=85.0, bmi=30.0, smoker=True, cigs_per_day=20)
-    reduce_risk(a, stats)
-    assert not a.smoker
-    assert a.cigs_per_day == 0
-    assert a.bmi == pytest.approx(30.0 - 0.5 * 4.0)
-    assert a.sbp == pytest.approx(140.0 - 0.1 * 15.0)
-    assert a.dbp == pytest.approx(85.0 - 0.1 * 10.0)
-    assert a.risk_reduced
+    untouched = agent(sbp=140.0, dbp=85.0, bmi=30.0, smoker=True, cigs_per_day=20)
+    untouched.id = 1
+    arrays = reduction_arrays([a, untouched], stats)
+    _apply_reduction_rows(arrays, np.array([0]), ScenarioConfig())
+    assert column(arrays, "smoker")[0] == 0.0
+    assert column(arrays, "cigs_per_day")[0] == 0.0
+    assert column(arrays, "bmi")[0] == pytest.approx(30.0 - 0.5 * 4.0)
+    assert column(arrays, "sbp")[0] == pytest.approx(140.0 - 0.1 * 15.0)
+    assert column(arrays, "dbp")[0] == pytest.approx(85.0 - 0.1 * 10.0)
+    assert arrays.features[1].tolist() == [60.0, 1.0, 140.0, 85.0, 30.0, 0.0, 0.0, 1.0, 20.0]
 
 
 def test_reduce_risk_bmi_only_above_mean_and_floors():
     stats = BaselineStats(sbp_mean=130.0, sbp_sd=500.0, dbp_mean=80.0, dbp_sd=500.0,
                           bmi_mean=27.0, bmi_sd=40.0)
     lean = agent(sbp=85.0, dbp=42.0, bmi=26.0)
-    reduce_risk(lean, stats)
-    assert lean.bmi == 26.0       # at or below the mean: untouched
-    assert lean.sbp == 80.0       # floored at the physiologic minimum
-    assert lean.dbp == 40.0
-
     heavy = agent(bmi=27.5)
-    reduce_risk(heavy, stats)
-    assert heavy.bmi == 12.0      # 27.5 - 20 floors at the BMI minimum
+    heavy.id = 1
+    arrays = reduction_arrays([lean, heavy], stats)
+    _apply_reduction_rows(arrays, np.array([0, 1]), ScenarioConfig())
+    assert column(arrays, "bmi")[0] == 26.0   # at or below the mean: untouched
+    assert column(arrays, "sbp")[0] == 80.0   # floored at the physiologic minimum
+    assert column(arrays, "dbp")[0] == 40.0
+    assert column(arrays, "bmi")[1] == 12.0   # 27.5 - 20 floors at the BMI minimum
 
 
 def test_reduce_risk_rescores_when_given_model():
     stats = BaselineStats(130.0, 15.0, 80.0, 10.0, 27.0, 4.0)
     ens = one_member(-2.0, {"smoker": 1.0})
-    a = agent(smoker=True, five_year_risk=0.99, daily_risk=0.99)
-    reduce_risk(a, stats, ens=ens)
+    arrays = reduction_arrays([agent(smoker=True)], stats)
+    rows = np.array([0])
+    before = five_year_matrix(ens, arrays.features[rows], arrays.age[rows])
+    assert before[0] == pytest.approx(1.0 / (1.0 + math.exp(1.0)), abs=1e-12)
+    _apply_reduction_rows(arrays, rows, ScenarioConfig())
+    after = five_year_matrix(ens, arrays.features[rows], arrays.age[rows])
     want = 1.0 / (1.0 + math.exp(2.0))
-    assert a.five_year_risk == pytest.approx(want, abs=1e-12)
-    assert a.daily_risk == pytest.approx(want / 1826.0, abs=1e-15)
+    assert after[0] == pytest.approx(want, abs=1e-12)
+    assert after[0] / 1826 == pytest.approx(want / 1826.0, abs=1e-15)
 
 
 def test_family_spillover_reaches_household_not_strangers():
-    notifier = agent(household_id=0, smoker=True, notified_high_risk=True)
-    spouse = agent(household_id=0, smoker=True)
-    spouse.id = 1
-    stranger = agent(household_id=1, smoker=True)
-    stranger.id = 2
-    pop = population_of([notifier, spouse, stranger])
-    out = apply_family_spillover(pop, ScenarioConfig())
-    assert out is pop
-    assert not notifier.smoker    # notifier not yet reduced: spillover covers it
-    assert not spouse.smoker
-    assert stranger.smoker
+    household = np.array([0, 0, 1])
+    notified = np.array([True, False, False])
+    spill = _spillover_mask(household, notified, np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
+    # notifier not yet reduced: spillover covers it; the stranger is untouched
+    assert spill.tolist() == [True, True, False]
 
 
 def test_family_spillover_skips_reduced_and_stroked():
-    notifier = agent(household_id=0, notified_high_risk=True, risk_reduced=True,
-                     smoker=True)
-    struck = agent(household_id=0, smoker=True)
-    struck.id = 1
-    struck.stroke = compute_outcome(struck, 10, 2.0, Severity.MILD, flat_life())
-    pop = population_of([notifier, struck])
-    apply_family_spillover(pop, ScenarioConfig())
-    assert notifier.smoker        # guarded by risk_reduced
-    assert struck.smoker          # stroke removes the agent from dynamics
+    household = np.array([0, 0, 0])
+    notified = np.array([True, False, False])
+    active = np.array([True, False, True])      # agent 1 has had a stroke
+    reduced = np.array([True, False, False])    # agent 0 has already reduced
+    spill = _spillover_mask(household, notified, active, reduced)
+    assert spill.tolist() == [False, False, True]
 
 
 # --- population arrays ---
@@ -585,12 +593,13 @@ def test_run_replication_deterministic_and_seed_recorded():
 
 def test_run_replication_does_not_mutate_inputs():
     pop = small_pop()
-    before = [(a.age, a.sbp, a.smoker, a.five_year_risk, a.stroke) for a in pop.agents]
+    before = [(a.age, a.sbp, a.smoker, a.five_year_risk, a.risk_reduced) for a in pop.agents]
     arrays = PopulationArrays.from_population(pop)
     features_before = arrays.features.copy()
     run_replication(*run_args(arrays, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY),
                     rng=7)
-    assert [(a.age, a.sbp, a.smoker, a.five_year_risk, a.stroke) for a in pop.agents] == before
+    assert [(a.age, a.sbp, a.smoker, a.five_year_risk, a.risk_reduced)
+            for a in pop.agents] == before
     assert (arrays.features == features_before).all()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from strokesim.montecarlo import (
     write_runs_csv,
     write_summary_csv,
     write_summary_json,
+    worker_count,
 )
 from strokesim.population import Agent, Population
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
@@ -200,6 +202,21 @@ def test_parallel_equals_serial(experiment):
     assert summary_to_dict(parallel.summary) == summary_to_dict(experiment.summary)
     assert {k: [vars(m) for m in v] for k, v in parallel.runs.items()} == \
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
+
+
+def test_worker_count_bounds(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(None, 3000) == 4      # default: one per core
+    assert worker_count(2, 3000) == 2
+    assert worker_count(500, 3000) == 4       # capped at the core count
+    assert worker_count(None, 3) == 3         # capped at the task count
+    assert worker_count(500, 1) == 1
+    assert worker_count(0, 3000) == 1         # never below one
+    assert worker_count(-3, 3000) == 1
+    assert worker_count(None, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # core count unknown
+    assert worker_count(None, 3000) == 1
+    assert worker_count(8, 3000) == 1
 
 
 def test_scenario_subset_reuses_seeds(experiment):

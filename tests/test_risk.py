@@ -22,7 +22,6 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
     logistic_score,
-    refresh_risks,
     risk_score,
     weights_for_age,
 )
@@ -282,11 +281,20 @@ def test_coefficient_matrix_layout():
 
 
 def test_refresh_risks_updates_agents_in_place():
-    pop = population_of([agent(), agent(age=70)])
-    pop.agents[1].id = 1
-    ens = one_member(constant_model(0.3))
-    out = refresh_risks(pop, ens)
-    assert out is pop
+    # population scoring writes each agent's five-year and daily risk
+    from dataclasses import replace
+    from types import SimpleNamespace
+
+    from strokesim.cli import _build_scored_population
+    from strokesim.config import load_experiment_file
+    bundled = load_experiment_file()
+    cfg = SimpleNamespace(
+        demographics=replace(bundled.demographics, total_agents=300),
+        risk_tables=bundled.risk_tables,
+        ensemble=one_member(constant_model(0.3)),
+    )
+    pop = _build_scored_population(cfg, 42)
+    assert len(pop.agents) > 0
     for a in pop.agents:
         assert a.five_year_risk == pytest.approx(0.3, abs=1e-12)
         assert a.daily_risk == pytest.approx(0.3 / 1826, abs=1e-15)
