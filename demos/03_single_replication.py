@@ -1,9 +1,9 @@
 """Run one replication end to end and inspect individual strokes.
 
 A replication walks the population day by day for the horizon: yearly
-birthdays and rescoring, stroke draws (by default via skip-sampling, so
-quiet stretches cost nothing), treatment delay, severity, and the DALY
-split into years of life lost and years lived with disability.
+birthdays and rescoring, stroke draws (skip-sampled, so quiet stretches
+cost nothing), treatment delay, severity, and the DALY split into years
+of life lost and years lived with disability.
 """
 
 import collections
@@ -11,17 +11,20 @@ import collections
 import numpy as np
 
 from strokesim.config import load_experiment_file
-from strokesim.engine import Scenario, run_replication
+from strokesim.engine import PopulationArrays, Scenario, run_replication
 from strokesim.population import assign_risk_factors, build_population
 from strokesim.seeds import derive_seed
 
 cfg = load_experiment_file()
-rng = np.random.default_rng(derive_seed(cfg.base_seed))
+rng = np.random.default_rng(derive_seed(cfg.experiment.base_seed))
 pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
+# The engine runs on a column copy of the population, built once.
+arrays = PopulationArrays.from_population(pop)
+scenarios = {s.scenario: s for s in cfg.experiment.scenarios}
 
 result = run_replication(
-    pop, cfg.ensemble, cfg.make_scenario(Scenario.BASELINE),
+    arrays, cfg.ensemble, scenarios[Scenario.BASELINE],
     cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
     rng=7,
 )
@@ -50,7 +53,7 @@ print("strokes per simulated year:",
 # true effect only separates from noise across many replications, which
 # is what 05_experiment.py is for.
 treated = run_replication(
-    pop, cfg.ensemble, cfg.make_scenario(Scenario.CONVERSATIONS),
+    arrays, cfg.ensemble, scenarios[Scenario.CONVERSATIONS],
     cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
     rng=7,
 )

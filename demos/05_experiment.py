@@ -9,13 +9,14 @@ separate cleanly from noise.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from strokesim.cli import SCENARIO_CHOICES, format_summary_table
+from strokesim.cli import format_summary_table
 from strokesim.config import load_experiment_file
+from strokesim.engine import PopulationArrays
 from strokesim.montecarlo import (
-    ExperimentConfig,
     run_experiment,
     write_runs_csv,
     write_summary_csv,
@@ -25,20 +26,16 @@ from strokesim.population import assign_risk_factors, build_population
 from strokesim.seeds import derive_seed
 
 cfg = load_experiment_file()
-rng = np.random.default_rng(derive_seed(cfg.base_seed))
+rng = np.random.default_rng(derive_seed(cfg.experiment.base_seed))
 pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
 
-exp = ExperimentConfig(
-    base_seed=cfg.base_seed,
-    scenarios=[cfg.make_scenario(k) for k in SCENARIO_CHOICES["all"]],
-    n_runs=30,
-    workers=1,
-)
+# The loaded experiment holds all three scenarios; keep them, run fewer.
+exp = replace(cfg.experiment, n_runs=30, workers=1)
 start = time.perf_counter()
 result = run_experiment(
-    exp, pop, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
-    cfg.life_table,
+    exp, PopulationArrays.from_population(pop), cfg.ensemble, cfg.delay,
+    cfg.severity, cfg.odds_ratios, cfg.life_table,
 )
 print(f"{exp.n_runs} runs x {len(exp.scenarios)} scenarios "
       f"({len(pop.agents)} agents, 10 years) in "

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -18,10 +19,9 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT_EXPERIMENT, AppConfig, dump_risk_model, load_experiment_file
-from .engine import Scenario
+from .engine import PopulationArrays, Scenario
 from .errors import CalibrationError, ConfigurationError
 from .montecarlo import (
-    ExperimentConfig,
     ExperimentResult,
     run_experiment,
     worker_count,
@@ -74,7 +74,7 @@ def _utc_now() -> str:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = load_experiment_file(args.config)
-    base_seed = args.seed if args.seed is not None else cfg.base_seed
+    base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     pop = _build_scored_population(cfg, base_seed)
     out = Path(args.out)
     write_population_csv(pop, out)
@@ -100,7 +100,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "no calibration target: pass --target or set calibration.target_annual_risk"
         )
-    base_seed = args.seed if args.seed is not None else cfg.base_seed
+    base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     pop = _build_scored_population(cfg, base_seed)
     tol = args.tol if args.tol is not None else cfg.calibration_tol
     calibrated = calibrate_intercepts(
@@ -149,26 +149,20 @@ def format_summary_table(result: ExperimentResult) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_experiment_file(args.config)
-    base_seed = args.seed if args.seed is not None else cfg.base_seed
-    n_runs = args.runs if args.runs is not None else cfg.n_runs
-    use_skip = cfg.use_skip_sampling if args.use_skip_sampling is None else (
-        args.use_skip_sampling == "on"
-    )
-    pop = _build_scored_population(cfg, base_seed)
-    scenarios = [cfg.make_scenario(kind) for kind in SCENARIO_CHOICES[args.scenario]]
-    workers = worker_count(args.workers, len(scenarios) * n_runs)
-    exp_cfg = ExperimentConfig(
-        base_seed=base_seed,
+    exp = cfg.experiment
+    scenarios = [s for s in exp.scenarios if s.scenario in SCENARIO_CHOICES[args.scenario]]
+    n_runs = args.runs if args.runs is not None else exp.n_runs
+    exp = replace(
+        exp,
+        base_seed=args.seed if args.seed is not None else exp.base_seed,
         scenarios=scenarios,
         n_runs=n_runs,
-        significance_level=cfg.significance_level,
-        use_skip_sampling=use_skip,
-        workers=workers,
-        common_random_numbers=cfg.common_random_numbers,
-        welch=cfg.welch,
+        workers=worker_count(args.workers, len(scenarios) * n_runs),
     )
+    pop = _build_scored_population(cfg, exp.base_seed)
+    arrays = PopulationArrays.from_population(pop)
     result = run_experiment(
-        exp_cfg, pop, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
+        exp, arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
         cfg.life_table,
     )
 
@@ -184,11 +178,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "risk_model": cfg.risk_model_ref,
         "life_table": cfg.life_table_ref,
         "scenario_flag": args.scenario,
-        "n_runs": n_runs,
-        "base_seed": base_seed,
-        "population_seed": derive_seed(base_seed),
-        "use_skip_sampling": use_skip,
-        "workers": workers,
+        "n_runs": exp.n_runs,
+        "base_seed": exp.base_seed,
+        "population_seed": derive_seed(exp.base_seed),
+        "workers": exp.workers,
         "calibration_offset": cfg.ensemble.calibration_offset,
         "seeds": {
             name: [m.seed for m in metrics] for name, metrics in result.runs.items()
@@ -236,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="strokesim_out", help="output directory")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: one per core)")
-    p.add_argument("--use-skip-sampling", choices=["on", "off"], default=None,
-                   help="sampling path (default: from config)")
     p.set_defaults(func=cmd_run)
     return parser
 

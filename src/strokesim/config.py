@@ -18,9 +18,9 @@ import importlib.resources
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Collection, Optional
 
 from .engine import (
     DelayBand,
@@ -71,8 +71,9 @@ def _read_ref(ref: str | Path, base_dir: Optional[Path]) -> tuple[str, str]:
 
 
 def _parse_json(text: str, name: str) -> Any:
-    """Parse a config file, rejecting NaN, Infinity and literals that
-    overflow to infinity (json.loads accepts all three)."""
+    """Parse a config file, rejecting NaN, Infinity, literals that overflow
+    to infinity (json.loads accepts all three) and integers too large for a
+    float (or for Python's int-string conversion limit)."""
     def non_finite(token: str) -> float:
         raise ConfigurationError(f"{name}: non-finite number {token} is not allowed")
 
@@ -82,8 +83,16 @@ def _parse_json(text: str, name: str) -> Any:
             non_finite(token)
         return value
 
+    def float_sized_int(token: str) -> int:
+        try:
+            float(value := int(token))
+        except (ValueError, OverflowError):
+            raise ConfigurationError(f"{name}: {len(token)}-digit integer out of range") from None
+        return value
+
     try:
-        return json.loads(text, parse_constant=non_finite, parse_float=finite_float)
+        return json.loads(text, parse_constant=non_finite, parse_float=finite_float,
+                          parse_int=float_sized_int)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -109,6 +118,13 @@ def _field_defaults(cls: type) -> dict[str, Any]:
     """A dataclass's declared field defaults; loaders fall back on these so
     each default is written once, on its class."""
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _reject_unknown(obj: dict, known: Collection[str], where: str) -> None:
+    """Reject keys the loader does not read, so a typo cannot fall back on a default."""
+    for key in obj:
+        if key not in known:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
 
 
 def _age_range(value: Any, where: str) -> tuple[int, int]:
@@ -330,36 +346,22 @@ class AppConfig:
     delay: DelayModel
     severity: SeverityDistribution
     odds_ratios: OddsRatioTable
-    conversation_ages: tuple[int, ...]
-    high_risk_threshold: float
-    bmi_reduction_sd_fraction: float
-    bp_reduction_sd_fraction: float
-    horizon_days: int
-    days_per_year: int
-    base_seed: int
-    n_runs: int
-    significance_level: float
-    use_skip_sampling: bool
-    common_random_numbers: bool
-    welch: bool
+    experiment: ExperimentConfig  # every scenario, sharing one time grid
     calibration_target: float
     calibration_tol: float
 
-    def make_scenario(self, kind: Scenario) -> ScenarioConfig:
-        cfg = ScenarioConfig(
-            scenario=kind,
-            conversation_ages=self.conversation_ages,
-            high_risk_threshold=self.high_risk_threshold,
-            bmi_reduction_sd_fraction=self.bmi_reduction_sd_fraction,
-            bp_reduction_sd_fraction=self.bp_reduction_sd_fraction,
-            horizon_days=self.horizon_days,
-            days_per_year=self.days_per_year,
-        )
-        cfg.validate()
-        return cfg
+    @property
+    def horizon_days(self) -> int:
+        return self.experiment.scenarios[0].horizon_days
+
+    @property
+    def days_per_year(self) -> int:
+        return self.experiment.scenarios[0].days_per_year
 
 
 def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optional[Path] = None) -> AppConfig:
+    """Load an experiment file and what it references; the experiment holds
+    one validated ScenarioConfig per Scenario, built from `simulation`."""
     text, name = _read_ref(ref, base_dir)
     data = _parse_json(text, name)
     if not isinstance(ref, str) or not ref.startswith(BUNDLED_PREFIX):
@@ -370,18 +372,21 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     population_ref = _get(data, "population", name, str)
     risk_model_ref = _get(data, "risk_model", name, str)
     life_table_ref = _get(data, "life_table", name, str)
+    _reject_unknown(data, ("population", "risk_model", "life_table", "simulation",
+                           "delay", "severity", "experiment", "calibration"), name)
     demographics, risk_tables = load_population_file(population_ref, base_dir)
     ensemble = load_risk_model(risk_model_ref, base_dir)
     life_table = load_life_table(life_table_ref, base_dir)
 
     sim = _get(data, "simulation", name, dict, default={})
     sim_where = f"{name}.simulation"
+    _reject_unknown(sim, {f.name for f in fields(ScenarioConfig)} - {"scenario"}, sim_where)
     sim_defaults = _field_defaults(ScenarioConfig)
-    ages = _get(sim, "conversation_ages", sim_where, list,
-                default=sim_defaults["conversation_ages"])
 
     exp = _get(data, "experiment", name, dict, default={})
     exp_where = f"{name}.experiment"
+    _reject_unknown(exp, {f.name for f in fields(ExperimentConfig)} - {"scenarios", "workers"},
+                    exp_where)
     exp_defaults = _field_defaults(ExperimentConfig)
 
     def sim_get(key: str, expect: type) -> Any:
@@ -390,8 +395,30 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     def exp_get(key: str, expect: type) -> Any:
         return _get(exp, key, exp_where, expect, default=exp_defaults[key])
 
+    template = ScenarioConfig(
+        conversation_ages=tuple(int(a) for a in sim_get("conversation_ages", list)),
+        high_risk_threshold=float(sim_get("high_risk_threshold", float)),
+        bmi_reduction_sd_fraction=float(sim_get("bmi_reduction_sd_fraction", float)),
+        bp_reduction_sd_fraction=float(sim_get("bp_reduction_sd_fraction", float)),
+        horizon_days=sim_get("horizon_days", int),
+        days_per_year=sim_get("days_per_year", int),
+    )
+    experiment = ExperimentConfig(
+        base_seed=_get(exp, "base_seed", exp_where, int, default=42),
+        scenarios=[replace(template, scenario=kind) for kind in Scenario],
+        n_runs=exp_get("n_runs", int),
+        significance_level=float(exp_get("significance_level", float)),
+        common_random_numbers=exp_get("common_random_numbers", bool),
+        welch=exp_get("welch", bool),
+    )
+    try:
+        experiment.validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
     cal = _get(data, "calibration", name, dict, default={})
     cal_where = f"{name}.calibration"
+    _reject_unknown(cal, ("target_annual_risk", "tol"), cal_where)
 
     severity, odds_ratios = _load_severity(
         _get(data, "severity", name, dict, default=None), f"{name}.severity"
@@ -409,18 +436,7 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
         delay=_load_delay(_get(data, "delay", name, dict, default=None), f"{name}.delay"),
         severity=severity,
         odds_ratios=odds_ratios,
-        conversation_ages=tuple(int(a) for a in ages),
-        high_risk_threshold=float(sim_get("high_risk_threshold", float)),
-        bmi_reduction_sd_fraction=float(sim_get("bmi_reduction_sd_fraction", float)),
-        bp_reduction_sd_fraction=float(sim_get("bp_reduction_sd_fraction", float)),
-        horizon_days=sim_get("horizon_days", int),
-        days_per_year=sim_get("days_per_year", int),
-        base_seed=_get(exp, "base_seed", exp_where, int, default=42),
-        n_runs=exp_get("n_runs", int),
-        significance_level=float(exp_get("significance_level", float)),
-        use_skip_sampling=exp_get("use_skip_sampling", bool),
-        common_random_numbers=exp_get("common_random_numbers", bool),
-        welch=exp_get("welch", bool),
+        experiment=experiment,
         calibration_target=float(_get(cal, "target_annual_risk", cal_where, float, default=0.0)),
         calibration_tol=float(_get(cal, "tol", cal_where, float, default=CALIBRATION_TOL)),
     )

@@ -7,11 +7,12 @@ their factors.  On every day a stroke-free agent may stroke with its daily
 risk; a stroke draws an arrival delay, a delay-adjusted severity, and its
 DALY contribution, and removes the agent from further dynamics.
 
-Two sampling paths produce the same stroke-day distribution: the naive
-path draws one uniform per agent per day, the skip path draws the day of
-first success directly from the geometric distribution (one uniform per
-agent per year).  The skip path is the production path; the naive path
-exists as the oracle it is tested against.
+Two sampling paths produce the same stroke-day distribution: the skip
+path draws the day of first success directly from the geometric
+distribution (one uniform per agent per year), the naive path draws one
+uniform per agent per day.  Experiments always run the skip path; only
+tests select the naive one (`use_skip_sampling=False`), as the oracle the
+skip path is checked against.
 
 Each model rule is implemented once, as the kernel `run_replication`
 calls: `_conversation_mask` (notification), `_apply_reduction_rows`
@@ -482,7 +483,7 @@ def _spillover_mask(
 
 
 def run_replication(
-    pop: Population | PopulationArrays,
+    base: PopulationArrays,
     ens: EnsembleRiskModel,
     scenario: ScenarioConfig,
     delay: DelayModel,
@@ -494,11 +495,12 @@ def run_replication(
 ) -> RunResult:
     """Run one full replication and aggregate its outcomes.
 
-    The input population is never mutated; the run works on an array copy.
-    Passing an integer seed records it in the result, passing a Generator
-    records None.  With identical inputs and seed the result is identical,
-    whichever sampling path is selected (each path is deterministic; the
-    two paths agree in distribution, not draw for draw).
+    `base` is never mutated; the run works on a copy of it.  Passing an
+    integer seed records it in the result, passing a Generator records
+    None.  With identical inputs and seed the result is identical, on
+    either sampling path (`use_skip_sampling=False`, the naive path, is
+    the tests' oracle; each path is deterministic, and the two agree in
+    distribution, not draw for draw).
     """
     scenario.validate()
     delay.validate()
@@ -511,7 +513,6 @@ def run_replication(
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    base = pop if isinstance(pop, PopulationArrays) else PopulationArrays.from_population(pop)
     arrays = base.copy()
     n = len(arrays.ids)
     X = arrays.features

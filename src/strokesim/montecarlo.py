@@ -3,8 +3,9 @@
 Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
 on how runs are ordered or spread across worker processes.  Replications
-run in a process pool (population arrays are shipped to each worker once)
-and are merged by index before any aggregation.
+run in a process pool (the caller's population arrays are shipped to each
+worker once) and are merged by index before any aggregation; the first
+failed replication cancels the rest and stops the experiment.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .engine import (
     run_replication,
 )
 from .errors import ConfigurationError
-from .population import Population
 from .risk import EnsembleRiskModel
 from .seeds import derive_seed
 from .stats import mean, sample_variance, t_test
@@ -51,7 +51,6 @@ class ExperimentConfig:
     scenarios: list[ScenarioConfig]
     n_runs: int = 1000
     significance_level: float = 0.05
-    use_skip_sampling: bool = True
     workers: Optional[int] = None  # None = one per available core
     common_random_numbers: bool = False
     welch: bool = False
@@ -135,7 +134,6 @@ class ExperimentSummary:
     n_runs: int
     base_seed: int
     significance_level: float
-    use_skip_sampling: bool
     common_random_numbers: bool
     welch: bool
     scenarios: list[ScenarioResult]
@@ -184,8 +182,7 @@ def _run_task(task: tuple[str, int, int], state: Optional[dict] = None) -> RunMe
     try:
         res = run_replication(
             st["arrays"], st["ens"], st["scenarios"][scenario_value],
-            st["delay"], st["sev"], st["ors"], st["life"],
-            seed, use_skip_sampling=st["use_skip"],
+            st["delay"], st["sev"], st["ors"], st["life"], seed,
         )
     except Exception as exc:
         raise RuntimeError(
@@ -196,31 +193,22 @@ def _run_task(task: tuple[str, int, int], state: Optional[dict] = None) -> RunMe
 
 def run_experiment(
     cfg: ExperimentConfig,
-    pop: Population | PopulationArrays,
+    arrays: PopulationArrays,
     ens: EnsembleRiskModel,
-    delay: Optional[DelayModel] = None,
-    sev: Optional[SeverityDistribution] = None,
-    ors: Optional[OddsRatioTable] = None,
-    life: Optional[LifeTable] = None,
+    delay: DelayModel,
+    sev: SeverityDistribution,
+    ors: OddsRatioTable,
+    life: LifeTable,
 ) -> ExperimentResult:
     """Run every configured scenario n_runs times and summarize.
 
     Results are keyed by (scenario, run index) and merged in index order,
     so the summary is identical however many workers execute the runs.
-    Any failing replication aborts the experiment; the error names the
-    scenario, run and seed that failed.
+    The first failing replication aborts the experiment, cancelling the
+    replications still queued; the error names the scenario, run and
+    seed that failed.
     """
     cfg.validate()
-    if delay is None:
-        delay = DelayModel.default()
-    if sev is None:
-        sev = SeverityDistribution.default()
-    if ors is None:
-        ors = OddsRatioTable.default()
-    if life is None:
-        raise ConfigurationError("run_experiment: a life table is required")
-
-    arrays = pop if isinstance(pop, PopulationArrays) else PopulationArrays.from_population(pop)
     state = {
         "arrays": arrays,
         "ens": ens,
@@ -229,7 +217,6 @@ def run_experiment(
         "sev": sev,
         "ors": ors,
         "life": life,
-        "use_skip": cfg.use_skip_sampling,
     }
 
     tasks: list[tuple[str, int, int]] = []
@@ -253,9 +240,13 @@ def run_experiment(
             max_workers=workers, initializer=_init_worker, initargs=(state,)
         ) as pool:
             futures = [pool.submit(_run_task, task) for task in tasks]
-            for fut in as_completed(futures):
-                m = fut.result()
-                collected[(m.scenario, m.run)] = m
+            try:
+                for fut in as_completed(futures):
+                    m = fut.result()
+                    collected[(m.scenario, m.run)] = m
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
 
     runs = {
         sc.scenario.value: [collected[(sc.scenario.value, r)] for r in range(cfg.n_runs)]
@@ -308,7 +299,6 @@ def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> Expe
     return ExperimentSummary(
         n_runs=cfg.n_runs, base_seed=cfg.base_seed,
         significance_level=cfg.significance_level,
-        use_skip_sampling=cfg.use_skip_sampling,
         common_random_numbers=cfg.common_random_numbers,
         welch=cfg.welch,
         scenarios=scenario_results, comparisons=comparisons,
@@ -342,7 +332,6 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
         "n_runs": summary.n_runs,
         "base_seed": summary.base_seed,
         "significance_level": summary.significance_level,
-        "use_skip_sampling": summary.use_skip_sampling,
         "common_random_numbers": summary.common_random_numbers,
         "welch": summary.welch,
         "scenarios": [vars(s).copy() for s in summary.scenarios],

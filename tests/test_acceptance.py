@@ -10,13 +10,14 @@ import csv
 import math
 import os
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from strokesim.cli import SCENARIO_CHOICES, _build_scored_population, main
+from strokesim.cli import _build_scored_population, main
 from strokesim.config import load_experiment_file, load_risk_model
 from strokesim.engine import (
     DelayModel,
@@ -30,7 +31,7 @@ from strokesim.engine import (
     sample_delay,
     sample_severity,
 )
-from strokesim.montecarlo import ExperimentConfig, run_experiment
+from strokesim.montecarlo import run_experiment
 from strokesim.risk import expected_stroke_count
 from strokesim.stats import t_test
 
@@ -46,20 +47,11 @@ def full_experiment(tmp_path_factory):
     calibrated = load_risk_model(model_path)
 
     cfg = load_experiment_file()
-    pop = _build_scored_population(cfg, cfg.base_seed)
+    pop = _build_scored_population(cfg, cfg.experiment.base_seed)
     arrays = PopulationArrays.from_population(pop)
     closed_form = expected_stroke_count(calibrated, pop, cfg.horizon_days)
 
-    exp_cfg = ExperimentConfig(
-        base_seed=cfg.base_seed,
-        scenarios=[cfg.make_scenario(kind) for kind in SCENARIO_CHOICES["all"]],
-        n_runs=cfg.n_runs,
-        significance_level=cfg.significance_level,
-        use_skip_sampling=True,
-        workers=os.cpu_count(),
-        common_random_numbers=cfg.common_random_numbers,
-        welch=cfg.welch,
-    )
+    exp_cfg = replace(cfg.experiment, workers=os.cpu_count())
     start = time.perf_counter()
     result = run_experiment(
         exp_cfg, arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,

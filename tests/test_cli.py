@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -244,14 +245,12 @@ def test_run_scenario_flag_selects_subset(config_path, tmp_path):
 
 def test_run_flags_override_config(config_path, tmp_path):
     out = tmp_path / "out"
-    assert run_cli(config_path, out, "--runs", "2", "--seed", "11",
-                   "--use-skip-sampling", "off") == 0
+    assert run_cli(config_path, out, "--runs", "2", "--seed", "11") == 0
     with open(out / "runs.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 3 * 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["base_seed"] == 11
-    assert manifest["use_skip_sampling"] is False
     assert int(rows[0]["seed"]) == derive_seed(11, 0, 0)
 
 
@@ -281,7 +280,7 @@ def test_run_subset_scenarios_share_baseline_rows(config_path, tmp_path):
 # must leave these alone; one that changes them re-pins them and says why.
 GOLDEN_DIGESTS = {
     "runs.csv": "5a75af4394bec24f1a310125261f5e6fd7e96c289794c833cc95c5fad1dc2943",
-    "summary.json": "89dbe2126a3d37a8c550092654abb3d70c201fd7f485a2639a2733f708af962a",
+    "summary.json": "6ebd060fdd294d803c53f978d613211652bb320f020186ab3e2e87ae5aad2505",
 }
 
 
@@ -317,27 +316,25 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
 
 def test_bundled_default_config_loads():
     cfg = load_experiment_file()
-    assert cfg.n_runs == 1000
-    assert cfg.base_seed == 42
+    assert cfg.experiment.n_runs == 1000
+    assert cfg.experiment.base_seed == 42
     assert cfg.horizon_days == 3650
-    assert cfg.conversation_ages == (50, 60, 70, 80, 90)
-    assert cfg.high_risk_threshold == 0.1
+    for scenario in cfg.experiment.scenarios:
+        assert scenario.conversation_ages == (50, 60, 70, 80, 90)
+        assert scenario.high_risk_threshold == 0.1
     assert cfg.ensemble.calibration_offset != 0.0
     assert cfg.calibration_target > 0.0
 
 
 def test_format_summary_table_structure(config_path, tmp_path):
     import strokesim.montecarlo as mc
-    from strokesim.cli import SCENARIO_CHOICES
-    cfg = load_experiment_file(config_path)
     from strokesim.cli import _build_scored_population
-    pop = _build_scored_population(cfg, cfg.base_seed)
-    exp_cfg = mc.ExperimentConfig(
-        base_seed=cfg.base_seed,
-        scenarios=[cfg.make_scenario(k) for k in SCENARIO_CHOICES["all"]],
-        n_runs=3, workers=1)
-    result = mc.run_experiment(exp_cfg, pop, cfg.ensemble, cfg.delay, cfg.severity,
-                               cfg.odds_ratios, cfg.life_table)
+    from strokesim.engine import PopulationArrays
+    cfg = load_experiment_file(config_path)
+    pop = _build_scored_population(cfg, cfg.experiment.base_seed)
+    exp_cfg = replace(cfg.experiment, n_runs=3, workers=1)
+    result = mc.run_experiment(exp_cfg, PopulationArrays.from_population(pop), cfg.ensemble,
+                               cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table)
     table = format_summary_table(result)
     lines = table.splitlines()
     assert "strokes" in lines[0] and "dalys" in lines[0]

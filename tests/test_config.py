@@ -1,4 +1,5 @@
-"""Config loading: defaults taken from the dataclasses, non-finite numbers rejected."""
+"""Config loading: defaults taken from the dataclasses, out-of-range numbers,
+unknown keys and invalid settings rejected at load time."""
 
 import importlib.resources
 import inspect
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from strokesim.config import load_experiment_file, load_life_table, load_risk_model
-from strokesim.engine import ScenarioConfig
+from strokesim.engine import Scenario, ScenarioConfig
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import ExperimentConfig
 from strokesim.population import DemographicSpec
@@ -32,14 +33,16 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
     write_json(tmp_path / "pop.json", pop)
     cfg = load_experiment_file(write_json(tmp_path / "exp.json",
                                           {**BUNDLED_REFS, "population": "pop.json"}))
+    assert [s.scenario for s in cfg.experiment.scenarios] == list(Scenario)
+    for loaded in cfg.experiment.scenarios:
+        assert loaded == ScenarioConfig(scenario=loaded.scenario)
     scenario = ScenarioConfig()
-    for name in ("conversation_ages", "high_risk_threshold", "bmi_reduction_sd_fraction",
-                 "bp_reduction_sd_fraction", "horizon_days", "days_per_year"):
-        assert getattr(cfg, name) == getattr(scenario, name), name
+    assert (cfg.horizon_days, cfg.days_per_year) == (scenario.horizon_days,
+                                                     scenario.days_per_year)
     experiment = ExperimentConfig(base_seed=0, scenarios=[scenario])
-    for name in ("n_runs", "significance_level", "use_skip_sampling",
+    for name in ("n_runs", "significance_level", "workers",
                  "common_random_numbers", "welch"):
-        assert getattr(cfg, name) == getattr(experiment, name), name
+        assert getattr(cfg.experiment, name) == getattr(experiment, name), name
     spec = DemographicSpec(regions=[], total_agents=1)
     assert cfg.demographics.min_age == spec.min_age
     assert cfg.demographics.scale_factor == spec.scale_factor
@@ -74,8 +77,42 @@ def test_nan_model_intercept_rejected(tmp_path):
         load_risk_model(path)
 
 
-def test_overflowing_literal_rejected(tmp_path):
+@pytest.mark.parametrize("literal, message", [
+    ("1e999", "non-finite number 1e999"),
+    ("1" + "0" * 400, "401-digit integer out of range"),   # overflows float()
+    ("1" * 5001, "5001-digit integer out of range"),       # over int()'s digit limit
+], ids=["1e999", "int_401_digits", "int_5001_digits"])
+def test_overflowing_literal_rejected(tmp_path, literal, message):
     path = tmp_path / "life.json"
-    path.write_text('{"ages": [35, 110], "female": [48.0, 1e999], "male": [45.0, 1.0]}')
-    with pytest.raises(ConfigurationError, match=r"life\.json: non-finite number 1e999"):
+    path.write_text('{"ages": [35, 110], "female": [48.0, %s], "male": [45.0, 1.0]}' % literal)
+    with pytest.raises(ConfigurationError, match=rf"life\.json: {message}"):
         load_life_table(path)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "n_run"),
+    ("experiment", "use_skip_sampling"),
+    ("simulation", "high_risk_treshold"),
+    ("calibration", "target"),
+    (None, "life_tables"),
+])
+def test_unknown_key_rejected(tmp_path, section, key):
+    doc = dict(BUNDLED_REFS)
+    if section is None:
+        doc[key], where = 1, "exp.json"
+    else:
+        doc[section], where = {key: 1}, f"exp.json.{section}"
+    path = write_json(tmp_path / "exp.json", doc)
+    with pytest.raises(ConfigurationError, match=rf"{where}: unknown key '{key}'"):
+        load_experiment_file(path)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "significance_level", 1.5),
+    ("experiment", "n_runs", 1),
+    ("simulation", "high_risk_threshold", 0.0),
+])
+def test_invalid_experiment_rejected_at_load(tmp_path, section, key, value):
+    path = write_json(tmp_path / "exp.json", {**BUNDLED_REFS, section: {key: value}})
+    with pytest.raises(ConfigurationError, match=rf"exp\.json: .*{key}"):
+        load_experiment_file(path)

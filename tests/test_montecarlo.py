@@ -3,10 +3,13 @@
 import csv
 import json
 import os
+import signal
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import strokesim.montecarlo as montecarlo
 from strokesim.engine import (
     DelayModel,
     LifeTable,
@@ -147,6 +150,15 @@ def tiny_life():
     return LifeTable(ages=[35, 110], female=[47.0, 2.0], male=[44.0, 2.0])
 
 
+def run_tiny(cfg, life=None):
+    """The experiment on the tiny population, with the default delay,
+    severity and odds-ratio inputs."""
+    return run_experiment(
+        cfg, PopulationArrays.from_population(tiny_population()), tiny_ens(),
+        DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default(),
+        life or tiny_life())
+
+
 def make_config(**overrides):
     params = dict(base_seed=99, scenarios=scenario_list(), n_runs=6, workers=1)
     params.update(overrides)
@@ -155,12 +167,7 @@ def make_config(**overrides):
 
 @pytest.fixture(scope="module")
 def experiment():
-    return run_experiment(make_config(), tiny_population(), tiny_ens(), life=tiny_life())
-
-
-def test_requires_life_table():
-    with pytest.raises(ConfigurationError, match="life table"):
-        run_experiment(make_config(), tiny_population(), tiny_ens())
+    return run_tiny(make_config())
 
 
 def test_runs_shape_and_order(experiment):
@@ -190,15 +197,14 @@ def test_every_run_reproducible_in_isolation(experiment):
 
 
 def test_repeat_experiment_identical(experiment):
-    again = run_experiment(make_config(), tiny_population(), tiny_ens(), life=tiny_life())
+    again = run_tiny(make_config())
     assert summary_to_dict(again.summary) == summary_to_dict(experiment.summary)
     assert {k: [vars(m) for m in v] for k, v in again.runs.items()} == \
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
 
 
 def test_parallel_equals_serial(experiment):
-    parallel = run_experiment(
-        make_config(workers=2), tiny_population(), tiny_ens(), life=tiny_life())
+    parallel = run_tiny(make_config(workers=2))
     assert summary_to_dict(parallel.summary) == summary_to_dict(experiment.summary)
     assert {k: [vars(m) for m in v] for k, v in parallel.runs.items()} == \
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
@@ -224,16 +230,14 @@ def test_scenario_subset_reuses_seeds(experiment):
         ScenarioConfig(scenario=Scenario.BASELINE, horizon_days=730),
         ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=730),
     ])
-    subset = run_experiment(subset_cfg, tiny_population(), tiny_ens(), life=tiny_life())
+    subset = run_tiny(subset_cfg)
     for name in ("baseline", "conversations_plus_family"):
         assert [vars(m) for m in subset.runs[name]] == \
                [vars(m) for m in experiment.runs[name]]
 
 
 def test_common_random_numbers_share_seeds():
-    crn = run_experiment(
-        make_config(common_random_numbers=True),
-        tiny_population(), tiny_ens(), life=tiny_life())
+    crn = run_tiny(make_config(common_random_numbers=True))
     for run in range(6):
         seeds = {name: crn.runs[name][run].seed for name in crn.runs}
         assert len(set(seeds.values())) == 1
@@ -286,8 +290,7 @@ def test_lower_scenario_mean_gives_negative_t():
 
 
 def test_welch_flag_changes_degrees_of_freedom(experiment):
-    welch = run_experiment(
-        make_config(welch=True), tiny_population(), tiny_ens(), life=tiny_life())
+    welch = run_tiny(make_config(welch=True))
     pooled_df = {(c.reference, c.scenario, c.metric): c.df
                  for c in experiment.summary.comparisons}
     for c in welch.summary.comparisons:
@@ -303,7 +306,64 @@ def test_welch_flag_changes_degrees_of_freedom(experiment):
 def test_failing_replication_names_the_run():
     bad_life = LifeTable(ages=[110, 35], female=[2.0, 47.0], male=[2.0, 44.0])
     with pytest.raises(RuntimeError, match=r"scenario=baseline run=0 seed=\d+"):
-        run_experiment(make_config(), tiny_population(), tiny_ens(), life=bad_life)
+        run_tiny(make_config(), life=bad_life)
+
+
+class FailFirstPool:
+    """ProcessPoolExecutor stand-in that starts no process: the first task
+    runs here, at submit, and every later one stays queued until cancelled."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers, self.state = max_workers, initargs[0]
+        self.futures = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+
+    def submit(self, fn, task):
+        fut = Future()
+        if not self.futures:
+            try:
+                fut.set_result(fn(task, self.state))
+            except Exception as exc:
+                fut.set_exception(exc)
+        self.futures.append(fut)
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        if cancel_futures:
+            for fut in self.futures:
+                fut.cancel()
+
+
+def test_pool_stops_at_first_failed_replication(monkeypatch):
+    pools = []
+
+    def make_pool(**kwargs):
+        pools.append(FailFirstPool(**kwargs))
+        return pools[-1]
+
+    def waited(signum, frame):
+        raise TimeoutError("the experiment waited on the queued replications")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    bad_life = LifeTable(ages=[110, 35], female=[2.0, 47.0], male=[2.0, 44.0])
+    previous = signal.signal(signal.SIGALRM, waited)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match=r"scenario=baseline run=0 seed=\d+"):
+            run_tiny(make_config(workers=2), life=bad_life)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    (pool,) = pools
+    assert pool.max_workers == 2
+    assert len(pool.futures) == 3 * 6
+    assert all(fut.cancelled() for fut in pool.futures[1:])
 
 
 # --- output files ---
