@@ -1,9 +1,11 @@
 """Run one replication end to end and inspect individual strokes.
 
 A replication walks the population day by day for the horizon: yearly
-birthdays and rescoring, stroke draws (skip-sampled, so quiet stretches
-cost nothing), treatment delay, severity, and the DALY split into years
-of life lost and years lived with disability.
+birthdays, stroke draws (skip-sampled, so quiet stretches cost nothing),
+treatment delay, severity, and the DALY split into years of life lost and
+years lived with disability.  Risks are not recomputed inside it: every
+agent is scored once per simulated year beforehand, into risk tables
+that all replications of a scenario share.
 """
 
 import collections
@@ -11,7 +13,7 @@ import collections
 import numpy as np
 
 from strokesim.config import load_experiment_file
-from strokesim.engine import PopulationArrays, Scenario, run_replication
+from strokesim.engine import PopulationArrays, Scenario, build_risk_tables, run_replication
 from strokesim.population import assign_risk_factors, build_population
 from strokesim.seeds import derive_seed
 
@@ -22,9 +24,14 @@ assign_risk_factors(pop, cfg.risk_tables, rng)
 # The engine runs on a column copy of the population, built once.
 arrays = PopulationArrays.from_population(pop)
 scenarios = {s.scenario: s for s in cfg.experiment.scenarios}
+# Each agent's five-year risk at every year's age, with and without the
+# intervention's factor reduction; run_experiment builds these itself.
+tables = build_risk_tables(arrays, cfg.ensemble, cfg.experiment.scenarios)
+print(f"risk tables: {tables[Scenario.BASELINE].plain.shape[0]} years "
+      f"x {tables[Scenario.BASELINE].plain.shape[1]} agents")
 
 result = run_replication(
-    arrays, cfg.ensemble, scenarios[Scenario.BASELINE],
+    arrays, tables[Scenario.BASELINE], scenarios[Scenario.BASELINE],
     cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
     rng=7,
 )
@@ -53,7 +60,7 @@ print("strokes per simulated year:",
 # true effect only separates from noise across many replications, which
 # is what 05_experiment.py is for.
 treated = run_replication(
-    arrays, cfg.ensemble, scenarios[Scenario.CONVERSATIONS],
+    arrays, tables[Scenario.CONVERSATIONS], scenarios[Scenario.CONVERSATIONS],
     cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
     rng=7,
 )

@@ -15,12 +15,14 @@ from .engine import (
     LifeTable,
     OddsRatioTable,
     PopulationArrays,
+    RiskTables,
     RunResult,
     Scenario,
     ScenarioConfig,
     Severity,
     SeverityDistribution,
     StrokeOutcome,
+    build_risk_tables,
     run_replication,
 )
 from .errors import CalibrationError, ConfigurationError
@@ -52,7 +54,7 @@ from .risk import (
     logistic_score,
 )
 from .seeds import derive_seed
-from .stats import TTestResult, regularized_incomplete_beta, t_test
+from .stats import TTestResult, paired_t_test, regularized_incomplete_beta, t_test
 
 __all__ = [
     "__version__",
@@ -72,6 +74,7 @@ __all__ = [
     "PopulationArrays",
     "RiskFactorTables",
     "RiskScore",
+    "RiskTables",
     "RunResult",
     "Scenario",
     "ScenarioConfig",
@@ -81,11 +84,13 @@ __all__ = [
     "TTestResult",
     "assign_risk_factors",
     "build_population",
+    "build_risk_tables",
     "calibrate_intercepts",
     "derive_seed",
     "ensemble_score",
     "expected_stroke_count",
     "logistic_score",
+    "paired_t_test",
     "percent_difference",
     "population_stats",
     "read_population_csv",

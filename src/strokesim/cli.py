@@ -21,6 +21,7 @@ from . import __version__
 from .config import DEFAULT_EXPERIMENT, AppConfig, dump_risk_model, load_experiment_file
 from .engine import PopulationArrays, Scenario
 from .errors import CalibrationError, ConfigurationError
+from .files import atomic_open
 from .montecarlo import (
     ExperimentResult,
     run_experiment,
@@ -63,7 +64,7 @@ def _build_scored_population(cfg: AppConfig, base_seed: int) -> Population:
 
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = {"tool": "strokesim", "version": __version__, **payload}
-    with open(path, "w") as handle:
+    with atomic_open(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 

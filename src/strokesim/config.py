@@ -33,6 +33,7 @@ from .engine import (
     SeverityDistribution,
 )
 from .errors import ConfigurationError
+from .files import atomic_open
 from .montecarlo import ExperimentConfig
 from .population import (
     DemographicSpec,
@@ -107,9 +108,11 @@ def _get(obj: dict, key: str, where: str, expect: Optional[type] = None, default
             return default
         raise ConfigurationError(f"{where}: missing required field {key!r}")
     value = obj[key]
-    if expect is not None and not isinstance(value, expect):
-        # bool is an int subclass; keep the check honest for numerics
-        if not (expect is float and isinstance(value, int) and not isinstance(value, bool)):
+    if expect is not None:
+        # an integer literal is a valid float; bool is an int subclass, so
+        # true/false must not pass as the numbers 1/0
+        ok = isinstance(value, expect) or (expect is float and isinstance(value, int))
+        if not ok or (isinstance(value, bool) and expect is not bool):
             raise ConfigurationError(f"{where}.{key}: expected {expect.__name__}")
     return value
 
@@ -264,7 +267,7 @@ def dump_risk_model(ens: EnsembleRiskModel, path: str | Path) -> None:
         "crossfade_years": ens.crossfade_years,
         "calibration_offset": ens.calibration_offset,
     }
-    with open(path, "w") as handle:
+    with atomic_open(path) as handle:
         json.dump(data, handle, indent=2)
         handle.write("\n")
 
@@ -395,8 +398,14 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     def exp_get(key: str, expect: type) -> Any:
         return _get(exp, key, exp_where, expect, default=exp_defaults[key])
 
+    conversation_ages = sim_get("conversation_ages", list)
+    for i, age in enumerate(conversation_ages):
+        if not isinstance(age, int) or isinstance(age, bool):
+            raise ConfigurationError(
+                f"{sim_where}.conversation_ages[{i}]: expected an integer age, got {age!r}"
+            )
     template = ScenarioConfig(
-        conversation_ages=tuple(int(a) for a in sim_get("conversation_ages", list)),
+        conversation_ages=tuple(conversation_ages),
         high_risk_threshold=float(sim_get("high_risk_threshold", float)),
         bmi_reduction_sd_fraction=float(sim_get("bmi_reduction_sd_fraction", float)),
         bp_reduction_sd_fraction=float(sim_get("bp_reduction_sd_fraction", float)),

@@ -1,11 +1,18 @@
 """One replication of the stroke microsimulation.
 
 The run is a 10-year daily loop.  On every year boundary (day 0 included)
-agents age a year, lose a year of remaining life expectancy, get rescored,
-and the intervention scenario may notify them of high risk and reduce
-their factors.  On every day a stroke-free agent may stroke with its daily
+agents age a year and lose a year of remaining life expectancy, and the
+intervention scenario may notify them of high risk and reduce their
+factors.  On every day a stroke-free agent may stroke with its daily
 risk; a stroke draws an arrival delay, a delay-adjusted severity, and its
 DALY contribution, and removes the agent from further dynamics.
+
+An agent's five-year risk in year y depends only on its age then (entry
+age + y + 1) and on whether its factors have been reduced, a one-off
+change fixed by its original factors and the frozen baseline stats.  So
+`build_risk_tables` scores every agent at every year's age once per
+experiment, with and without the reduction, and a replication only
+gathers from those `RiskTables`; it never rescores.
 
 Two sampling paths produce the same stroke-day distribution: the skip
 path draws the day of first success directly from the geometric
@@ -14,17 +21,18 @@ uniform per agent per day.  Experiments always run the skip path; only
 tests select the naive one (`use_skip_sampling=False`), as the oracle the
 skip path is checked against.
 
-Each model rule is implemented once, as the kernel `run_replication`
-calls: `_conversation_mask` (notification), `_apply_reduction_rows`
-(risk reduction), `_spillover_mask` (family spillover),
-`_first_success_offsets` (arrival sampling) and `compute_outcome` (DALY
-accounting).  The tests exercise these kernels directly.
+Each model rule is implemented once, as the kernel the replication or the
+table build calls: `_conversation_mask` (notification),
+`_apply_reduction_rows` (risk reduction), `_spillover_mask` (family
+spillover), `_first_success_offsets` (arrival sampling) and
+`compute_outcome` (DALY accounting).  The tests exercise these kernels
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -372,9 +380,8 @@ _COL = {name: i for i, name in enumerate(FEATURE_NAMES)}
 class PopulationArrays:
     """Column-oriented copy of a Population for the replication hot path.
 
-    Row order is agent order; `features` columns follow FEATURE_NAMES.
-    Building one is the slow part, so callers that run many replications
-    build once and hand out `copy()` per run.
+    Row order is agent order; `features` columns follow FEATURE_NAMES and
+    `age` holds the entry ages.  Replications only read it.
     """
 
     ids: np.ndarray
@@ -398,12 +405,6 @@ class PopulationArrays:
         return PopulationArrays(
             ids=ids, features=features, age=age, male=male,
             household=household, stats=stats,
-        )
-
-    def copy(self) -> "PopulationArrays":
-        return PopulationArrays(
-            ids=self.ids, features=self.features.copy(), age=self.age.copy(),
-            male=self.male, household=self.household, stats=self.stats,
         )
 
 
@@ -440,7 +441,8 @@ def _apply_reduction_rows(
 
     Quits smoking outright; BMI drops a fraction of the population sd when
     above the population mean; both blood pressures drop a fraction of
-    their sd.  Values floor at the physiologic minima.  The caller rescores.
+    their sd.  Values floor at the physiologic minima.  `build_risk_tables`
+    applies it to every row to score the reduced factors.
     """
     X, stats = arrays.features, arrays.stats
     X[rows, _COL["smoker"]] = 0.0
@@ -482,9 +484,66 @@ def _spillover_mask(
     return active & ~reduced & flagged[household]
 
 
+def year_count(cfg: ScenarioConfig) -> int:
+    """Year boundaries in a run: one per started year of the horizon."""
+    return -(-cfg.horizon_days // cfg.days_per_year)
+
+
+@dataclass(frozen=True)
+class RiskTables:
+    """Five-year risk of every agent in every simulated year.
+
+    Row y, column i is agent i's ensemble score at the age it reaches on
+    year boundary y (entry age + y + 1): in `plain` with its original
+    factors, in `reduced` after `_apply_reduction_rows`.  `reduced` is
+    None for a scenario that reduces no one.
+    """
+
+    plain: np.ndarray
+    reduced: Optional[np.ndarray] = None
+
+
+def _score_by_year(ens: EnsembleRiskModel, X: np.ndarray, entry_age: np.ndarray,
+                   years: int) -> np.ndarray:
+    """Score `X` at each year's age; overwrites its age column."""
+    out = np.empty((years, len(entry_age)))
+    for year in range(years):
+        age = entry_age + (year + 1)
+        X[:, _COL["age"]] = age
+        out[year] = five_year_matrix(ens, X, age)
+    return out
+
+
+def build_risk_tables(
+    arrays: PopulationArrays, ens: EnsembleRiskModel, scenarios: list[ScenarioConfig]
+) -> dict[Scenario, RiskTables]:
+    """The risk tables of each scenario, scored once for all its replications.
+
+    Every table covers the longest horizon among `scenarios`.  `plain` is
+    built once and shared; one `reduced` table is built per distinct pair
+    of reduction fractions, and baseline gets none.
+    """
+    years = max(year_count(s) for s in scenarios)
+    scratch = replace(arrays, features=arrays.features.copy())  # every table scores this
+    plain = _score_by_year(ens, scratch.features, arrays.age, years)
+    reduced: dict[tuple[float, float], np.ndarray] = {}
+    tables = {}
+    for s in scenarios:
+        if s.scenario is Scenario.BASELINE:
+            tables[s.scenario] = RiskTables(plain)
+            continue
+        key = (s.bmi_reduction_sd_fraction, s.bp_reduction_sd_fraction)
+        if key not in reduced:
+            scratch.features[:] = arrays.features
+            _apply_reduction_rows(scratch, np.arange(len(arrays.ids)), s)
+            reduced[key] = _score_by_year(ens, scratch.features, arrays.age, years)
+        tables[s.scenario] = RiskTables(plain, reduced[key])
+    return tables
+
+
 def run_replication(
-    base: PopulationArrays,
-    ens: EnsembleRiskModel,
+    arrays: PopulationArrays,
+    tables: RiskTables,
     scenario: ScenarioConfig,
     delay: DelayModel,
     sev: SeverityDistribution,
@@ -495,12 +554,13 @@ def run_replication(
 ) -> RunResult:
     """Run one full replication and aggregate its outcomes.
 
-    `base` is never mutated; the run works on a copy of it.  Passing an
-    integer seed records it in the result, passing a Generator records
-    None.  With identical inputs and seed the result is identical, on
-    either sampling path (`use_skip_sampling=False`, the naive path, is
-    the tests' oracle; each path is deterministic, and the two agree in
-    distribution, not draw for draw).
+    `tables` are the scenario's risk tables from `build_risk_tables` for
+    these `arrays`; neither is mutated.  Passing an integer seed records
+    it in the result, passing a Generator records None.  With identical
+    inputs and seed the result is identical, on either sampling path
+    (`use_skip_sampling=False`, the naive path, is the tests' oracle;
+    each path is deterministic, and the two agree in distribution, not
+    draw for draw).
     """
     scenario.validate()
     delay.validate()
@@ -508,24 +568,26 @@ def run_replication(
     ors.validate()
     life.validate()
 
+    interventions_on = scenario.scenario is not Scenario.BASELINE
+    spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
+    n = len(arrays.ids)
+    years = year_count(scenario)
+    needed = [tables.plain] + ([tables.reduced] if interventions_on else [])
+    if any(t is None or t.shape[0] < years or t.shape[1] != n for t in needed):
+        raise ConfigurationError(
+            f"risk tables do not cover {years} years of {n} agents "
+            f"in scenario {scenario.scenario.value}"
+        )
+
     seed: Optional[int] = None
     if isinstance(rng, (int, np.integer)):
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    arrays = base.copy()
-    n = len(arrays.ids)
-    X = arrays.features
-
     rle = life.residual_array(arrays.male, arrays.age)
     stroke_day = np.full(n, -1, dtype=np.int64)
     notified = np.zeros(n, dtype=bool)
     reduced = np.zeros(n, dtype=bool)
-    five_year = np.zeros(n)
-    daily = np.zeros(n)
-
-    interventions_on = scenario.scenario is not Scenario.BASELINE
-    spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
 
     outcomes: list[StrokeOutcome] = []
     severity_counts = {s.value: 0 for s in SEVERITY_ORDER}
@@ -533,11 +595,6 @@ def run_replication(
     conversations = 0
     risk_reductions = 0
     family_reductions = 0
-
-    def rescore(mask: np.ndarray) -> None:
-        fy = five_year_matrix(ens, X[mask], arrays.age[mask])
-        five_year[mask] = fy
-        daily[mask] = fy / DAYS_PER_FIVE_YEARS
 
     def process_stroke(row: int, day: int) -> None:
         nonlocal total_dalys
@@ -550,37 +607,29 @@ def run_replication(
         total_dalys += outcome.daly
         stroke_day[row] = day
 
-    day = 0
-    while day < scenario.horizon_days:
+    for year in range(years):
+        day = year * scenario.days_per_year
         active = stroke_day < 0
 
-        # year boundary: birthdays first, then rescoring, then interventions
-        arrays.age[active] += 1
+        # year boundary: birthdays first, then interventions
         rle[active] -= 1.0
-        X[:, _COL["age"]] = arrays.age
-        rescore(active)
-
+        five_year = tables.plain[year]
         if interventions_on:
-            talk = _conversation_mask(arrays.age, five_year, active, scenario)
+            five_year = np.where(reduced, tables.reduced[year], five_year)
+            talk = _conversation_mask(arrays.age + (year + 1), five_year, active, scenario)
             conversations += int(talk.sum())
             notified |= talk
 
             own = active & notified & ~reduced
-            if own.any():
-                rows = np.flatnonzero(own)
-                _apply_reduction_rows(arrays, rows, scenario)
-                reduced[own] = True
-                risk_reductions += len(rows)
-                rescore(own)
+            reduced |= own
+            risk_reductions += int(own.sum())
 
             if spillover_on:
                 spill = _spillover_mask(arrays.household, notified, active, reduced)
-                if spill.any():
-                    rows = np.flatnonzero(spill)
-                    _apply_reduction_rows(arrays, rows, scenario)
-                    reduced[spill] = True
-                    family_reductions += len(rows)
-                    rescore(spill)
+                reduced |= spill
+                family_reductions += int(spill.sum())
+            five_year = np.where(reduced, tables.reduced[year], tables.plain[year])
+        daily = five_year / DAYS_PER_FIVE_YEARS
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
         act_rows = np.flatnonzero(active)
@@ -598,8 +647,6 @@ def run_replication(
                 u = rng.random(act_rows.size)
                 for row in act_rows[u < daily[act_rows]]:
                     process_stroke(int(row), d)
-
-        day += window
 
     total_strokes = len(outcomes)
     return RunResult(

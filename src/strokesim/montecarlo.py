@@ -2,10 +2,17 @@
 
 Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
-on how runs are ordered or spread across worker processes.  Replications
-run in a process pool (the caller's population arrays are shipped to each
-worker once) and are merged by index before any aggregation; the first
-failed replication cancels the rest and stops the experiment.
+on how runs are ordered or spread across worker processes.  Each
+experiment scores its population once, into per-year risk tables
+(`engine.build_risk_tables`), before any replication runs.  Replications
+run in a process pool (the population arrays and risk tables are shipped
+to each worker once) and are merged by index before any aggregation; the
+first failed replication cancels the rest and stops the experiment.
+
+With common random numbers every scenario's run i uses the same seed, so
+runs pair up by index and comparisons use the paired t-test; otherwise
+the samples are independent and get the two-sample test (pooled, or
+Welch's with `welch`).
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ from .engine import (
     Scenario,
     ScenarioConfig,
     SeverityDistribution,
+    build_risk_tables,
     run_replication,
 )
 from .errors import ConfigurationError
+from .files import atomic_open
 from .risk import EnsembleRiskModel
 from .seeds import derive_seed
-from .stats import mean, sample_variance, t_test
+from .stats import mean, paired_t_test, sample_variance, t_test
 
 # Seed derivation uses a fixed per-scenario index, not the position in the
 # configured list, so running a subset of scenarios reuses the same seeds.
@@ -52,8 +61,8 @@ class ExperimentConfig:
     n_runs: int = 1000
     significance_level: float = 0.05
     workers: Optional[int] = None  # None = one per available core
-    common_random_numbers: bool = False
-    welch: bool = False
+    common_random_numbers: bool = False  # one seed per run index; paired tests
+    welch: bool = False  # Welch's two-sample test; unused when runs are paired
 
     def validate(self) -> None:
         if self.n_runs < 2:
@@ -181,7 +190,7 @@ def _run_task(task: tuple[str, int, int], state: Optional[dict] = None) -> RunMe
     assert st is not None
     try:
         res = run_replication(
-            st["arrays"], st["ens"], st["scenarios"][scenario_value],
+            st["arrays"], st["tables"][scenario_value], st["scenarios"][scenario_value],
             st["delay"], st["sev"], st["ors"], st["life"], seed,
         )
     except Exception as exc:
@@ -202,16 +211,19 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every configured scenario n_runs times and summarize.
 
-    Results are keyed by (scenario, run index) and merged in index order,
-    so the summary is identical however many workers execute the runs.
+    The risk tables are built here, once, before the pool starts, so
+    every replication and every worker reads the same scores.  Results
+    are keyed by (scenario, run index) and merged in index order, so the
+    summary is identical however many workers execute the runs.
     The first failing replication aborts the experiment, cancelling the
     replications still queued; the error names the scenario, run and
     seed that failed.
     """
     cfg.validate()
+    tables = build_risk_tables(arrays, ens, cfg.scenarios)
     state = {
         "arrays": arrays,
-        "ens": ens,
+        "tables": {kind.value: t for kind, t in tables.items()},
         "scenarios": {s.scenario.value: s for s in cfg.scenarios},
         "delay": delay,
         "sev": sev,
@@ -286,7 +298,10 @@ def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> Expe
             ref_sample = samples[(ref, metric)]
             scen_sample = samples[(scen, metric)]
             ref_mean = mean(ref_sample)
-            res = t_test(scen_sample, ref_sample, welch=cfg.welch)
+            if cfg.common_random_numbers:
+                res = paired_t_test(scen_sample, ref_sample)
+            else:
+                res = t_test(scen_sample, ref_sample, welch=cfg.welch)
             comparisons.append(Comparison(
                 reference=ref, scenario=scen, metric=metric,
                 percent_difference=percent_difference(res.mean_a, ref_mean),
@@ -315,7 +330,7 @@ RUNS_CSV_COLUMNS = [
 
 
 def write_runs_csv(result: ExperimentResult, path) -> None:
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RUNS_CSV_COLUMNS)
         for name in result.runs:
@@ -340,7 +355,7 @@ def summary_to_dict(summary: ExperimentSummary) -> dict:
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
-    with open(path, "w") as handle:
+    with atomic_open(path) as handle:
         json.dump(summary_to_dict(summary), handle, indent=2)
         handle.write("\n")
 
@@ -352,7 +367,7 @@ def write_summary_csv(summary: ExperimentSummary, path) -> None:
         for c in summary.comparisons
         if c.reference == Scenario.BASELINE.value
     }
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([
             "scenario", "metric", "mean", "sd",

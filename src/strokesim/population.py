@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+from .files import atomic_open
 
 SEXES = ("female", "male")
 HOUSEHOLD_TYPES = ("single", "couple", "with_children")
@@ -374,7 +375,7 @@ CSV_COLUMNS = [
 
 def write_population_csv(pop: Population, path) -> None:
     """Dump one agent per row.  Floats use repr so a round trip is exact."""
-    with open(path, "w", newline="") as handle:
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for a in pop.agents:

@@ -194,12 +194,20 @@ def weights_for_age(ensemble: EnsembleRiskModel, age: int) -> np.ndarray:
 
 
 def weight_matrix(ensemble: EnsembleRiskModel, ages: np.ndarray) -> np.ndarray:
-    """(n_agents, n_models) weight matrix; rows match `weights_for_age`."""
-    ages = np.asarray(ages)
-    out = np.empty((len(ages), len(ensemble.models)), dtype=float)
-    for age in np.unique(ages):
-        out[ages == age] = weights_for_age(ensemble, int(age))
-    return out
+    """(n_agents, n_models) weight matrix; rows match `weights_for_age`.
+
+    One `weights_for_age` row per whole year from the youngest age to the
+    oldest, gathered by age (fractional ages truncate, as `int()` does).
+    Every age past the last band has that band's weights, so ages are
+    capped just above it and the table stays as small as the bands.
+    """
+    ages = np.minimum(np.asarray(ages).astype(np.int64), ensemble.weights[-1].age_hi + 1)
+    if ages.size == 0:
+        return np.empty((0, len(ensemble.models)))
+    youngest = int(ages.min())
+    table = np.array([weights_for_age(ensemble, age)
+                      for age in range(youngest, int(ages.max()) + 1)])
+    return table[ages - youngest]
 
 
 def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +229,8 @@ def five_year_matrix(
 ) -> np.ndarray:
     """Vectorized ensemble score for many agents at once.
 
-    Equivalent to `ensemble_score` per row; the engine uses this path so a
-    year's worth of rescoring is a couple of matrix products.
+    Equivalent to `ensemble_score` per row; the engine builds its per-year
+    risk tables (`engine.build_risk_tables`) with it.
     """
     if offset is None:
         offset = ensemble.calibration_offset

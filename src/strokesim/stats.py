@@ -1,4 +1,4 @@
-"""Two-sample t-test on top of a self-contained incomplete beta function.
+"""Two-sample and paired t-tests on top of a self-contained incomplete beta function.
 
 The simulation's headline claims rest on these p-values, so the kernel
 carries its own special-function evaluation rather than pulling in a
@@ -139,6 +139,29 @@ def t_test(
             return _degenerate(diff, df, m_a, m_b)
         t = diff / math.sqrt(se2)
 
+    return TTestResult(t=t, df=df, p=student_t_p_value(t, df), mean_a=m_a, mean_b=m_b)
+
+
+def paired_t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
+    """Paired two-sided t-test on matched samples: df = n - 1.
+
+    Pair i is (sample_a[i], sample_b[i]), as when both come from the same
+    random numbers; t is the mean difference over its standard error.
+    Zero variance of the differences follows `t_test`'s convention.
+    """
+    n = len(sample_a)
+    if n != len(sample_b):
+        raise ValueError("paired samples must have the same length")
+    if n < 2:
+        raise ValueError("paired samples need at least two pairs")
+    diffs = [a - b for a, b in zip(sample_a, sample_b)]
+    m_d = mean(diffs)
+    df = float(n - 1)
+    se2 = sample_variance(diffs) / n
+    m_a, m_b = mean(sample_a), mean(sample_b)
+    if se2 == 0.0:
+        return _degenerate(m_d, df, m_a, m_b)
+    t = m_d / math.sqrt(se2)
     return TTestResult(t=t, df=df, p=student_t_p_value(t, df), mean_a=m_a, mean_b=m_b)
 
 

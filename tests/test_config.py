@@ -116,3 +116,38 @@ def test_invalid_experiment_rejected_at_load(tmp_path, section, key, value):
     path = write_json(tmp_path / "exp.json", {**BUNDLED_REFS, section: {key: value}})
     with pytest.raises(ConfigurationError, match=rf"exp\.json: .*{key}"):
         load_experiment_file(path)
+
+
+@pytest.mark.parametrize("key", ["horizon_days", "days_per_year"])
+def test_boolean_rejected_where_an_integer_is_expected(tmp_path, key):
+    path = write_json(tmp_path / "exp.json", {**BUNDLED_REFS, "simulation": {key: True}})
+    with pytest.raises(ConfigurationError, match=rf"exp\.json\.simulation\.{key}: expected int"):
+        load_experiment_file(path)
+
+
+def test_boolean_agent_count_rejected(tmp_path):
+    pop = json.loads(importlib.resources.files("strokesim")
+                     .joinpath("data", "population_ie.json").read_text())
+    pop["demographics"]["total_agents"] = True
+    write_json(tmp_path / "pop.json", pop)
+    path = write_json(tmp_path / "exp.json", {**BUNDLED_REFS, "population": "pop.json"})
+    with pytest.raises(ConfigurationError,
+                       match=r"pop\.json\.demographics\.total_agents: expected int"):
+        load_experiment_file(path)
+
+
+@pytest.mark.parametrize("entry", [50.9, "60", True, 60.0, None],
+                         ids=["float", "string", "bool", "integral_float", "null"])
+def test_conversation_age_must_be_an_integer(tmp_path, entry):
+    path = write_json(tmp_path / "exp.json",
+                      {**BUNDLED_REFS, "simulation": {"conversation_ages": [40, entry]}})
+    with pytest.raises(ConfigurationError,
+                       match=r"exp\.json\.simulation\.conversation_ages\[1\]: expected an integer"):
+        load_experiment_file(path)
+
+
+def test_integer_conversation_ages_load(tmp_path):
+    path = write_json(tmp_path / "exp.json",
+                      {**BUNDLED_REFS, "simulation": {"conversation_ages": [45, 65]}})
+    for scenario in load_experiment_file(path).experiment.scenarios:
+        assert scenario.conversation_ages == (45, 65)

@@ -28,7 +28,9 @@ from strokesim.engine import (
     _conversation_mask,
     _first_success_offsets,
     _spillover_mask,
+    build_risk_tables,
     run_replication,
+    year_count,
     sample_delay,
     sample_severity,
 )
@@ -39,6 +41,7 @@ from strokesim.risk import (
     EnsembleRiskModel,
     LogisticModel,
     WeightRow,
+    feature_matrix,
     five_year_matrix,
 )
 
@@ -521,7 +524,7 @@ def test_family_spillover_skips_reduced_and_stroked():
 # --- population arrays ---
 
 
-def test_population_arrays_dense_households_and_copy():
+def test_population_arrays_dense_households():
     agents = []
     for i, hh in enumerate((40, 9, 40)):
         a = agent(household_id=hh)
@@ -530,18 +533,106 @@ def test_population_arrays_dense_households_and_copy():
     arrays = PopulationArrays.from_population(population_of(agents))
     assert arrays.household.tolist() == [1, 0, 1]
 
-    clone = arrays.copy()
-    clone.features[0, 0] = 99.0
-    clone.age[0] = 99
-    assert arrays.features[0, 0] != 99.0
-    assert arrays.age[0] != 99
-    assert clone.ids is arrays.ids
-    assert clone.stats is arrays.stats
-
 
 def test_population_arrays_rejects_empty():
     with pytest.raises(ConfigurationError, match="empty"):
         PopulationArrays.from_population(Population(agents=[], households={}, household_types={}))
+
+
+# --- risk tables ---
+
+
+def aging_ens():
+    """Two members with age coefficients whose weights crossfade across 60,
+    so every agent's score moves each simulated year."""
+    ens = EnsembleRiskModel(
+        models=[
+            LogisticModel(age_lo=0, age_hi=59, intercept=-9.0, coefficients={
+                "age": 0.05, "sbp": 0.03, "bmi": 0.02, "smoker": 0.7}),
+            LogisticModel(age_lo=60, age_hi=200, intercept=-7.5, coefficients={
+                "age": 0.03, "sbp": 0.02, "dbp": 0.01, "cigs_per_day": 0.02}),
+        ],
+        weights=[WeightRow(age_lo=0, age_hi=59, weights=[1.0, 0.0]),
+                 WeightRow(age_lo=60, age_hi=200, weights=[0.3, 0.7])],
+        crossfade_years=3,
+    )
+    ens.validate()
+    return ens
+
+
+def test_risk_tables_match_scoring_at_each_years_age():
+    pop = small_pop(n=30, seed=4)
+    ens = aging_ens()
+    scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365) for kind in Scenario]
+    arrays = PopulationArrays.from_population(pop)
+    tables = build_risk_tables(arrays, ens, scenarios)
+
+    plain = tables[Scenario.BASELINE].plain
+    reduced = tables[Scenario.CONVERSATIONS].reduced
+    assert tables[Scenario.BASELINE].reduced is None
+    assert all(t.plain is plain for t in tables.values())
+    assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].reduced is reduced
+    assert plain.shape == reduced.shape == (8, 30)
+    assert (np.diff(plain, axis=0) != 0).all()  # age moves every score
+    assert (reduced < plain).any()
+
+    # the scoring kernel on every agent at that year's age: bit for bit;
+    # each agent scored alone agrees to rounding (a one-row product may take
+    # another BLAS path)
+    lowered = PopulationArrays.from_population(pop)
+    _apply_reduction_rows(lowered, np.arange(30), scenarios[1])
+    age_col = FEATURE_NAMES.index("age")
+    for year in range(8):
+        ages = np.array([a.age + year + 1 for a in pop.agents])
+        for table, features in ((plain, feature_matrix(pop.agents)), (reduced, lowered.features)):
+            X = features.copy()
+            X[:, age_col] = ages
+            assert np.array_equal(table[year], five_year_matrix(ens, X, ages)), year
+            for i in range(30):
+                alone = five_year_matrix(ens, X[i:i + 1], ages[i:i + 1])[0]
+                assert table[year, i] == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+
+def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
+    arrays = PopulationArrays.from_population(small_pop(n=10))
+    scenarios = [
+        ScenarioConfig(horizon_days=2 * 365),
+        ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=3 * 365 + 1),
+        ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=365,
+                       bp_reduction_sd_fraction=0.3),
+    ]
+    assert [year_count(s) for s in scenarios] == [2, 4, 1]
+    tables = build_risk_tables(arrays, strong_ens(), scenarios)
+    conv = tables[Scenario.CONVERSATIONS]
+    family = tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
+    assert conv.plain.shape == conv.reduced.shape == family.reduced.shape == (4, 10)
+    assert family.reduced is not conv.reduced
+    assert (family.reduced <= conv.reduced).all()  # the larger bp reduction
+    assert (family.reduced < conv.reduced).any()
+    # each reduced table starts from the original factors, not from another's
+    for table, cfg in ((conv.reduced, scenarios[1]), (family.reduced, scenarios[2])):
+        lowered = PopulationArrays.from_population(small_pop(n=10))
+        _apply_reduction_rows(lowered, np.arange(10), cfg)
+        lowered.features[:, FEATURE_NAMES.index("age")] = lowered.age + 1
+        assert np.array_equal(table[0], five_year_matrix(strong_ens(), lowered.features,
+                                                         lowered.age + 1))
+
+
+def test_run_replication_rejects_tables_that_do_not_fit():
+    pop = small_pop(n=6)
+    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
+    short = args[1]
+    args[2] = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=1095)
+    with pytest.raises(ConfigurationError, match="3 years of 6 agents"):
+        run_replication(*args, rng=0)
+    args[1] = build_risk_tables(args[0], strong_ens(), [ScenarioConfig()])[Scenario.BASELINE]
+    args[2] = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=730)
+    with pytest.raises(ConfigurationError, match="scenario conversations"):
+        run_replication(*args, rng=0)
+    args[0] = PopulationArrays.from_population(small_pop(n=5))
+    args[1] = short
+    with pytest.raises(ConfigurationError, match="of 5 agents"):
+        run_replication(*args, rng=0)
 
 
 # --- full replications ---
@@ -566,7 +657,9 @@ def small_pop(n=40, seed=3, risk_spread=True):
 
 def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, **cfg_kwargs):
     scenario = ScenarioConfig(scenario=scenario_kind, horizon_days=horizon, **cfg_kwargs)
-    return (PopulationArrays.from_population(pop), ens, scenario, DelayModel.default(),
+    arrays = PopulationArrays.from_population(pop)
+    tables = build_risk_tables(arrays, ens, [scenario])[scenario_kind]
+    return (arrays, tables, scenario, DelayModel.default(),
             SeverityDistribution.default(), OddsRatioTable.default(), LifeTable(
                 ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0]))
 
@@ -594,11 +687,15 @@ def test_run_replication_deterministic_and_seed_recorded():
 
 def test_run_replication_does_not_mutate_inputs():
     args = run_args(small_pop(), strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY)
-    arrays = args[0]
+    arrays, tables = args[0], args[1]
     features_before, age_before = arrays.features.copy(), arrays.age.copy()
-    run_replication(*args, rng=7)
+    plain_before, reduced_before = tables.plain.copy(), tables.reduced.copy()
+    result = run_replication(*args, rng=7)
+    assert result.risk_reductions > 0
     assert (arrays.features == features_before).all()
     assert (arrays.age == age_before).all()
+    assert (tables.plain == plain_before).all()
+    assert (tables.reduced == reduced_before).all()
 
 
 def test_zero_risk_population_has_no_strokes():
@@ -765,6 +862,27 @@ def test_reductions_lower_risk_for_smokers():
         run_replication(*run_args(pop, ens, Scenario.CONVERSATIONS), rng=s).total_strokes
         for s in range(20)])
     assert conv_mean < base_mean
+
+
+def test_reduction_takes_effect_in_the_year_it_happens():
+    # smoking carries all the risk (five-year 0.88); quitting leaves ~1e-26.
+    # Each couple's 60-year-old is notified on day 0 and reduces at once,
+    # the 50-year-old spouse through spillover: no one may stroke in that year
+    agents = []
+    for hh in range(100):
+        for j, age in enumerate((60, 50)):
+            a = agent(age=age, household_id=hh, smoker=True, cigs_per_day=10)
+            a.id = 2 * hh + j
+            agents.append(a)
+    pop = population_of(agents)
+    ens = one_member(-60.0, {"smoker": 62.0})
+    base = run_replication(*run_args(pop, ens, Scenario.BASELINE, horizon=365), rng=5)
+    assert base.total_strokes > 10
+    result = run_replication(*run_args(pop, ens, Scenario.CONVERSATIONS_PLUS_FAMILY,
+                                       horizon=365, conversation_ages=(61,)), rng=5)
+    assert (result.conversations, result.risk_reductions, result.family_reductions) == \
+        (100, 100, 100)
+    assert result.total_strokes == 0
 
 
 def test_counter_invariants_across_seeds():

@@ -9,6 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import strokesim.engine as engine
 import strokesim.montecarlo as montecarlo
 from strokesim.engine import (
     DelayModel,
@@ -18,7 +19,9 @@ from strokesim.engine import (
     Scenario,
     ScenarioConfig,
     SeverityDistribution,
+    build_risk_tables,
     run_replication,
+    year_count,
 )
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import (
@@ -26,6 +29,7 @@ from strokesim.montecarlo import (
     SCENARIO_SEED_INDEX,
     Comparison,
     ExperimentConfig,
+    ExperimentResult,
     percent_difference,
     run_experiment,
     summary_to_dict,
@@ -37,7 +41,7 @@ from strokesim.montecarlo import (
 from strokesim.population import Agent, Population
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
 from strokesim.seeds import derive_seed
-from strokesim.stats import mean, t_test
+from strokesim.stats import mean, paired_t_test, t_test
 
 
 # --- seed derivation ---
@@ -181,13 +185,13 @@ def test_runs_shape_and_order(experiment):
 def test_every_run_reproducible_in_isolation(experiment):
     """Each row of runs must be replayable from its recorded seed alone."""
     arrays = PopulationArrays.from_population(tiny_population())
-    ens = tiny_ens()
+    tables = build_risk_tables(arrays, tiny_ens(), scenario_list())
     by_kind = {s.scenario.value: s for s in scenario_list()}
     for name, metrics in experiment.runs.items():
         for m in metrics[:3]:
             assert m.seed == derive_seed(99, SCENARIO_SEED_INDEX[Scenario(name)], m.run)
             direct = run_replication(
-                arrays, ens, by_kind[name], DelayModel.default(),
+                arrays, tables[Scenario(name)], by_kind[name], DelayModel.default(),
                 SeverityDistribution.default(), OddsRatioTable.default(),
                 tiny_life(), rng=m.seed)
             assert direct.total_strokes == m.strokes
@@ -242,6 +246,51 @@ def test_common_random_numbers_share_seeds():
         seeds = {name: crn.runs[name][run].seed for name in crn.runs}
         assert len(set(seeds.values())) == 1
         assert seeds["baseline"] == derive_seed(99, run)
+
+
+def test_common_random_numbers_compare_with_the_paired_test():
+    crn = run_tiny(make_config(common_random_numbers=True, welch=True))
+    assert crn.summary.comparisons
+    for c in crn.summary.comparisons:
+        ref = [float(getattr(m, c.metric)) for m in crn.runs[c.reference]]
+        scen = [float(getattr(m, c.metric)) for m in crn.runs[c.scenario]]
+        check = paired_t_test(scen, ref)
+        assert (c.t, c.df, c.p, c.degenerate) == (check.t, 5.0, check.p, check.degenerate)
+        assert c.significant == (c.p < crn.summary.significance_level)
+
+
+def counting_scores(monkeypatch):
+    """Record the rows of every five_year_matrix call the engine makes."""
+    calls = []
+    original = engine.five_year_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "five_year_matrix", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenarios, reduced_tables", [
+    (scenario_list(horizon=1095), 1),     # both intervention scenarios share one
+    (scenario_list(horizon=1095)[:1], 0),  # baseline alone reduces no one
+    (scenario_list(horizon=1095)[:2] + [ScenarioConfig(
+        scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=1095,
+        bmi_reduction_sd_fraction=0.25)], 2),
+], ids=["shared_reduction", "baseline_only", "two_reductions"])
+def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios, reduced_tables):
+    calls = counting_scores(monkeypatch)
+    counts = []
+    for n_runs in (2, 5):
+        calls.clear()
+        result = run_tiny(make_config(scenarios=scenarios, n_runs=n_runs))
+        assert all(len(v) == n_runs for v in result.runs.values())
+        counts.append(len(calls))
+    years = year_count(scenarios[0])
+    assert years == 3
+    assert counts == [years * (1 + reduced_tables)] * 2
+    assert set(calls) == {len(tiny_population().agents)}
 
 
 def test_summary_statistics_recomputable(experiment):
@@ -384,6 +433,25 @@ def test_runs_csv_layout(experiment, tmp_path):
     assert int(first["strokes"]) == m.strokes
     assert float(first["dalys"]) == m.dalys
     assert int(first["family_reductions"]) == m.family_reductions
+
+
+def test_failed_write_leaves_previous_runs_csv(experiment, tmp_path):
+    path = tmp_path / "runs.csv"
+    write_runs_csv(experiment, path)
+    before = path.read_bytes()
+    # the second row raises after the header and first row are written
+    broken = ExperimentResult(summary=experiment.summary,
+                              runs={"baseline": [experiment.runs["baseline"][0], None]})
+    with pytest.raises(AttributeError):
+        write_runs_csv(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.csv"]  # no temporary left
+
+
+def test_failed_first_write_leaves_no_file(experiment, tmp_path):
+    with pytest.raises(AttributeError):
+        write_summary_json(None, tmp_path / "summary.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runs_csv_bytes_stable(experiment, tmp_path):

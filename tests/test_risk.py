@@ -23,6 +23,7 @@ from strokesim.risk import (
     five_year_matrix,
     logistic_score,
     risk_score,
+    weight_matrix,
     weights_for_age,
 )
 
@@ -176,6 +177,43 @@ def test_age_below_first_band_rejected_above_last_clamped():
     with pytest.raises(ConfigurationError, match="age 34"):
         weights_for_age(ens, 34)
     assert weights_for_age(ens, 150).tolist() == [0.0, 1.0]
+
+
+def three_band_ensemble():
+    ens = EnsembleRiskModel(
+        models=[constant_model(0.1), constant_model(0.2), constant_model(0.4)],
+        weights=[
+            WeightRow(age_lo=35, age_hi=49, weights=[1.0, 0.0, 0.0]),
+            WeightRow(age_lo=50, age_hi=64, weights=[0.2, 0.5, 0.3]),
+            WeightRow(age_lo=65, age_hi=90, weights=[0.0, 0.25, 0.75]),
+        ],
+        crossfade_years=4,
+    )
+    ens.validate()
+    return ens
+
+
+def test_weight_matrix_rows_match_weights_for_age():
+    ens = three_band_ensemble()
+    # band edges, both crossfades (46..53 and 61..68), their midpoints, the
+    # last band's end and ages past it, unsorted and repeated
+    ages = np.array([60, 35, 45, 46, 49, 50, 53, 54, 60, 61, 64, 65, 68, 69,
+                     90, 91, 120, 50, 35])
+    wm = weight_matrix(ens, ages)
+    assert wm.shape == (len(ages), 3)
+    for row, age in zip(wm, ages):
+        assert row.tolist() == weights_for_age(ens, int(age)).tolist(), age
+    assert wm[ages.tolist().index(50)].tolist() == [0.6, 0.25, 0.15]  # halfway at 50
+
+
+def test_weight_matrix_edge_inputs():
+    ens = three_band_ensemble()
+    assert weight_matrix(ens, np.array([], dtype=int)).shape == (0, 3)
+    assert weight_matrix(ens, np.array([47.9])).tolist() == [weights_for_age(ens, 47).tolist()]
+    far = weight_matrix(ens, np.array([35, 10**12]))  # no row per year up to 10**12
+    assert far[1].tolist() == weights_for_age(ens, 10**12).tolist() == [0.0, 0.25, 0.75]
+    with pytest.raises(ConfigurationError, match="age 34"):
+        weight_matrix(ens, np.array([60, 34]))
 
 
 def test_validate_rejects_gapped_weight_bands():

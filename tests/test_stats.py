@@ -13,6 +13,7 @@ import scipy.stats
 from strokesim.stats import (
     TTestResult,
     mean,
+    paired_t_test,
     regularized_incomplete_beta,
     sample_variance,
     student_t_p_value,
@@ -217,3 +218,41 @@ def test_result_is_plain_dataclass():
     result = t_test(REFERENCE_A, REFERENCE_B)
     assert isinstance(result, TTestResult)
     assert set(vars(result)) == {"t", "df", "p", "mean_a", "mean_b", "degenerate"}
+
+
+# --- paired test ---
+
+
+def test_paired_random_samples_match_scipy():
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        a = rng.normal(0.0, 1.0, n)
+        # correlated partner, as common random numbers give
+        b = 0.8 * a + rng.normal(rng.uniform(-1, 1), rng.uniform(0.1, 2.0), n)
+        ours = paired_t_test(a, b)
+        ref = scipy.stats.ttest_rel(a, b)
+        assert ours.t == pytest.approx(float(ref.statistic), rel=1e-9)
+        assert ours.p == pytest.approx(float(ref.pvalue), rel=1e-8, abs=1e-12)
+        assert ours.df == float(ref.df) == n - 1
+        assert (ours.mean_a, ours.mean_b) == (mean(a), mean(b))
+
+
+def test_paired_differs_from_two_sample_on_correlated_pairs():
+    # a constant-ish shift on noisy pairs: the pairing removes the noise
+    a = [10.0, 20.0, 30.0, 40.0, 50.0]
+    b = [11.0, 20.5, 31.2, 40.9, 51.1]
+    paired, unpaired = paired_t_test(a, b), t_test(a, b)
+    assert paired.df == 4.0 and unpaired.df == 8.0
+    assert paired.p < 0.01 < unpaired.p
+
+
+def test_paired_degenerate_and_invalid_inputs():
+    same = paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    assert same.degenerate and same.t == 0.0 and same.p == 1.0
+    shifted = paired_t_test([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+    assert shifted.degenerate and shifted.t == float("inf") and shifted.p == 0.0
+    with pytest.raises(ValueError, match="same length"):
+        paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="two pairs"):
+        paired_t_test([1.0], [2.0])
