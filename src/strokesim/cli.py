@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -62,8 +66,31 @@ def _build_scored_population(cfg: AppConfig, base_seed: int) -> Population:
     return pop
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    payload = {"tool": "strokesim", "version": __version__, **payload}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _phase(phases: dict[str, float], name: str) -> Iterator[None]:
+    """Record the wall seconds of the enclosed block as ``phases[name]``."""
+    start = time.perf_counter()
+    yield
+    phases[name] = round(time.perf_counter() - start, 6)
+
+
+def _environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+    }
+
+
+def _write_manifest(path: Path, payload: dict, phases: dict[str, float]) -> None:
+    """Write a command's manifest.  Wall time per phase and the environment
+    go here, never into the data files, which stay byte-identical per seed."""
+    payload = {"tool": "strokesim", "version": __version__, **payload,
+               "phases_s": phases, "environment": _environment()}
     with atomic_open(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -74,11 +101,15 @@ def _utc_now() -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = load_experiment_file(args.config)
+    phases: dict[str, float] = {}
+    with _phase(phases, "load"):
+        cfg = load_experiment_file(args.config)
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
-    pop = _build_scored_population(cfg, base_seed)
+    with _phase(phases, "synthesis"):
+        pop = _build_scored_population(cfg, base_seed)
     out = Path(args.out)
-    write_population_csv(pop, out)
+    with _phase(phases, "write"):
+        write_population_csv(pop, out)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
         "command": "generate",
         "config": cfg.source,
@@ -89,29 +120,49 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "agents": len(pop.agents),
         "calibration_offset": cfg.ensemble.calibration_offset,
         "created_utc": _utc_now(),
-    })
+    }, phases)
     print(f"wrote {len(pop.agents)} agents to {out}")
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    cfg = load_experiment_file(args.config)
+    phases: dict[str, float] = {}
+    with _phase(phases, "load"):
+        cfg = load_experiment_file(args.config)
     target = args.target if args.target is not None else cfg.calibration_target
     if target <= 0:
         raise ConfigurationError(
             "no calibration target: pass --target or set calibration.target_annual_risk"
         )
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
-    pop = _build_scored_population(cfg, base_seed)
+    with _phase(phases, "synthesis"):
+        pop = _build_scored_population(cfg, base_seed)
     tol = args.tol if args.tol is not None else cfg.calibration_tol
-    calibrated = calibrate_intercepts(
-        cfg.ensemble, pop, target,
-        horizon_days=cfg.horizon_days, days_per_year=cfg.days_per_year, tol=tol,
-    )
-    dump_risk_model(calibrated, args.out)
-    expected = expected_stroke_count(calibrated, pop, cfg.horizon_days)
+    with _phase(phases, "calibration"):
+        calibrated = calibrate_intercepts(
+            cfg.ensemble, pop, target,
+            horizon_days=cfg.horizon_days, days_per_year=cfg.days_per_year, tol=tol,
+        )
+        expected = expected_stroke_count(calibrated, pop, cfg.horizon_days)
+    out = Path(args.out)
+    with _phase(phases, "write"):
+        dump_risk_model(calibrated, out)
     years = cfg.horizon_days / cfg.days_per_year
     achieved = expected / (len(pop.agents) * years)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
+        "command": "calibrate",
+        "config": cfg.source,
+        "population": cfg.population_ref,
+        "risk_model": cfg.risk_model_ref,
+        "seed": base_seed,
+        "population_seed": derive_seed(base_seed),
+        "agents": len(pop.agents),
+        "target_annual_risk": target,
+        "tol": tol,
+        "achieved_annual_risk": achieved,
+        "calibration_offset": calibrated.calibration_offset,
+        "created_utc": _utc_now(),
+    }, phases)
     print(f"calibration offset: {calibrated.calibration_offset:.12g}")
     print(f"achieved incidence: {achieved:.6e} per agent-year "
           f"(target {target:.6e})")
@@ -149,7 +200,9 @@ def format_summary_table(result: ExperimentResult) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_experiment_file(args.config)
+    phases: dict[str, float] = {}
+    with _phase(phases, "load"):
+        cfg = load_experiment_file(args.config)
     exp = cfg.experiment
     scenarios = [s for s in exp.scenarios if s.scenario in SCENARIO_CHOICES[args.scenario]]
     n_runs = args.runs if args.runs is not None else exp.n_runs
@@ -160,18 +213,22 @@ def cmd_run(args: argparse.Namespace) -> int:
         n_runs=n_runs,
         workers=worker_count(args.workers, len(scenarios) * n_runs),
     )
-    pop = _build_scored_population(cfg, exp.base_seed)
-    arrays = PopulationArrays.from_population(pop)
-    result = run_experiment(
-        exp, arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
-        cfg.life_table,
-    )
+    with _phase(phases, "synthesis"):
+        pop = _build_scored_population(cfg, exp.base_seed)
+    with _phase(phases, "arrays"):
+        arrays = PopulationArrays.from_population(pop)
+    with _phase(phases, "experiment"):
+        result = run_experiment(
+            exp, arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
+            cfg.life_table,
+        )
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_runs_csv(result, out / "runs.csv")
-    write_summary_json(result.summary, out / "summary.json")
-    write_summary_csv(result.summary, out / "summary.csv")
+    with _phase(phases, "write"):
+        out.mkdir(parents=True, exist_ok=True)
+        write_runs_csv(result, out / "runs.csv")
+        write_summary_json(result.summary, out / "summary.json")
+        write_summary_csv(result.summary, out / "summary.csv")
     _write_manifest(out / "manifest.json", {
         "command": "run",
         "config": cfg.source,
@@ -188,7 +245,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             name: [m.seed for m in metrics] for name, metrics in result.runs.items()
         },
         "created_utc": _utc_now(),
-    })
+    }, phases)
     print(format_summary_table(result))
     print(f"outputs in {out}")
     return 0

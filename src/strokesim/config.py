@@ -117,6 +117,29 @@ def _get(obj: dict, key: str, where: str, expect: Optional[type] = None, default
     return value
 
 
+def _number(value: Any, where: str, integer: bool = False) -> Any:
+    """A JSON number, or a JSON integer if ``integer``: never a bool, a
+    string or null, which bare ``int()``/``float()`` would accept or mangle."""
+    kinds = int if integer else (int, float)
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{where}: expected {'an integer' if integer else 'a number'}, got {value!r}"
+        )
+    return value
+
+
+def _numbers(values: list, where: str, integer: bool = False) -> list:
+    """`_number` over a JSON list, naming entries ``where[i]``; floats unless ``integer``."""
+    checked = [_number(v, f"{where}[{i}]", integer) for i, v in enumerate(values)]
+    return checked if integer else [float(v) for v in checked]
+
+
+def _number_table(entry: dict, key: str, where: str) -> dict[str, float]:
+    """A ``{name: number}`` object as floats, naming a bad entry ``where.key.name``."""
+    return {k: float(_number(v, f"{where}.{key}.{k}"))
+            for k, v in _get(entry, key, where, dict).items()}
+
+
 def _field_defaults(cls: type) -> dict[str, Any]:
     """A dataclass's declared field defaults; loaders fall back on these so
     each default is written once, on its class."""
@@ -133,10 +156,9 @@ def _reject_unknown(obj: dict, known: Collection[str], where: str) -> None:
 def _age_range(value: Any, where: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigurationError(f"{where}: age_range must be [lo, hi]")
-    lo = value[0]
-    hi = OPEN_AGE if value[1] is None else value[1]
-    if not isinstance(lo, int) or not isinstance(hi, int):
-        raise ConfigurationError(f"{where}: age_range bounds must be integers")
+    lo = _number(value[0], f"{where}.age_range[0]", integer=True)
+    hi = value[1]
+    hi = OPEN_AGE if hi is None else _number(hi, f"{where}.age_range[1]", integer=True)
     return lo, hi
 
 
@@ -153,10 +175,10 @@ def load_population_file(
         regions.append(RegionSpec(
             name=_get(entry, "name", where, str),
             share=float(_get(entry, "share", where, float)),
-            sex={k: float(v) for k, v in _get(entry, "sex", where, dict).items()},
-            age_bands={k: float(v) for k, v in _get(entry, "age_bands", where, dict).items()},
-            employment={k: float(v) for k, v in _get(entry, "employment", where, dict).items()},
-            households={k: float(v) for k, v in _get(entry, "households", where, dict).items()},
+            sex=_number_table(entry, "sex", where),
+            age_bands=_number_table(entry, "age_bands", where),
+            employment=_number_table(entry, "employment", where),
+            households=_number_table(entry, "households", where),
         ))
     demo_defaults = _field_defaults(DemographicSpec)
     spec = DemographicSpec(
@@ -208,9 +230,7 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
     for i, entry in enumerate(_get(data, "models", name, list)):
         where = f"{name}.models[{i}]"
         lo, hi = _age_range(_get(entry, "age_range", where), where)
-        coefficients = {
-            k: float(v) for k, v in _get(entry, "coefficients", where, dict).items()
-        }
+        coefficients = _number_table(entry, "coefficients", where)
         for feature in _HARMFUL_FEATURES:
             coef = coefficients.get(feature, 0.0)
             if coef < 0:
@@ -233,7 +253,7 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
         lo, hi = _age_range(_get(entry, "age_range", where), where)
         weights.append(WeightRow(
             age_lo=lo, age_hi=hi,
-            weights=[float(w) for w in _get(entry, "weights", where, list)],
+            weights=_numbers(_get(entry, "weights", where, list), f"{where}.weights"),
         ))
 
     ens = EnsembleRiskModel(
@@ -276,9 +296,9 @@ def load_life_table(ref: str | Path, base_dir: Optional[Path] = None) -> LifeTab
     text, name = _read_ref(ref, base_dir)
     data = _parse_json(text, name)
     table = LifeTable(
-        ages=[int(a) for a in _get(data, "ages", name, list)],
-        female=[float(v) for v in _get(data, "female", name, list)],
-        male=[float(v) for v in _get(data, "male", name, list)],
+        ages=_numbers(_get(data, "ages", name, list), f"{name}.ages", integer=True),
+        female=_numbers(_get(data, "female", name, list), f"{name}.female"),
+        male=_numbers(_get(data, "male", name, list), f"{name}.male"),
     )
     try:
         table.validate()
@@ -298,8 +318,8 @@ def _load_delay(data: Optional[dict], name: str) -> DelayModel:
             raise ConfigurationError(f"{where}: hours must be [lo, hi]")
         bands.append(DelayBand(
             cum_threshold=float(_get(entry, "cum_threshold", where, float)),
-            lo=float(hours[0]),
-            hi=math.inf if hours[1] is None else float(hours[1]),
+            lo=float(_number(hours[0], f"{where}.hours[0]")),
+            hi=math.inf if hours[1] is None else float(_number(hours[1], f"{where}.hours[1]")),
             mean=float(_get(entry, "mean", where, float)),
             sd=float(_get(entry, "sd", where, float)),
         ))
@@ -314,7 +334,7 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
     base = _get(data, "base", name, list)
     if len(base) != 4:
         raise ConfigurationError(f"{name}.base: expected 4 probabilities")
-    sev = SeverityDistribution(*(float(p) for p in base))
+    sev = SeverityDistribution(*_numbers(base, f"{name}.base"))
     sev.validate()
 
     rows = []
@@ -324,8 +344,9 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
         if len(delay) != 2:
             raise ConfigurationError(f"{where}: delay must be [lo, hi]")
         rows.append(OddsRatioRow(
-            delay_lo=float(delay[0]),
-            delay_hi=math.inf if delay[1] is None else float(delay[1]),
+            delay_lo=float(_number(delay[0], f"{where}.delay[0]")),
+            delay_hi=(math.inf if delay[1] is None
+                      else float(_number(delay[1], f"{where}.delay[1]"))),
             or_mrs_le1=float(_get(entry, "or_mrs_le1", where, float)),
             or_mrs_ge2=float(_get(entry, "or_mrs_ge2", where, float)),
         ))
@@ -398,12 +419,8 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     def exp_get(key: str, expect: type) -> Any:
         return _get(exp, key, exp_where, expect, default=exp_defaults[key])
 
-    conversation_ages = sim_get("conversation_ages", list)
-    for i, age in enumerate(conversation_ages):
-        if not isinstance(age, int) or isinstance(age, bool):
-            raise ConfigurationError(
-                f"{sim_where}.conversation_ages[{i}]: expected an integer age, got {age!r}"
-            )
+    conversation_ages = _numbers(sim_get("conversation_ages", list),
+                                 f"{sim_where}.conversation_ages", integer=True)
     template = ScenarioConfig(
         conversation_ages=tuple(conversation_ages),
         high_risk_threshold=float(sim_get("high_risk_threshold", float)),

@@ -9,7 +9,11 @@ realized per-band prevalence is exact.
 
 All randomness flows through the single `numpy` generator handed in by the
 caller, and consumption order is fixed, so one seed reproduces the same
-population byte for byte.
+population byte for byte.  Both passes draw in bulk (all of a region's ages
+in one `integers` call, its household types a chunk of uniforms at a time,
+each band's factors as columns) and consume exactly the stream that one
+draw per agent or household would: the tests keep that per-agent form as
+the reference the batched one must match, generator state included.
 """
 
 from __future__ import annotations
@@ -158,7 +162,8 @@ class RiskFactorBand:
 
 @dataclass
 class RiskFactorTables:
-    """Age-banded risk factor distributions (one band per row, bands disjoint)."""
+    """Age-banded risk factor distributions, one band per row.  Every age
+    must be covered; where bands overlap, the later band's draws stand."""
 
     bands: list[RiskFactorBand]
 
@@ -169,12 +174,6 @@ class RiskFactorTables:
             band.validate(f"risk_factors.bands[{i}]")
             if band.age_hi < band.age_lo:
                 raise ConfigurationError(f"risk_factors.bands[{i}]: empty age range")
-
-    def band_for_age(self, age: int) -> RiskFactorBand:
-        for band in self.bands:
-            if band.age_lo <= age <= band.age_hi:
-                return band
-        raise ConfigurationError(f"no risk factor band covers age {age}")
 
 
 @dataclass
@@ -240,12 +239,38 @@ def apportion(total: int, proportions: dict[str, float]) -> dict[str, int]:
     return dict(zip(labels, counts))
 
 
-def _spread_categories(rng: np.random.Generator, counts: dict[str, int]) -> list[str]:
-    out: list[str] = []
-    for label, count in counts.items():
-        out.extend([label] * count)
-    perm = rng.permutation(len(out))
-    return [out[i] for i in perm]
+def _spread_categories(rng: np.random.Generator, counts: dict[str, int]) -> np.ndarray:
+    """Shuffled category indices (positions in ``counts``), each repeated by its count."""
+    indices = np.repeat(np.arange(len(counts)), list(counts.values()))
+    return indices[rng.permutation(len(indices))]
+
+
+def _draw_households(
+    rng: np.random.Generator, probs: dict[str, float], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Household types (positions in ``probs``) and sizes covering ``n`` agents;
+    the last household is cut short to fit.
+
+    `Generator.choice(k, p=...)` maps one ``rng.random()`` through the
+    normalised cdf, so drawing households one by one and drawing a chunk
+    of uniforms at once consume the same stream, provided no uniform goes
+    unused.  A chunk therefore holds only as many draws as households are
+    certain to follow: the remaining agents over the largest size, rounded up.
+    """
+    cdf = np.array(list(probs.values()), dtype=float).cumsum()
+    cdf /= cdf[-1]
+    type_sizes = np.array([HOUSEHOLD_SIZES[t] for t in probs])
+    largest = int(type_sizes.max())
+    chunks = []
+    filled = 0
+    while filled < n:
+        drawn = cdf.searchsorted(rng.random(-(-(n - filled) // largest)), side="right")
+        chunks.append(drawn)
+        filled += int(type_sizes[drawn].sum())
+    types = np.concatenate(chunks)
+    sizes = type_sizes[types]
+    sizes[-1] -= filled - n
+    return types, sizes
 
 
 def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Population:
@@ -264,8 +289,6 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
     agents: list[Agent] = []
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
-    next_agent = 0
-    next_household = 0
 
     for region in spec.regions:
         n = region_counts[region.name]
@@ -274,34 +297,31 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
         sexes = _spread_categories(rng, apportion(n, region.sex))
         bands = _spread_categories(rng, apportion(n, region.age_bands))
         jobs = _spread_categories(rng, apportion(n, region.employment))
-
-        region_agents: list[Agent] = []
-        for sex, band_label, job in zip(sexes, bands, jobs):
-            lo, hi = parse_age_range(band_label)
-            age = int(rng.integers(lo, hi + 1))
-            region_agents.append(
-                Agent(id=next_agent, age=age, sex=sex, region=region.name,
-                      household_id=-1, employment=job)
-            )
-            next_agent += 1
-        agents.extend(region_agents)
+        lo, hi = np.array([parse_age_range(label) for label in region.age_bands]).T
+        ages = rng.integers(lo[bands], hi[bands] + 1)
 
         # Households: age-jittered ordering keeps cohabitants age-proximate.
         jitter = rng.uniform(0.0, 6.0, size=n)
-        pool = sorted(range(n), key=lambda i: (region_agents[i].age + jitter[i]))
+        pool = np.argsort(ages + jitter, kind="stable")
+        types, sizes = _draw_households(rng, region.households, n)
+        first_agent, first_household = len(agents), len(households)
+        hids = range(first_household, first_household + len(types))
+        household_id = np.empty(n, dtype=np.int64)
+        household_id[pool] = np.repeat(hids, sizes)
+        members = (pool + first_agent).tolist()
+        bounds = np.concatenate(([0], sizes.cumsum())).tolist()
         type_labels = list(region.households)
-        type_probs = np.array([region.households[t] for t in type_labels])
-        cursor = 0
-        while cursor < n:
-            htype = type_labels[int(rng.choice(len(type_labels), p=type_probs))]
-            size = min(HOUSEHOLD_SIZES[htype], n - cursor)
-            members = [region_agents[pool[cursor + k]].id for k in range(size)]
-            for agent_id in members:
-                agents[agent_id].household_id = next_household
-            households[next_household] = members
-            household_types[next_household] = htype
-            next_household += 1
-            cursor += size
+        for hid, htype, start, stop in zip(hids, types.tolist(), bounds, bounds[1:]):
+            households[hid] = members[start:stop]
+            household_types[hid] = type_labels[htype]
+
+        sex_labels, job_labels = list(region.sex), list(region.employment)
+        agents.extend(
+            Agent(id=first_agent + i, age=age, sex=sex_labels[sex], region=region.name,
+                  household_id=hid, employment=job_labels[job])
+            for i, (age, sex, hid, job) in enumerate(zip(
+                ages.tolist(), sexes.tolist(), household_id.tolist(), jobs.tolist()))
+        )
 
     return Population(agents=agents, households=households, household_types=household_types)
 
@@ -315,49 +335,63 @@ def assign_risk_factors(
     (one draw per field, clamped rather than resampled).  Binary factors use
     quota assignment: the band is shuffled and the first round(prev * n)
     agents get the factor, so realized prevalence is exact.  Smokers receive
-    the band's mean cigarettes per day, rounded, at least 1.
+    the band's mean cigarettes per day, rounded, at least 1.  Bands are
+    drawn in table order over their members in agent order; where bands
+    overlap, the later one's values stand.
     """
     tables.validate()
-    for agent in pop.agents:
-        tables.band_for_age(agent.age)  # raises if any age is uncovered
+    ages = np.array([a.age for a in pop.agents], dtype=np.int64)
+    in_band = [(band.age_lo <= ages) & (ages <= band.age_hi) for band in tables.bands]
+    covered = np.logical_or.reduce(in_band)
+    if not covered.all():
+        raise ConfigurationError(
+            f"no risk factor band covers age {ages[np.argmin(covered)]}"
+        )
 
-    for band in tables.bands:
-        members = [a for a in pop.agents if band.age_lo <= a.age <= band.age_hi]
-        n = len(members)
-        if n == 0:
+    n = len(ages)
+    sbp, dbp, bmi = np.zeros(n), np.zeros(n), np.zeros(n)
+    flags = {factor: np.zeros(n, dtype=bool) for factor in ("diabetes", "afib", "smoker")}
+    cigs = np.zeros(n, dtype=np.int64)
+    for band, mask in zip(tables.bands, in_band):
+        members = np.flatnonzero(mask)
+        k = len(members)
+        if k == 0:
             continue
-        sbp = np.clip(rng.normal(band.sbp_mean, band.sbp_sd, n), *SBP_RANGE)
-        dbp = np.clip(rng.normal(band.dbp_mean, band.dbp_sd, n), *DBP_RANGE)
-        bmi = np.clip(rng.normal(band.bmi_mean, band.bmi_sd, n), *BMI_RANGE)
-        for agent, s, d, b in zip(members, sbp, dbp, bmi):
-            agent.sbp = float(s)
-            agent.dbp = float(d)
-            agent.bmi = float(b)
+        sbp[members] = np.clip(rng.normal(band.sbp_mean, band.sbp_sd, k), *SBP_RANGE)
+        dbp[members] = np.clip(rng.normal(band.dbp_mean, band.dbp_sd, k), *DBP_RANGE)
+        bmi[members] = np.clip(rng.normal(band.bmi_mean, band.bmi_sd, k), *BMI_RANGE)
         for factor, prev in (
             ("diabetes", band.diabetes_prev),
             ("afib", band.afib_prev),
             ("smoker", band.smoker_prev),
         ):
-            marked = rng.permutation(n)[: round_half_up(prev * n)]
-            for i in range(n):
-                setattr(members[i], factor, False)
-            for i in marked:
-                setattr(members[int(i)], factor, True)
-        cigs = max(1, round_half_up(band.cigs_per_day_mean))
-        for agent in members:
-            agent.cigs_per_day = cigs if agent.smoker else 0
+            marked = rng.permutation(k)[: round_half_up(prev * k)]
+            flags[factor][members] = False
+            flags[factor][members[marked]] = True
+        cigs[members] = np.where(
+            flags["smoker"][members], max(1, round_half_up(band.cigs_per_day_mean)), 0
+        )
 
-    pop.baseline_stats = population_stats(pop)
+    for agent, s, d, b, diabetes, afib, smoker, c in zip(
+        pop.agents, sbp.tolist(), dbp.tolist(), bmi.tolist(), flags["diabetes"].tolist(),
+        flags["afib"].tolist(), flags["smoker"].tolist(), cigs.tolist(),
+    ):
+        agent.sbp, agent.dbp, agent.bmi = s, d, b
+        agent.diabetes, agent.afib, agent.smoker, agent.cigs_per_day = diabetes, afib, smoker, c
+    pop.baseline_stats = _stats(sbp, dbp, bmi)
     return pop
 
 
 def population_stats(pop: Population) -> BaselineStats:
     """Mean and population sd (divisor N) of sbp, dbp and bmi."""
-    if not pop.agents:
+    return _stats(np.array([a.sbp for a in pop.agents]),
+                  np.array([a.dbp for a in pop.agents]),
+                  np.array([a.bmi for a in pop.agents]))
+
+
+def _stats(sbp: np.ndarray, dbp: np.ndarray, bmi: np.ndarray) -> BaselineStats:
+    if not len(sbp):
         raise ConfigurationError("population_stats: empty population")
-    sbp = np.array([a.sbp for a in pop.agents])
-    dbp = np.array([a.dbp for a in pop.agents])
-    bmi = np.array([a.bmi for a in pop.agents])
     return BaselineStats(
         sbp_mean=float(sbp.mean()), sbp_sd=float(sbp.std()),
         dbp_mean=float(dbp.mean()), dbp_sd=float(dbp.std()),
@@ -390,38 +424,73 @@ def write_population_csv(pop: Population, path) -> None:
             ])
 
 
+_FLAGS = {"0": False, "1": True}
+
+# Parser and expected form of each non-text column, for naming a bad cell.
+_CELL_TYPES = {
+    **dict.fromkeys(("id", "age", "household_id", "cigs_per_day"), (int, "an integer")),
+    **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk", "daily_risk",
+                     "remaining_life_expectancy"), (float, "a number")),
+    **dict.fromkeys(("diabetes", "afib", "smoker", "notified_high_risk", "risk_reduced"),
+                    (_FLAGS.__getitem__, "0 or 1")),
+}
+
+
+def _bad_cell(row: list[str]) -> str:
+    """The first cell of a row that its column's parser rejects."""
+    for name, cell in zip(CSV_COLUMNS, row):
+        parse, expected = _CELL_TYPES.get(name, (str, ""))
+        try:
+            parse(cell)
+        except (ValueError, KeyError):
+            return f"{name} = {cell!r}, expected {expected}"
+    return "unparseable row"
+
+
 def read_population_csv(path) -> Population:
     """Rebuild a Population from `write_population_csv` output.
 
     Household membership is reconstructed from the household_id column and
     baseline stats are recomputed (they are a pure function of the factors).
+    A row with the wrong field count, a non-numeric number cell or a flag
+    other than 0/1 raises ConfigurationError naming the file and line.
     """
     agents: list[Agent] = []
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
+    flag = _FLAGS.__getitem__
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ConfigurationError(
-                f"population csv: unexpected header {reader.fieldnames}"
-            )
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != CSV_COLUMNS:
+            raise ConfigurationError(f"population csv {path}: unexpected header {header}")
         for row in reader:
-            agent = Agent(
-                id=int(row["id"]), age=int(row["age"]), sex=row["sex"],
-                region=row["region"], household_id=int(row["household_id"]),
-                employment=row["employment"],
-                sbp=float(row["sbp"]), dbp=float(row["dbp"]), bmi=float(row["bmi"]),
-                diabetes=bool(int(row["diabetes"])), afib=bool(int(row["afib"])),
-                smoker=bool(int(row["smoker"])), cigs_per_day=int(row["cigs_per_day"]),
-                five_year_risk=float(row["five_year_risk"]),
-                daily_risk=float(row["daily_risk"]),
-                remaining_life_expectancy=float(row["remaining_life_expectancy"]),
-                notified_high_risk=bool(int(row["notified_high_risk"])),
-                risk_reduced=bool(int(row["risk_reduced"])),
-            )
+            if not row:  # blank line
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise ConfigurationError(
+                    f"population csv {path}, line {reader.line_num}: "
+                    f"{len(row)} fields, expected {len(CSV_COLUMNS)}"
+                )
+            (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
+             smoker, cigs, five_year, daily, life, notified, reduced) = row
+            try:
+                agent = Agent(
+                    id=int(aid), age=int(age), sex=sex, region=region,
+                    household_id=int(hid), employment=employment,
+                    sbp=float(sbp), dbp=float(dbp), bmi=float(bmi),
+                    diabetes=flag(diabetes), afib=flag(afib), smoker=flag(smoker),
+                    cigs_per_day=int(cigs), five_year_risk=float(five_year),
+                    daily_risk=float(daily), remaining_life_expectancy=float(life),
+                    notified_high_risk=flag(notified), risk_reduced=flag(reduced),
+                )
+            except (ValueError, KeyError):
+                raise ConfigurationError(
+                    f"population csv {path}, line {reader.line_num}: {_bad_cell(row)}"
+                ) from None
             agents.append(agent)
             households.setdefault(agent.household_id, []).append(agent.id)
-            household_types[agent.household_id] = row["household_type"]
+            household_types[agent.household_id] = htype
     pop = Population(agents=agents, households=households, household_types=household_types)
     pop.baseline_stats = population_stats(pop)
     return pop

@@ -60,8 +60,19 @@ def agent_features(agent: Agent) -> tuple[float, ...]:
 
 
 def feature_matrix(agents: list[Agent]) -> np.ndarray:
-    """(n_agents, n_features) float matrix in agent order."""
-    return np.array([agent_features(a) for a in agents], dtype=float)
+    """(n_agents, n_features) float matrix in agent order; row i equals
+    `agent_features(agents[i])`.  Filled a column at a time."""
+    features = np.empty((len(agents), len(FEATURE_NAMES)))
+    features[:, 0] = [a.age for a in agents]
+    features[:, 1] = np.array([a.sex == "male" for a in agents], dtype=bool)
+    features[:, 2] = [a.sbp for a in agents]
+    features[:, 3] = [a.dbp for a in agents]
+    features[:, 4] = [a.bmi for a in agents]
+    features[:, 5] = np.array([a.diabetes for a in agents], dtype=bool)
+    features[:, 6] = np.array([a.afib for a in agents], dtype=bool)
+    features[:, 7] = np.array([a.smoker for a in agents], dtype=bool)
+    features[:, 8] = [a.cigs_per_day for a in agents]
+    return features
 
 
 @dataclass

@@ -4,8 +4,10 @@ import csv
 import hashlib
 import json
 import os
+import platform
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from strokesim.cli import format_summary_table, main
@@ -289,6 +291,61 @@ def test_run_bundled_config_matches_golden_digest(tmp_path):
     assert main(["run", "--runs", "4", "--workers", "1", "--out", str(out)]) == 0
     for name, digest in GOLDEN_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# Digest of `strokesim generate --seed 42` on the bundled config: every
+# agent, household and risk factor the population stream draws, and every
+# score, written with repr floats.
+GOLDEN_GENERATE_DIGEST = "5ca93541fb265d49edf282211c6ba03403559c7584c54caf60b7ff146d3270aa"
+
+
+def test_generate_bundled_config_matches_golden_digest(tmp_path):
+    out = tmp_path / "population.csv"
+    assert main(["generate", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE_DIGEST
+
+
+# --- manifests: phase timings and environment ---
+
+PHASES = {
+    "generate": {"load", "synthesis", "write"},
+    "calibrate": {"load", "synthesis", "calibration", "write"},
+    "run": {"load", "synthesis", "arrays", "experiment", "write"},
+}
+
+
+def test_manifests_record_phase_timings_and_environment(config_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    common = ["--config", config_path]
+    assert main(["generate", *common, "--out", str(tmp_path / "pop.csv")]) == 0
+    assert main(["calibrate", *common, "--out", str(tmp_path / "model.json")]) == 0
+    assert run_cli(config_path, tmp_path / "run", "--runs", "2") == 0
+    manifests = {
+        "generate": tmp_path / "pop.csv.manifest.json",
+        "calibrate": tmp_path / "model.json.manifest.json",
+        "run": tmp_path / "run" / "manifest.json",
+    }
+    for command, path in manifests.items():
+        manifest = json.loads(path.read_text())
+        assert manifest["command"] == command
+        phases = manifest["phases_s"]
+        assert set(phases) == PHASES[command], command
+        assert all(isinstance(v, float) and v >= 0.0 for v in phases.values()), phases
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS":
+                                  os.environ.get("OPENBLAS_NUM_THREADS"),
+                                  "MKL_NUM_THREADS": None}
+    calibration = json.loads(manifests["calibrate"].read_text())
+    assert calibration["calibration_offset"] == load_risk_model(
+        tmp_path / "model.json").calibration_offset
+    assert calibration["target_annual_risk"] == 0.004
+    # timings stay out of the data files
+    for name in ("runs.csv", "summary.json", "summary.csv"):
+        assert "phases_s" not in (tmp_path / "run" / name).read_text()
 
 
 # --- parser and errors ---

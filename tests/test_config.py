@@ -7,7 +7,12 @@ import json
 
 import pytest
 
-from strokesim.config import load_experiment_file, load_life_table, load_risk_model
+from strokesim.config import (
+    load_experiment_file,
+    load_life_table,
+    load_population_file,
+    load_risk_model,
+)
 from strokesim.engine import Scenario, ScenarioConfig
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import ExperimentConfig
@@ -151,3 +156,109 @@ def test_integer_conversation_ages_load(tmp_path):
                       {**BUNDLED_REFS, "simulation": {"conversation_ages": [45, 65]}})
     for scenario in load_experiment_file(path).experiment.scenarios:
         assert scenario.conversation_ages == (45, 65)
+
+
+# --- every number in a config is a JSON number ---
+
+LIFE = {"ages": [35, 70, 110], "female": [48.0, 17.0, 2.0], "male": [45.0, 15.0, 2.0]}
+MODEL = {
+    "models": [{"age_range": [35, None], "intercept": -9.0,
+                "coefficients": {"sbp": 0.045, "smoker": 0.5}}],
+    "weights": [{"age_range": [35, 54], "weights": [1.0]},
+                {"age_range": [55, None], "weights": [1.0]}],
+}
+
+
+def _bundled(name):
+    return json.loads(importlib.resources.files("strokesim").joinpath("data", name).read_text())
+
+
+def _set(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+BAD_NUMBERS = {"string": "40.0", "bool": True, "null": None}
+BAD_INTEGERS = {"float": 35.7, "integral_float": 40.0, "string": "110", "bool": True,
+                "null": None}
+
+
+@pytest.mark.parametrize("kind", BAD_INTEGERS)
+def test_life_table_ages_must_be_integers(tmp_path, kind):
+    path = write_json(tmp_path / "life.json", _set(LIFE, ["ages", 1], BAD_INTEGERS[kind]))
+    with pytest.raises(ConfigurationError, match=r"life\.json\.ages\[1\]: expected an integer"):
+        load_life_table(path)
+
+
+@pytest.mark.parametrize("column", ["female", "male"])
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+def test_life_table_values_must_be_numbers(tmp_path, column, kind):
+    path = write_json(tmp_path / "life.json", _set(LIFE, [column, 2], BAD_NUMBERS[kind]))
+    with pytest.raises(ConfigurationError,
+                       match=rf"life\.json\.{column}\[2\]: expected a number"):
+        load_life_table(path)
+
+
+@pytest.mark.parametrize("section, index", [("models", 0), ("weights", 1)])
+@pytest.mark.parametrize("bound", [0, 1])
+@pytest.mark.parametrize("value", [True, 54.5, "54"], ids=["bool", "float", "string"])
+def test_age_range_bounds_must_be_integers(tmp_path, section, index, bound, value):
+    path = write_json(tmp_path / "model.json",
+                      _set(MODEL, [section, index, "age_range", bound], value))
+    with pytest.raises(ConfigurationError, match=rf"model\.json\.{section}\[{index}\]"
+                                                 rf"\.age_range\[{bound}\]: expected an integer"):
+        load_risk_model(path)
+
+
+@pytest.mark.parametrize("path_in_model, where", [
+    (["weights", 1, "weights", 0], r"weights\[1\]\.weights\[0\]"),
+    (["models", 0, "coefficients", "sbp"], r"models\[0\]\.coefficients\.sbp"),
+], ids=["weight", "coefficient"])
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+def test_model_numbers_must_be_numbers(tmp_path, path_in_model, where, kind):
+    path = write_json(tmp_path / "model.json", _set(MODEL, path_in_model, BAD_NUMBERS[kind]))
+    with pytest.raises(ConfigurationError, match=rf"model\.json\.{where}: expected a number"):
+        load_risk_model(path)
+
+
+@pytest.mark.parametrize("table, category", [
+    ("sex", "female"), ("age_bands", "35-44"), ("employment", "employed"),
+    ("households", "couple"),
+])
+@pytest.mark.parametrize("kind", BAD_NUMBERS)
+def test_region_proportions_must_be_numbers(tmp_path, table, category, kind):
+    pop = _bundled("population_ie.json")
+    pop = _set(pop, ["demographics", "regions", 2, table, category], BAD_NUMBERS[kind])
+    path = write_json(tmp_path / "pop.json", pop)
+    with pytest.raises(ConfigurationError,
+                       match=rf"pop\.json\.demographics\.regions\[2\]\.{table}\.{category}: "
+                             "expected a number"):
+        load_population_file(path)
+
+
+@pytest.mark.parametrize("section, path_in_section, where", [
+    ("delay", ["bands", 0, "hours", 1], r"delay\.bands\[0\]\.hours\[1\]"),
+    ("severity", ["base", 3], r"severity\.base\[3\]"),
+    ("severity", ["odds_ratios", 0, "delay", 0], r"severity\.odds_ratios\[0\]\.delay\[0\]"),
+], ids=["delay_hours", "severity_base", "odds_ratio_delay"])
+def test_delay_and_severity_numbers_must_be_numbers(tmp_path, section, path_in_section, where):
+    exp = _bundled("experiment_ie.json")
+    doc = {**BUNDLED_REFS, section: _set(exp[section], path_in_section, "1.5")}
+    path = write_json(tmp_path / "exp.json", doc)
+    with pytest.raises(ConfigurationError, match=rf"exp\.json\.{where}: expected a number"):
+        load_experiment_file(path)
+
+
+def test_integer_literals_load_as_numbers(tmp_path):
+    table = load_life_table(write_json(tmp_path / "life.json",
+                                       _set(LIFE, ["female", 0], 48)))
+    assert table.female == [48.0, 17.0, 2.0] and type(table.female[0]) is float
+    assert table.ages == [35, 70, 110]
+    model = load_risk_model(write_json(tmp_path / "model.json",
+                                       _set(MODEL, ["models", 0, "coefficients", "smoker"], 1)))
+    assert model.models[0].coefficients["smoker"] == 1.0

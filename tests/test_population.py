@@ -1,6 +1,8 @@
 """Population synthesis: apportionment, households, factor assignment, CSV round trip."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,14 @@ import pytest
 from strokesim.config import load_population_file
 from strokesim.errors import ConfigurationError
 from strokesim.population import (
+    BMI_RANGE,
     CSV_COLUMNS,
-    DemographicSpec,
+    DBP_RANGE,
     HOUSEHOLD_SIZES,
+    SBP_RANGE,
+    Agent,
+    DemographicSpec,
+    Population,
     RegionSpec,
     RiskFactorBand,
     RiskFactorTables,
@@ -314,6 +321,50 @@ def test_csv_rejects_foreign_header(tmp_path):
         read_population_csv(path)
 
 
+def _corrupt_row(tmp_path, column, value):
+    """A written population CSV whose third line (second agent) has one cell
+    replaced, or dropped when ``value`` is None."""
+    pop = build(total=6)
+    assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(4))
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    i = CSV_COLUMNS.index(column)
+    if value is None:
+        del cells[i]
+    else:
+        cells[i] = value
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("risk_reduced", None, "18 fields, expected 19"),
+    ("sbp", "high", "sbp = 'high', expected a number"),
+    ("age", "4O", "age = '4O', expected an integer"),
+    ("household_id", "", "household_id = '', expected an integer"),
+    ("diabetes", "2", "diabetes = '2', expected 0 or 1"),
+    ("risk_reduced", "True", "risk_reduced = 'True', expected 0 or 1"),
+], ids=["field_count", "non_numeric_float", "non_numeric_int", "empty_int", "flag_2",
+        "flag_word"])
+def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value, message):
+    path = _corrupt_row(tmp_path, column, value)
+    where = re.escape(f"population csv {path}, line 3: {message}")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    pop = build(total=4)
+    assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(4))
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    path.write_text(path.read_text() + "\n")
+    assert read_population_csv(path).agents == pop.agents
+
+
 # --- the bundled spec at scale ---
 
 
@@ -357,3 +408,182 @@ def test_bundled_population_household_sizes(bundled_population):
     # most agents live in two-person households under the bundled mix
     in_pairs = 2 * sizes.get(2, 0) / len(pop)
     assert 0.7 < in_pairs < 0.95
+
+
+# --- the per-agent reference ---
+#
+# `build_population` and `assign_risk_factors` draw in bulk.  These are the
+# per-agent forms they replaced (one generator call per agent, household or
+# band field); the batched forms must give the same population and leave
+# the generator in the same state.
+
+
+def _reference_spread(rng, counts):
+    out = []
+    for label, count in counts.items():
+        out.extend([label] * count)
+    perm = rng.permutation(len(out))
+    return [out[i] for i in perm]
+
+
+def reference_build_population(spec, rng):
+    spec.validate()
+    region_counts = apportion(spec.total_agents, {r.name: r.share for r in spec.regions})
+    agents, households, household_types = [], {}, {}
+    next_agent = next_household = 0
+    for reg in spec.regions:
+        n = region_counts[reg.name]
+        if n == 0:
+            continue
+        sexes = _reference_spread(rng, apportion(n, reg.sex))
+        bands = _reference_spread(rng, apportion(n, reg.age_bands))
+        jobs = _reference_spread(rng, apportion(n, reg.employment))
+        region_agents = []
+        for sex, band_label, job in zip(sexes, bands, jobs):
+            lo, hi = parse_age_range(band_label)
+            age = int(rng.integers(lo, hi + 1))
+            region_agents.append(Agent(id=next_agent, age=age, sex=sex, region=reg.name,
+                                       household_id=-1, employment=job))
+            next_agent += 1
+        agents.extend(region_agents)
+        jitter = rng.uniform(0.0, 6.0, size=n)
+        pool = sorted(range(n), key=lambda i: (region_agents[i].age + jitter[i]))
+        type_labels = list(reg.households)
+        type_probs = np.array([reg.households[t] for t in type_labels])
+        cursor = 0
+        while cursor < n:
+            htype = type_labels[int(rng.choice(len(type_labels), p=type_probs))]
+            size = min(HOUSEHOLD_SIZES[htype], n - cursor)
+            members = [region_agents[pool[cursor + k]].id for k in range(size)]
+            for agent_id in members:
+                agents[agent_id].household_id = next_household
+            households[next_household] = members
+            household_types[next_household] = htype
+            next_household += 1
+            cursor += size
+    return Population(agents=agents, households=households, household_types=household_types)
+
+
+def reference_assign_risk_factors(pop, tables, rng):
+    tables.validate()
+    for agent in pop.agents:
+        if not any(band.age_lo <= agent.age <= band.age_hi for band in tables.bands):
+            raise ConfigurationError(f"no risk factor band covers age {agent.age}")
+    for band in tables.bands:
+        members = [a for a in pop.agents if band.age_lo <= a.age <= band.age_hi]
+        n = len(members)
+        if n == 0:
+            continue
+        sbp = np.clip(rng.normal(band.sbp_mean, band.sbp_sd, n), *SBP_RANGE)
+        dbp = np.clip(rng.normal(band.dbp_mean, band.dbp_sd, n), *DBP_RANGE)
+        bmi = np.clip(rng.normal(band.bmi_mean, band.bmi_sd, n), *BMI_RANGE)
+        for agent, s, d, b in zip(members, sbp, dbp, bmi):
+            agent.sbp, agent.dbp, agent.bmi = float(s), float(d), float(b)
+        for factor, prev in (("diabetes", band.diabetes_prev), ("afib", band.afib_prev),
+                             ("smoker", band.smoker_prev)):
+            marked = rng.permutation(n)[: round_half_up(prev * n)]
+            for i in range(n):
+                setattr(members[i], factor, False)
+            for i in marked:
+                setattr(members[int(i)], factor, True)
+        cigs = max(1, round_half_up(band.cigs_per_day_mean))
+        for agent in members:
+            agent.cigs_per_day = cigs if agent.smoker else 0
+    pop.baseline_stats = population_stats(pop)
+    return pop
+
+
+def assert_same_synthesis(spec, tables, seed, primed=False):
+    """Build and assign with both forms from one seed; everything must match,
+    the generator's final state included."""
+    results = []
+    for build_fn, assign_fn in ((build_population, assign_risk_factors),
+                                (reference_build_population, reference_assign_risk_factors)):
+        rng = np.random.default_rng(seed)
+        if primed:  # leaves half of a uint32 pair cached in the bit generator
+            rng.integers(0, 10)
+        pop = build_fn(spec, rng)
+        households = {h: list(m) for h, m in pop.households.items()}
+        if tables is not None:
+            assign_fn(pop, tables, rng)
+        results.append((pop, households, rng.bit_generator.state))
+    (pop, households, state), (ref, ref_households, ref_state) = results
+    assert pop.agents == ref.agents
+    for a, b in zip(pop.agents, ref.agents):  # the CSV writes these with repr
+        assert [type(getattr(a, f)) for f in vars(a)] == [type(getattr(b, f)) for f in vars(b)]
+    assert list(households.items()) == list(ref_households.items())
+    assert list(pop.household_types.items()) == list(ref.household_types.items())
+    assert pop.baseline_stats == ref.baseline_stats
+    assert state == ref_state
+    return pop
+
+
+MIXED_BANDS = RiskFactorTables(bands=[
+    flat_band(age_lo=35, age_hi=54, sbp_mean=120.0, diabetes_prev=0.05, smoker_prev=0.3),
+    flat_band(age_lo=55, age_hi=110, sbp_mean=150.0, afib_prev=0.11, cigs_per_day_mean=9.6),
+])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("primed", [False, True], ids=["fresh", "primed"])
+def test_batched_synthesis_matches_reference_over_regions(seed, primed):
+    # region shares apportion 41 agents as 25 / 15 / 0 / 1
+    spec = DemographicSpec(regions=[
+        region(name="north", share=0.6),
+        region(name="south", share=0.375,
+               age_bands={"35-44": 0.2, "45-64": 0.5, "65+": 0.3}),
+        region(name="empty", share=0.0),
+        region(name="lone", share=0.025),
+    ], total_agents=41)
+    counts = apportion(41, {r.name: r.share for r in spec.regions})
+    assert (counts["empty"], counts["lone"]) == (0, 1)
+    pop = assert_same_synthesis(spec, MIXED_BANDS, seed, primed)
+    assert {a.region for a in pop.agents} == {"north", "south", "lone"}
+
+
+@pytest.mark.parametrize("households", [
+    {"single": 1.0, "couple": 0.0, "with_children": 0.0},
+    {"single": 0.0, "couple": 0.7, "with_children": 0.3},
+    {"couple": 1.0},
+], ids=["single_only", "no_singles", "couples_only"])
+@pytest.mark.parametrize("total", [1, 2, 37, 500])
+def test_batched_households_match_reference(households, total):
+    spec = DemographicSpec(regions=[region(households=households)], total_agents=total)
+    pop = assert_same_synthesis(spec, MIXED_BANDS, seed=total)
+    if "single" not in households and total % 2:
+        # an odd pool leaves the last household one member short
+        last = max(pop.households)
+        assert len(pop.households[last]) == 1
+        assert HOUSEHOLD_SIZES[pop.household_types[last]] == 2
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_batched_factors_match_reference_with_overlapping_bands(seed):
+    spec = DemographicSpec(regions=[region()], total_agents=300)
+    tables = RiskFactorTables(bands=[
+        flat_band(age_lo=35, age_hi=70, smoker_prev=0.4, cigs_per_day_mean=20.0),
+        flat_band(age_lo=60, age_hi=110, sbp_mean=160.0, smoker_prev=0.1, diabetes_prev=0.3),
+        flat_band(age_lo=65, age_hi=66, bmi_mean=35.0, afib_prev=0.5),
+        flat_band(age_lo=111, age_hi=120),  # covers nobody: no draws
+    ])
+    pop = assert_same_synthesis(spec, tables, seed)
+    # the later band's draws stand where bands overlap
+    overlap = [a for a in pop.agents if 60 <= a.age <= 70]
+    assert overlap and all(a.cigs_per_day in (0, 14) for a in overlap)
+    assert any(a.cigs_per_day == 20 for a in pop.agents if a.age < 60)
+
+
+def test_batched_factors_report_first_uncovered_agent():
+    pop = build(total=200)
+    tables = RiskFactorTables(bands=[flat_band(age_lo=35, age_hi=60),
+                                     flat_band(age_lo=70, age_hi=110)])
+    first = next(a.age for a in pop.agents if 60 < a.age < 70)
+    with pytest.raises(ConfigurationError, match=f"no risk factor band covers age {first}$"):
+        assign_risk_factors(pop, tables, np.random.default_rng(0))
+
+
+def test_batched_synthesis_matches_reference_on_bundled_config():
+    spec, tables = load_population_file("strokesim:population_ie.json")
+    assert_same_synthesis(spec, tables, derive_seed(42))
+    small = replace(spec, total_agents=997)  # odd region sizes at a smaller scale
+    assert_same_synthesis(small, tables, derive_seed(7))

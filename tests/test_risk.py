@@ -79,6 +79,21 @@ def test_feature_matrix_rows_match_agents():
     assert mat[1].tolist() == list(agent_features(agents[1]))
 
 
+def test_feature_matrix_equals_stacked_feature_rows():
+    rng = np.random.default_rng(3)
+    agents = []
+    for i in range(200):
+        a = agent(age=int(rng.integers(35, 110)), sex="male" if i % 3 else "female",
+                  sbp=float(rng.normal(130, 15)), dbp=float(rng.normal(80, 10)),
+                  bmi=float(rng.normal(27, 4)), diabetes=bool(i % 5 == 0),
+                  afib=bool(i % 7 == 0), smoker=bool(i % 2))
+        a.cigs_per_day = int(rng.integers(1, 30)) if a.smoker else 0
+        agents.append(a)
+    stacked = np.array([agent_features(a) for a in agents], dtype=float)
+    assert np.array_equal(feature_matrix(agents), stacked)
+    assert feature_matrix([]).shape == (0, len(FEATURE_NAMES))
+
+
 # --- logistic members ---
 
 
