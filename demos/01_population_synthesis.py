@@ -11,7 +11,12 @@ import collections
 import numpy as np
 
 from strokesim.config import load_population_file
-from strokesim.population import assign_risk_factors, build_population, write_population_csv
+from strokesim.population import (
+    assign_risk_factors,
+    build_population,
+    population_stats,
+    write_population_csv,
+)
 from strokesim.seeds import derive_seed
 
 BASE_SEED = 42
@@ -41,7 +46,7 @@ sbp = np.array([a.sbp for a in pop.agents])
 print(f"risk factors: {smokers / len(pop):.1%} smokers, "
       f"SBP {sbp.mean():.1f} +- {sbp.std():.1f} mmHg")
 
-stats = pop.baseline_stats
+stats = population_stats(pop)
 print(f"frozen baseline stats: bmi {stats.bmi_mean:.2f} +- {stats.bmi_sd:.2f} "
       f"(interventions reduce in fractions of these sds)")
 

@@ -10,6 +10,7 @@ import numpy as np
 from strokesim.config import load_experiment_file, load_population_file, load_risk_model
 from strokesim.population import Agent, assign_risk_factors, build_population
 from strokesim.risk import (
+    DAYS_PER_FIVE_YEARS,
     calibrate_intercepts,
     ensemble_score,
     expected_stroke_count,
@@ -33,13 +34,13 @@ for j, member in enumerate(ens.models):
     p = logistic_score(member, probe, ens.calibration_offset)
     print(f"  member {j} (fitted {member.age_lo}-{member.age_hi}): "
           f"five-year {p:.4f}, weight {w[j]:.2f}")
-score = ensemble_score(ens, probe)
-print(f"  weighted at age {probe.age}: five-year {score.five_year:.4f}, "
-      f"daily {score.daily:.3e}")
+five_year = ensemble_score(ens, probe)
+print(f"  weighted at age {probe.age}: five-year {five_year:.4f}, "
+      f"daily {five_year / DAYS_PER_FIVE_YEARS:.3e}")
 
 # Same agent, ten years younger and a nonsmoker.
 probe.age, probe.smoker, probe.cigs_per_day = 52, False, 0
-print(f"  younger nonsmoker: five-year {ensemble_score(ens, probe).five_year:.4f}")
+print(f"  younger nonsmoker: five-year {ensemble_score(ens, probe):.4f}")
 
 # Calibration: choose the offset so the closed-form expected stroke count
 # over the horizon matches a target annual rate.  The bundled offset was

@@ -47,7 +47,6 @@ from .population import (
 from .risk import (
     EnsembleRiskModel,
     LogisticModel,
-    RiskScore,
     calibrate_intercepts,
     ensemble_score,
     expected_stroke_count,
@@ -73,7 +72,6 @@ __all__ = [
     "Population",
     "PopulationArrays",
     "RiskFactorTables",
-    "RiskScore",
     "RiskTables",
     "RunResult",
     "Scenario",

@@ -36,7 +36,8 @@ from .montecarlo import (
 )
 from .population import Population, assign_risk_factors, build_population, write_population_csv
 from .risk import (
-    DAYS_PER_FIVE_YEARS,
+    FEATURE_NAMES,
+    EnsembleRiskModel,
     calibrate_intercepts,
     expected_stroke_count,
     feature_matrix,
@@ -52,18 +53,18 @@ SCENARIO_CHOICES = {
 }
 
 
-def _build_scored_population(cfg: AppConfig, base_seed: int) -> Population:
-    """Synthesize, assign factors, and score the population for one seed."""
+def _build_population(cfg: AppConfig, base_seed: int) -> Population:
+    """Synthesize the population for one seed and assign its risk factors."""
     rng = np.random.default_rng(derive_seed(base_seed))
     pop = build_population(cfg.demographics, rng)
-    assign_risk_factors(pop, cfg.risk_tables, rng)
-    features = feature_matrix(pop.agents)
-    ages = np.array([a.age for a in pop.agents])
-    five_year = five_year_matrix(cfg.ensemble, features, ages)
-    for agent, fy in zip(pop.agents, five_year):
-        agent.five_year_risk = float(fy)
-        agent.daily_risk = float(fy) / DAYS_PER_FIVE_YEARS
-    return pop
+    return assign_risk_factors(pop, cfg.risk_tables, rng)
+
+
+def _score(pop: Population, features: np.ndarray, ensemble: EnsembleRiskModel) -> None:
+    """Set each agent's five-year risk from its row of `features`."""
+    five_year = five_year_matrix(ensemble, features, features[:, FEATURE_NAMES.index("age")])
+    for agent, risk in zip(pop.agents, five_year.tolist()):
+        agent.five_year_risk = risk
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -106,7 +107,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         cfg = load_experiment_file(args.config)
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     with _phase(phases, "synthesis"):
-        pop = _build_scored_population(cfg, base_seed)
+        pop = _build_population(cfg, base_seed)
+        _score(pop, feature_matrix(pop.agents), cfg.ensemble)
     out = Path(args.out)
     with _phase(phases, "write"):
         write_population_csv(pop, out)
@@ -136,7 +138,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         )
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     with _phase(phases, "synthesis"):
-        pop = _build_scored_population(cfg, base_seed)
+        pop = _build_population(cfg, base_seed)
     tol = args.tol if args.tol is not None else cfg.calibration_tol
     with _phase(phases, "calibration"):
         calibrated = calibrate_intercepts(
@@ -214,9 +216,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         workers=worker_count(args.workers, len(scenarios) * n_runs),
     )
     with _phase(phases, "synthesis"):
-        pop = _build_scored_population(cfg, exp.base_seed)
+        pop = _build_population(cfg, exp.base_seed)
     with _phase(phases, "arrays"):
         arrays = PopulationArrays.from_population(pop)
+        # the engine reads its risk tables; this is for readers of `pop` (perfbench)
+        _score(pop, arrays.features, cfg.ensemble)
     with _phase(phases, "experiment"):
         result = run_experiment(
             exp, arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,

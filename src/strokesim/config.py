@@ -256,11 +256,14 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
             weights=_numbers(_get(entry, "weights", where, list), f"{where}.weights"),
         ))
 
+    defaults = _field_defaults(EnsembleRiskModel)
     ens = EnsembleRiskModel(
         models=models,
         weights=weights,
-        crossfade_years=_get(data, "crossfade_years", name, int, default=0),
-        calibration_offset=float(_get(data, "calibration_offset", name, float, default=0.0)),
+        crossfade_years=_get(data, "crossfade_years", name, int,
+                             default=defaults["crossfade_years"]),
+        calibration_offset=float(_get(data, "calibration_offset", name, float,
+                                      default=defaults["calibration_offset"])),
     )
     ens.validate()
     return ens
@@ -337,8 +340,13 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
     sev = SeverityDistribution(*_numbers(base, f"{name}.base"))
     sev.validate()
 
+    if "odds_ratios" not in data:
+        return sev, OddsRatioTable.default()
+    entries = _get(data, "odds_ratios", name, list)
+    if not entries:
+        raise ConfigurationError(f"{name}.odds_ratios: at least one row required")
     rows = []
-    for i, entry in enumerate(_get(data, "odds_ratios", name, list, default=[])):
+    for i, entry in enumerate(entries):
         where = f"{name}.odds_ratios[{i}]"
         delay = _get(entry, "delay", where, list)
         if len(delay) != 2:
@@ -350,7 +358,7 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
             or_mrs_le1=float(_get(entry, "or_mrs_le1", where, float)),
             or_mrs_ge2=float(_get(entry, "or_mrs_ge2", where, float)),
         ))
-    ors = OddsRatioTable(rows=rows) if rows else OddsRatioTable.default()
+    ors = OddsRatioTable(rows=rows)
     ors.validate()
     return sev, ors
 

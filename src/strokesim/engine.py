@@ -45,7 +45,7 @@ from .population import (
     SBP_RANGE,
     BaselineStats,
     Population,
-    population_stats,
+    _stats,
 )
 from .risk import (
     DAYS_PER_FIVE_YEARS,
@@ -381,7 +381,8 @@ class PopulationArrays:
     """Column-oriented copy of a Population for the replication hot path.
 
     Row order is agent order; `features` columns follow FEATURE_NAMES and
-    `age` holds the entry ages.  Replications only read it.
+    `age` holds the entry ages.  `stats` are the baseline factor stats,
+    computed from the feature columns.  Replications only read it.
     """
 
     ids: np.ndarray
@@ -401,7 +402,7 @@ class PopulationArrays:
         male = features[:, _COL["male"]].copy()
         hh_raw = np.array([a.household_id for a in pop.agents], dtype=np.int64)
         _, household = np.unique(hh_raw, return_inverse=True)
-        stats = pop.baseline_stats or population_stats(pop)
+        stats = _stats(*(features[:, _COL[name]] for name in ("sbp", "dbp", "bmi")))
         return PopulationArrays(
             ids=ids, features=features, age=age, male=male,
             household=household, stats=stats,

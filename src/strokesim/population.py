@@ -14,13 +14,16 @@ in one `integers` call, its household types a chunk of uniforms at a time,
 each band's factors as columns) and consume exactly the stream that one
 draw per agent or household would: the tests keep that per-agent form as
 the reference the batched one must match, generator state included.
+
+Each fact is stored once: `Agent.daily_risk` is derived from the five-year
+risk, and the baseline factor stats are computed when needed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +40,9 @@ DBP_RANGE = (40.0, 150.0)
 BMI_RANGE = (12.0, 60.0)
 
 _PROP_TOL = 1e-9
+
+# A five-year risk is spread uniformly over the days in five years.
+DAYS_PER_FIVE_YEARS = 1826
 
 
 def round_half_up(x: float) -> int:
@@ -178,7 +184,7 @@ class RiskFactorTables:
 
 @dataclass
 class Agent:
-    """One simulated person."""
+    """One simulated person.  `five_year_risk` is 0 until the agent is scored."""
 
     id: int
     age: int
@@ -194,10 +200,10 @@ class Agent:
     smoker: bool = False
     cigs_per_day: int = 0
     five_year_risk: float = 0.0
-    daily_risk: float = 0.0
-    remaining_life_expectancy: float = 0.0
-    notified_high_risk: bool = False
-    risk_reduced: bool = False
+
+    @property
+    def daily_risk(self) -> float:
+        return self.five_year_risk / DAYS_PER_FIVE_YEARS
 
 
 @dataclass
@@ -217,7 +223,6 @@ class Population:
     agents: list[Agent]
     households: dict[int, list[int]]
     household_types: dict[int, str]
-    baseline_stats: BaselineStats | None = None
 
     def __len__(self) -> int:
         return len(self.agents)
@@ -378,7 +383,6 @@ def assign_risk_factors(
     ):
         agent.sbp, agent.dbp, agent.bmi = s, d, b
         agent.diabetes, agent.afib, agent.smoker, agent.cigs_per_day = diabetes, afib, smoker, c
-    pop.baseline_stats = _stats(sbp, dbp, bmi)
     return pop
 
 
@@ -402,8 +406,7 @@ def _stats(sbp: np.ndarray, dbp: np.ndarray, bmi: np.ndarray) -> BaselineStats:
 CSV_COLUMNS = [
     "id", "age", "sex", "region", "employment", "household_id", "household_type",
     "sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_per_day",
-    "five_year_risk", "daily_risk", "remaining_life_expectancy",
-    "notified_high_risk", "risk_reduced",
+    "five_year_risk",
 ]
 
 
@@ -415,12 +418,10 @@ def write_population_csv(pop: Population, path) -> None:
         for a in pop.agents:
             writer.writerow([
                 a.id, a.age, a.sex, a.region, a.employment, a.household_id,
-                pop.household_types.get(a.household_id, "single"),
+                pop.household_types[a.household_id],
                 repr(a.sbp), repr(a.dbp), repr(a.bmi),
                 int(a.diabetes), int(a.afib), int(a.smoker), a.cigs_per_day,
-                repr(a.five_year_risk), repr(a.daily_risk),
-                repr(a.remaining_life_expectancy),
-                int(a.notified_high_risk), int(a.risk_reduced),
+                repr(a.five_year_risk),
             ])
 
 
@@ -429,10 +430,8 @@ _FLAGS = {"0": False, "1": True}
 # Parser and expected form of each non-text column, for naming a bad cell.
 _CELL_TYPES = {
     **dict.fromkeys(("id", "age", "household_id", "cigs_per_day"), (int, "an integer")),
-    **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk", "daily_risk",
-                     "remaining_life_expectancy"), (float, "a number")),
-    **dict.fromkeys(("diabetes", "afib", "smoker", "notified_high_risk", "risk_reduced"),
-                    (_FLAGS.__getitem__, "0 or 1")),
+    **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk"), (float, "a number")),
+    **dict.fromkeys(("diabetes", "afib", "smoker"), (_FLAGS.__getitem__, "0 or 1")),
 }
 
 
@@ -450,10 +449,9 @@ def _bad_cell(row: list[str]) -> str:
 def read_population_csv(path) -> Population:
     """Rebuild a Population from `write_population_csv` output.
 
-    Household membership is reconstructed from the household_id column and
-    baseline stats are recomputed (they are a pure function of the factors).
-    A row with the wrong field count, a non-numeric number cell or a flag
-    other than 0/1 raises ConfigurationError naming the file and line.
+    Household membership is reconstructed from the household_id column.  A
+    header other than `CSV_COLUMNS`, a row with the wrong field count, a
+    non-numeric number cell or a flag other than 0/1 raises ConfigurationError.
     """
     agents: list[Agent] = []
     households: dict[int, list[int]] = {}
@@ -473,7 +471,7 @@ def read_population_csv(path) -> Population:
                     f"{len(row)} fields, expected {len(CSV_COLUMNS)}"
                 )
             (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
-             smoker, cigs, five_year, daily, life, notified, reduced) = row
+             smoker, cigs, five_year) = row
             try:
                 agent = Agent(
                     id=int(aid), age=int(age), sex=sex, region=region,
@@ -481,8 +479,6 @@ def read_population_csv(path) -> Population:
                     sbp=float(sbp), dbp=float(dbp), bmi=float(bmi),
                     diabetes=flag(diabetes), afib=flag(afib), smoker=flag(smoker),
                     cigs_per_day=int(cigs), five_year_risk=float(five_year),
-                    daily_risk=float(daily), remaining_life_expectancy=float(life),
-                    notified_high_risk=flag(notified), risk_reduced=flag(reduced),
                 )
             except (ValueError, KeyError):
                 raise ConfigurationError(
@@ -491,6 +487,4 @@ def read_population_csv(path) -> Population:
             agents.append(agent)
             households.setdefault(agent.household_id, []).append(agent.id)
             household_types[agent.household_id] = htype
-    pop = Population(agents=agents, households=households, household_types=household_types)
-    pop.baseline_stats = population_stats(pop)
-    return pop
+    return Population(agents=agents, households=households, household_types=household_types)

@@ -8,21 +8,21 @@ ages.  A single additive calibration offset, shared by every member
 intercept, is tuned by `calibrate_intercepts` so the population-level
 expected stroke count matches a target incidence.
 
-Daily risk is the five-year probability spread uniformly over the 1826
-days in five years.
+Every score comes from one scorer, `_scorer`, and `calibrate_intercepts`
+bisects on the expectation `expected_stroke_count` reports, `_expectation`.
+Daily risk is the five-year probability spread over the 1826 days in five years.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import CalibrationError, ConfigurationError
-from .population import Agent, Population
-
-DAYS_PER_FIVE_YEARS = 1826
+from .population import DAYS_PER_FIVE_YEARS, Agent, Population
 
 # The default time grid (ten 365-day years) and calibration tolerance;
 # ScenarioConfig and the config loader take theirs from here.
@@ -103,16 +103,6 @@ class WeightRow:
     age_lo: int
     age_hi: int
     weights: list[float]
-
-
-@dataclass
-class RiskScore:
-    five_year: float
-    daily: float
-
-
-def risk_score(five_year: float) -> RiskScore:
-    return RiskScore(five_year=five_year, daily=five_year / DAYS_PER_FIVE_YEARS)
 
 
 @dataclass
@@ -232,51 +222,64 @@ def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndar
     return coefs, intercepts
 
 
+def _scorer(
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
+) -> Callable[[float], np.ndarray]:
+    """Five-year ensemble scores of the rows of `features` as a function of
+    the calibration offset.  The linear predictors and the weight matrix are
+    computed once, so each further offset costs one sigmoid."""
+    coefs, intercepts = coefficient_matrix(ensemble)
+    lps = features @ coefs.T + intercepts
+    weights = weight_matrix(ensemble, ages)
+
+    def five_year(offset: float) -> np.ndarray:
+        return (weights * _sigmoid(lps + offset)).sum(axis=1)
+    return five_year
+
+
 def five_year_matrix(
-    ensemble: EnsembleRiskModel,
-    features: np.ndarray,
-    ages: np.ndarray,
-    offset: float | None = None,
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
 ) -> np.ndarray:
     """Vectorized ensemble score for many agents at once.
 
     Equivalent to `ensemble_score` per row; the engine builds its per-year
     risk tables (`engine.build_risk_tables`) with it.
     """
-    if offset is None:
-        offset = ensemble.calibration_offset
-    coefs, intercepts = coefficient_matrix(ensemble)
-    lps = features @ coefs.T + intercepts + offset
-    return (weight_matrix(ensemble, ages) * _sigmoid(lps)).sum(axis=1)
+    return _scorer(ensemble, features, ages)(ensemble.calibration_offset)
 
 
-def ensemble_score(ensemble: EnsembleRiskModel, agent: Agent) -> RiskScore:
-    """Five-year and daily risk for one agent."""
+def ensemble_score(ensemble: EnsembleRiskModel, agent: Agent) -> float:
+    """Five-year risk for one agent."""
     w = weights_for_age(ensemble, agent.age)
     five_year = 0.0
     for j, model in enumerate(ensemble.models):
         if w[j] != 0.0:
             five_year += w[j] * logistic_score(model, agent, ensemble.calibration_offset)
-    return risk_score(five_year)
+    return five_year
 
 
-def expected_stroke_count(
-    ensemble: EnsembleRiskModel,
-    pop: Population,
-    horizon_days: int,
-    offset: float | None = None,
-) -> float:
-    """Closed-form expected first strokes over a horizon at frozen risks.
+def _expectation(
+    ensemble: EnsembleRiskModel, pop: Population, horizon_days: int
+) -> Callable[[float], float]:
+    """Closed-form expected first strokes over a horizon at frozen risks, as
+    a function of the calibration offset.
 
     Per agent the chance of at least one stroke in `horizon_days` draws at
-    probability `daily` is 1 - (1 - daily)^horizon; summing over agents
-    gives the expected count, with no simulation noise.
+    its daily risk is 1 - (1 - daily)^horizon; summing over agents gives the
+    expected count, with no simulation noise.
     """
-    features = feature_matrix(pop.agents)
-    ages = np.array([a.age for a in pop.agents])
-    five_year = five_year_matrix(ensemble, features, ages, offset=offset)
-    daily = five_year / DAYS_PER_FIVE_YEARS
-    return float((1.0 - (1.0 - daily) ** horizon_days).sum())
+    score = _scorer(ensemble, feature_matrix(pop.agents), np.array([a.age for a in pop.agents]))
+
+    def expected(offset: float) -> float:
+        daily = score(offset) / DAYS_PER_FIVE_YEARS
+        return float((1.0 - (1.0 - daily) ** horizon_days).sum())
+    return expected
+
+
+def expected_stroke_count(ensemble: EnsembleRiskModel, pop: Population, horizon_days: int) -> float:
+    """Expected first strokes over `horizon_days` at the model's calibration
+    offset (see `_expectation`)."""
+    return _expectation(ensemble, pop, horizon_days)(ensemble.calibration_offset)
 
 
 def calibrate_intercepts(
@@ -303,19 +306,10 @@ def calibrate_intercepts(
         raise ConfigurationError(
             f"target_annual_risk = {target_annual_risk} outside (0, 0.05]"
         )
-    features = feature_matrix(pop.agents)
-    ages = np.array([a.age for a in pop.agents])
-    coefs, intercepts = coefficient_matrix(ensemble)
-    lps = features @ coefs.T + intercepts
-    wmat = weight_matrix(ensemble, ages)
+    expected = _expectation(ensemble, pop, horizon_days)
     years = horizon_days / days_per_year
     target_count = target_annual_risk * len(pop.agents) * years
     tol_count = tol * len(pop.agents) * years
-
-    def expected(delta: float) -> float:
-        five_year = (wmat * _sigmoid(lps + delta)).sum(axis=1)
-        daily = five_year / DAYS_PER_FIVE_YEARS
-        return float((1.0 - (1.0 - daily) ** horizon_days).sum())
 
     lo, hi = -10.0, 10.0
     f_lo = expected(lo) - target_count

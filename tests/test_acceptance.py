@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from strokesim.cli import _build_scored_population, main
+from strokesim.cli import _build_population, main
 from strokesim.config import load_experiment_file, load_risk_model
 from strokesim.engine import (
     DelayModel,
@@ -47,7 +47,7 @@ def full_experiment(tmp_path_factory):
     calibrated = load_risk_model(model_path)
 
     cfg = load_experiment_file()
-    pop = _build_scored_population(cfg, cfg.experiment.base_seed)
+    pop = _build_population(cfg, cfg.experiment.base_seed)
     arrays = PopulationArrays.from_population(pop)
     closed_form = expected_stroke_count(calibrated, pop, cfg.horizon_days)
 

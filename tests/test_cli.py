@@ -157,8 +157,8 @@ def test_calibrate_writes_model_at_target(config_path, config_dir, tmp_path, cap
 
     # the written model must reproduce the target on the same population
     cfg = load_experiment_file(config_path)
-    from strokesim.cli import _build_scored_population
-    pop = _build_scored_population(cfg, 7)
+    from strokesim.cli import _build_population
+    pop = _build_population(cfg, 7)
     expected = expected_stroke_count(calibrated, pop, cfg.horizon_days)
     achieved = expected / (len(pop.agents) * cfg.horizon_days / cfg.days_per_year)
     assert achieved == pytest.approx(0.003, rel=1e-6)
@@ -296,13 +296,71 @@ def test_run_bundled_config_matches_golden_digest(tmp_path):
 # Digest of `strokesim generate --seed 42` on the bundled config: every
 # agent, household and risk factor the population stream draws, and every
 # score, written with repr floats.
-GOLDEN_GENERATE_DIGEST = "5ca93541fb265d49edf282211c6ba03403559c7584c54caf60b7ff146d3270aa"
+GOLDEN_GENERATE_DIGEST = "6948501861735d849f69901532e3997d1221ec62dce09ec9da47baa8cb007323"
 
 
 def test_generate_bundled_config_matches_golden_digest(tmp_path):
     out = tmp_path / "population.csv"
     assert main(["generate", "--seed", "42", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GENERATE_DIGEST
+
+
+# Digest of the model JSON `strokesim calibrate --seed 42` writes on the
+# bundled config: the calibration offset the bisection lands on, in full.
+GOLDEN_CALIBRATE_DIGEST = "80bb68d75440931759e7fa9fb1c4ab49146070181f1f1db7b71714f61c68bf19"
+
+
+def test_calibrate_bundled_config_matches_golden_digest(tmp_path):
+    out = tmp_path / "model.json"
+    assert main(["calibrate", "--seed", "42", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CALIBRATE_DIGEST
+
+
+def test_each_command_builds_the_feature_matrix_as_often_as_it_needs(
+        config_path, tmp_path, monkeypatch):
+    # generate scores from its one build; calibrate builds once to bisect and
+    # once to report; run scores from the engine's arrays
+    import strokesim.cli
+    import strokesim.engine
+    import strokesim.risk
+    builds = []
+    original = strokesim.risk.feature_matrix
+
+    def counted(agents):
+        builds.append(len(agents))
+        return original(agents)
+    for module in (strokesim.risk, strokesim.engine, strokesim.cli):
+        monkeypatch.setattr(module, "feature_matrix", counted)
+    commands = {
+        "generate": ["--out", str(tmp_path / "pop.csv")],
+        "calibrate": ["--out", str(tmp_path / "model.json")],
+        "run": ["--out", str(tmp_path / "run"), "--runs", "2", "--workers", "1"],
+    }
+    counts = {}
+    for command, extra in commands.items():
+        builds.clear()
+        assert main([command, "--config", config_path, *extra]) == 0
+        counts[command] = len(builds)
+        assert builds == [120] * len(builds)
+    assert counts == {"generate": 1, "calibrate": 2, "run": 1}
+
+
+def test_run_scores_the_population_it_builds(config_path, tmp_path, monkeypatch):
+    # readers of a run's population (perfbench's baseline check) need its risks
+    import strokesim.cli
+    built = []
+    original = strokesim.cli.build_population
+
+    def capture(*args):
+        built.append(original(*args))
+        return built[-1]
+    monkeypatch.setattr(strokesim.cli, "build_population", capture)
+    assert run_cli(config_path, tmp_path / "run", "--runs", "2") == 0
+    generated = tmp_path / "pop.csv"
+    assert main(["generate", "--config", config_path, "--out", str(generated)]) == 0
+    scored = [a.five_year_risk for a in built[0].agents]
+    assert scored == [a.five_year_risk for a in read_population_csv(generated).agents]
+    assert all(a.daily_risk > 0.0 for a in built[0].agents)
 
 
 # --- manifests: phase timings and environment ---
@@ -385,10 +443,10 @@ def test_bundled_default_config_loads():
 
 def test_format_summary_table_structure(config_path, tmp_path):
     import strokesim.montecarlo as mc
-    from strokesim.cli import _build_scored_population
+    from strokesim.cli import _build_population
     from strokesim.engine import PopulationArrays
     cfg = load_experiment_file(config_path)
-    pop = _build_scored_population(cfg, cfg.experiment.base_seed)
+    pop = _build_population(cfg, cfg.experiment.base_seed)
     exp_cfg = replace(cfg.experiment, n_runs=3, workers=1)
     result = mc.run_experiment(exp_cfg, PopulationArrays.from_population(pop), cfg.ensemble,
                                cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table)

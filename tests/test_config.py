@@ -13,11 +13,11 @@ from strokesim.config import (
     load_population_file,
     load_risk_model,
 )
-from strokesim.engine import Scenario, ScenarioConfig
+from strokesim.engine import OddsRatioTable, Scenario, ScenarioConfig
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import ExperimentConfig
 from strokesim.population import DemographicSpec
-from strokesim.risk import CALIBRATION_TOL, calibrate_intercepts
+from strokesim.risk import CALIBRATION_TOL, EnsembleRiskModel, calibrate_intercepts
 
 BUNDLED_REFS = {
     "population": "strokesim:population_ie.json",
@@ -36,8 +36,15 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
                      .joinpath("data", "population_ie.json").read_text())
     del pop["demographics"]["scale_factor"], pop["demographics"]["min_age"]
     write_json(tmp_path / "pop.json", pop)
-    cfg = load_experiment_file(write_json(tmp_path / "exp.json",
-                                          {**BUNDLED_REFS, "population": "pop.json"}))
+    model = json.loads(importlib.resources.files("strokesim")
+                       .joinpath("data", "risk_model_ie.json").read_text())
+    del model["crossfade_years"], model["calibration_offset"]
+    write_json(tmp_path / "model.json", model)
+    cfg = load_experiment_file(write_json(tmp_path / "exp.json", {
+        **BUNDLED_REFS, "population": "pop.json", "risk_model": "model.json"}))
+    ensemble = EnsembleRiskModel(models=[], weights=[])
+    assert cfg.ensemble.crossfade_years == ensemble.crossfade_years
+    assert cfg.ensemble.calibration_offset == ensemble.calibration_offset
     assert [s.scenario for s in cfg.experiment.scenarios] == list(Scenario)
     for loaded in cfg.experiment.scenarios:
         assert loaded == ScenarioConfig(scenario=loaded.scenario)
@@ -56,6 +63,16 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
     assert params["horizon_days"].default == scenario.horizon_days
     assert params["days_per_year"].default == scenario.days_per_year
     assert params["tol"].default == CALIBRATION_TOL
+
+
+def test_empty_odds_ratio_table_rejected(tmp_path):
+    base = {"base": [0.19, 0.35, 0.37, 0.09]}
+    omitted = write_json(tmp_path / "omitted.json", {**BUNDLED_REFS, "severity": base})
+    assert load_experiment_file(omitted).odds_ratios == OddsRatioTable.default()
+    empty = write_json(tmp_path / "exp.json",
+                       {**BUNDLED_REFS, "severity": {**base, "odds_ratios": []}})
+    with pytest.raises(ConfigurationError, match=r"exp\.json\.severity\.odds_ratios: "):
+        load_experiment_file(empty)
 
 
 def test_nan_delay_mean_rejected(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,9 +452,7 @@ def test_hold_conversation_age_and_threshold():
 
 
 def reduction_arrays(agents, stats):
-    pop = population_of(agents)
-    pop.baseline_stats = stats
-    return PopulationArrays.from_population(pop)
+    return replace(PopulationArrays.from_population(population_of(agents)), stats=stats)
 
 
 def column(arrays, name):

@@ -2,16 +2,18 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from strokesim.config import load_population_file
+from strokesim.engine import PopulationArrays
 from strokesim.errors import ConfigurationError
 from strokesim.population import (
     BMI_RANGE,
     CSV_COLUMNS,
+    DAYS_PER_FIVE_YEARS,
     DBP_RANGE,
     HOUSEHOLD_SIZES,
     SBP_RANGE,
@@ -263,7 +265,7 @@ def test_stats_identical_values_zero_sd():
 def test_stats_match_streaming_second_pass():
     pop = build(total=3000)
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(1))
-    stats = pop.baseline_stats
+    stats = PopulationArrays.from_population(pop).stats
 
     # independent streaming (Welford) recomputation
     count, m, m2 = 0, 0.0, 0.0
@@ -321,6 +323,53 @@ def test_csv_rejects_foreign_header(tmp_path):
         read_population_csv(path)
 
 
+def test_csv_rejects_the_old_nineteen_column_header(tmp_path):
+    # files from before daily_risk and the never-set columns were dropped
+    old = [*CSV_COLUMNS, "daily_risk", "remaining_life_expectancy",
+           "notified_high_risk", "risk_reduced"]
+    path = tmp_path / "old.csv"
+    path.write_text(",".join(old) + "\n" + ",".join(["0"] * len(old)) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"population csv {path}: unexpected header {old}")):
+        read_population_csv(path)
+
+
+def test_agent_and_population_store_each_fact_once():
+    # daily risk and the baseline stats are derived; nothing else is stored twice
+    assert [f.name for f in fields(Agent)] == [
+        "id", "age", "sex", "region", "household_id", "employment", "sbp", "dbp", "bmi",
+        "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
+    assert [f.name for f in fields(Population)] == [
+        "agents", "households", "household_types"]
+    assert CSV_COLUMNS == [
+        "id", "age", "sex", "region", "employment", "household_id", "household_type",
+        "sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
+
+
+def test_csv_daily_risk_is_derived_from_five_year_risk(tmp_path):
+    pop = build(total=50)
+    assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(3))
+    rng = np.random.default_rng(9)
+    for a in pop.agents:
+        a.five_year_risk = float(rng.uniform(0.0, 0.4))
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    back = read_population_csv(path)
+    assert DAYS_PER_FIVE_YEARS == 1826
+    for a, b in zip(pop.agents, back.agents):
+        assert b.five_year_risk == a.five_year_risk
+        assert b.daily_risk == b.five_year_risk / 1826
+
+
+def test_csv_writer_rejects_a_household_without_a_type(tmp_path):
+    pop = build(total=6)
+    del pop.household_types[pop.agents[0].household_id]
+    path = tmp_path / "pop.csv"
+    with pytest.raises(KeyError):
+        write_population_csv(pop, path)
+    assert not path.exists()
+
+
 def _corrupt_row(tmp_path, column, value):
     """A written population CSV whose third line (second agent) has one cell
     replaced, or dropped when ``value`` is None."""
@@ -341,12 +390,12 @@ def _corrupt_row(tmp_path, column, value):
 
 
 @pytest.mark.parametrize("column, value, message", [
-    ("risk_reduced", None, "18 fields, expected 19"),
+    ("five_year_risk", None, "14 fields, expected 15"),
     ("sbp", "high", "sbp = 'high', expected a number"),
     ("age", "4O", "age = '4O', expected an integer"),
     ("household_id", "", "household_id = '', expected an integer"),
     ("diabetes", "2", "diabetes = '2', expected 0 or 1"),
-    ("risk_reduced", "True", "risk_reduced = 'True', expected 0 or 1"),
+    ("smoker", "True", "smoker = 'True', expected 0 or 1"),
 ], ids=["field_count", "non_numeric_float", "non_numeric_int", "empty_int", "flag_2",
         "flag_word"])
 def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value, message):
@@ -489,7 +538,6 @@ def reference_assign_risk_factors(pop, tables, rng):
         cigs = max(1, round_half_up(band.cigs_per_day_mean))
         for agent in members:
             agent.cigs_per_day = cigs if agent.smoker else 0
-    pop.baseline_stats = population_stats(pop)
     return pop
 
 
@@ -513,7 +561,8 @@ def assert_same_synthesis(spec, tables, seed, primed=False):
         assert [type(getattr(a, f)) for f in vars(a)] == [type(getattr(b, f)) for f in vars(b)]
     assert list(households.items()) == list(ref_households.items())
     assert list(pop.household_types.items()) == list(ref.household_types.items())
-    assert pop.baseline_stats == ref.baseline_stats
+    # the engine's stats, from its feature columns, equal the reference's
+    assert PopulationArrays.from_population(pop).stats == population_stats(ref)
     assert state == ref_state
     return pop
 

@@ -22,10 +22,10 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
     logistic_score,
-    risk_score,
     weight_matrix,
     weights_for_age,
 )
+from strokesim.risk import _scorer
 
 
 def agent(age=60, sex="male", **kwargs):
@@ -132,10 +132,10 @@ def test_unknown_coefficient_name_rejected():
 
 
 def test_risk_score_daily_conversion():
-    score = risk_score(0.0913)
-    assert score.daily == pytest.approx(0.0913 / 1826, abs=1e-18)
+    daily = agent(five_year_risk=0.0913).daily_risk
+    assert daily == pytest.approx(0.0913 / 1826, abs=1e-18)
     assert DAYS_PER_FIVE_YEARS == 1826
-    assert abs(score.daily - 5e-5) < 1e-12
+    assert abs(daily - 5e-5) < 1e-12
 
 
 # --- ensemble weighting ---
@@ -161,21 +161,21 @@ def test_ensemble_averages_member_probabilities():
     )
     ens.validate()
     score = ensemble_score(ens, agent())
-    assert score.five_year == pytest.approx(0.3, abs=1e-15)
-    assert score.daily == pytest.approx(0.3 / 1826, abs=1e-18)
+    assert score == pytest.approx(0.3, abs=1e-15)
+    assert agent(five_year_risk=score).daily_risk == pytest.approx(0.3 / 1826, abs=1e-18)
 
 
 def test_hard_handover_without_crossfade():
     ens = two_member_ensemble(crossfade=0)
-    assert ensemble_score(ens, agent(age=54)).five_year == pytest.approx(0.2, abs=1e-15)
-    assert ensemble_score(ens, agent(age=55)).five_year == pytest.approx(0.4, abs=1e-15)
+    assert ensemble_score(ens, agent(age=54)) == pytest.approx(0.2, abs=1e-15)
+    assert ensemble_score(ens, agent(age=55)) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_crossfade_blends_linearly_across_boundary():
     ens = two_member_ensemble(crossfade=2)
     expected = {53: 0.2, 54: 0.25, 55: 0.3, 56: 0.35, 57: 0.4}
     for age, value in expected.items():
-        assert ensemble_score(ens, agent(age=age)).five_year == pytest.approx(
+        assert ensemble_score(ens, agent(age=age)) == pytest.approx(
             value, abs=1e-12), age
 
 
@@ -280,7 +280,7 @@ def test_zero_weight_member_never_evaluated():
         weights=[WeightRow(age_lo=35, age_hi=200, weights=[1.0, 0.0])],
     )
     ens.validate()
-    assert ensemble_score(ens, agent()).five_year == pytest.approx(0.25, abs=1e-15)
+    assert ensemble_score(ens, agent()) == pytest.approx(0.25, abs=1e-15)
 
 
 # --- vector path ---
@@ -304,7 +304,7 @@ def test_five_year_matrix_matches_scalar_path():
     ages = np.array([a.age for a in agents])
     vec = five_year_matrix(ens, feats, ages)
     for i, a in enumerate(agents):
-        assert vec[i] == pytest.approx(ensemble_score(ens, a).five_year, rel=1e-12)
+        assert vec[i] == pytest.approx(ensemble_score(ens, a), rel=1e-12)
 
 
 def test_five_year_matrix_offset_override():
@@ -313,7 +313,7 @@ def test_five_year_matrix_offset_override():
     feats = feature_matrix([agent()])
     ages = np.array([60])
     default = five_year_matrix(ens, feats, ages)
-    overridden = five_year_matrix(ens, feats, ages, offset=0.0)
+    overridden = _scorer(ens, feats, ages)(0.0)
     assert default[0] == pytest.approx(logistic_score(constant_model(0.2), agent(), 0.5))
     assert overridden[0] == pytest.approx(0.2, abs=1e-15)
 
@@ -338,7 +338,7 @@ def test_refresh_risks_updates_agents_in_place():
     from dataclasses import replace
     from types import SimpleNamespace
 
-    from strokesim.cli import _build_scored_population
+    from strokesim.cli import _build_population, _score
     from strokesim.config import load_experiment_file
     bundled = load_experiment_file()
     cfg = SimpleNamespace(
@@ -346,7 +346,8 @@ def test_refresh_risks_updates_agents_in_place():
         risk_tables=bundled.risk_tables,
         ensemble=one_member(constant_model(0.3)),
     )
-    pop = _build_scored_population(cfg, 42)
+    pop = _build_population(cfg, 42)
+    _score(pop, feature_matrix(pop.agents), cfg.ensemble)
     assert len(pop.agents) > 0
     for a in pop.agents:
         assert a.five_year_risk == pytest.approx(0.3, abs=1e-12)
