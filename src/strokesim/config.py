@@ -8,17 +8,27 @@ Carlo settings.  References of the form "strokesim:NAME" resolve to the
 package's bundled data directory; anything else is a filesystem path,
 resolved relative to the referencing file.
 
+Each JSON object maps onto a dataclass and is read by `_record`: every
+field is read from the key of the same name, checked against the field's
+annotation, and falls back on the default declared on the class, so each
+field and default is written once.  The few keys that map onto several
+fields (`ages`, `age_range`, `hours`, `delay`, `severity.base`) or onto a
+list of records are read by the loader, and every object rejects any other
+key; a file's top level may also carry a free-text `comment`.
+
 Loaders validate as they build and raise ConfigurationError with the file
 and field that broke.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
+import typing
 import warnings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Collection, Optional
 
@@ -73,8 +83,9 @@ def _read_ref(ref: str | Path, base_dir: Optional[Path]) -> tuple[str, str]:
 
 def _parse_json(text: str, name: str) -> Any:
     """Parse a config file, rejecting NaN, Infinity, literals that overflow
-    to infinity (json.loads accepts all three) and integers too large for a
-    float (or for Python's int-string conversion limit)."""
+    to infinity (json.loads accepts all three), integers too large for a
+    float (or for Python's int-string conversion limit) and a key given
+    twice in one object (json.loads keeps the last)."""
     def non_finite(token: str) -> float:
         raise ConfigurationError(f"{name}: non-finite number {token} is not allowed")
 
@@ -91,9 +102,17 @@ def _parse_json(text: str, name: str) -> Any:
             raise ConfigurationError(f"{name}: {len(token)}-digit integer out of range") from None
         return value
 
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigurationError(f"{name}: key {key!r} given twice in one object")
+            obj[key] = value
+        return obj
+
     try:
         return json.loads(text, parse_constant=non_finite, parse_float=finite_float,
-                          parse_int=float_sized_int)
+                          parse_int=float_sized_int, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -134,18 +153,6 @@ def _numbers(values: list, where: str, integer: bool = False) -> list:
     return checked if integer else [float(v) for v in checked]
 
 
-def _number_table(entry: dict, key: str, where: str) -> dict[str, float]:
-    """A ``{name: number}`` object as floats, naming a bad entry ``where.key.name``."""
-    return {k: float(_number(v, f"{where}.{key}.{k}"))
-            for k, v in _get(entry, key, where, dict).items()}
-
-
-def _field_defaults(cls: type) -> dict[str, Any]:
-    """A dataclass's declared field defaults; loaders fall back on these so
-    each default is written once, on its class."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
 def _reject_unknown(obj: dict, known: Collection[str], where: str) -> None:
     """Reject keys the loader does not read, so a typo cannot fall back on a default."""
     for key in obj:
@@ -153,13 +160,58 @@ def _reject_unknown(obj: dict, known: Collection[str], where: str) -> None:
             raise ConfigurationError(f"{where}: unknown key {key!r}")
 
 
-def _age_range(value: Any, where: str) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigurationError(f"{where}: age_range must be [lo, hi]")
-    lo = _number(value[0], f"{where}.age_range[0]", integer=True)
-    hi = value[1]
-    hi = OPEN_AGE if hi is None else _number(hi, f"{where}.age_range[1]", integer=True)
-    return lo, hi
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """``cls``'s field annotations, resolved once (they are strings under
+    ``from __future__ import annotations``)."""
+    return typing.get_type_hints(cls)
+
+
+def _value(obj: dict, key: str, where: str, annotation: Any) -> Any:
+    """``obj[key]`` checked against a field annotation: a scalar, a list or
+    tuple of numbers, or a ``{name: number}`` table."""
+    kind, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if kind is dict:
+        return {name: float(_number(v, f"{where}.{key}.{name}"))
+                for name, v in _get(obj, key, where, dict).items()}
+    if kind in (list, tuple):
+        return kind(_numbers(_get(obj, key, where, list), f"{where}.{key}",
+                             integer=args[0] is int))
+    value = _get(obj, key, where, annotation)
+    return float(value) if annotation is float else value
+
+
+def _record(cls: type, obj: Any, where: str, uses: Collection[str] = (), **given: Any) -> Any:
+    """Build dataclass ``cls`` from the JSON object ``obj``.
+
+    Each field not in ``given`` is read from the key of the same name and
+    checked against its annotation; an absent key takes the field's default,
+    an absent required field is an error.  Any other key is rejected unless
+    it is in ``uses``, the keys the caller reads itself.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where}: expected an object")
+    read = [f for f in fields(cls) if f.name not in given]
+    _reject_unknown(obj, {f.name for f in read}.union(uses), where)
+    types = _field_types(cls)
+    for f in read:
+        if f.name in obj or f.default is MISSING:
+            given[f.name] = _value(obj, f.name, where, types[f.name])
+    return cls(**given)
+
+
+def _entries(obj: dict, key: str, where: str) -> list[tuple[Any, str]]:
+    """Each item of the list ``obj[key]``, with its name ``where.key[i]``."""
+    return [(entry, f"{where}.{key}[{i}]") for i, entry in enumerate(_get(obj, key, where, list))]
+
+
+def _pair(entry: dict, key: str, where: str, open_hi: Any, integer: bool = False) -> tuple:
+    """A ``[lo, hi]`` list of numbers; a null ``hi`` leaves the top open at ``open_hi``."""
+    pair = _get(entry, key, where, list)
+    if len(pair) != 2:
+        raise ConfigurationError(f"{where}: {key} must be [lo, hi]")
+    lo, hi = pair
+    return tuple(_numbers([lo, open_hi if hi is None else hi], f"{where}.{key}", integer))
 
 
 def load_population_file(
@@ -168,49 +220,19 @@ def load_population_file(
     text, name = _read_ref(ref, base_dir)
     data = _parse_json(text, name)
     demo = _get(data, "demographics", name, dict)
+    rf = _get(data, "risk_factors", name, dict)
+    _reject_unknown(data, ("demographics", "risk_factors", "comment"), name)
 
-    regions = []
-    for i, entry in enumerate(_get(demo, "regions", f"{name}.demographics", list)):
-        where = f"{name}.demographics.regions[{i}]"
-        regions.append(RegionSpec(
-            name=_get(entry, "name", where, str),
-            share=float(_get(entry, "share", where, float)),
-            sex=_number_table(entry, "sex", where),
-            age_bands=_number_table(entry, "age_bands", where),
-            employment=_number_table(entry, "employment", where),
-            households=_number_table(entry, "households", where),
-        ))
-    demo_defaults = _field_defaults(DemographicSpec)
-    spec = DemographicSpec(
-        regions=regions,
-        total_agents=_get(demo, "total_agents", f"{name}.demographics", int),
-        scale_factor=_get(demo, "scale_factor", f"{name}.demographics", int,
-                          default=demo_defaults["scale_factor"]),
-        min_age=_get(demo, "min_age", f"{name}.demographics", int,
-                     default=demo_defaults["min_age"]),
-    )
+    where = f"{name}.demographics"
+    regions = [_record(RegionSpec, entry, at) for entry, at in _entries(demo, "regions", where)]
+    spec = _record(DemographicSpec, demo, where, uses=("regions",), regions=regions)
     spec.validate()
 
     bands = []
-    rf = _get(data, "risk_factors", name, dict)
-    for i, entry in enumerate(_get(rf, "bands", f"{name}.risk_factors", list)):
-        where = f"{name}.risk_factors.bands[{i}]"
-        ages = _get(entry, "ages", where, str)
-        lo, hi = parse_age_range(ages)
-        bands.append(RiskFactorBand(
-            age_lo=lo, age_hi=hi,
-            sbp_mean=float(_get(entry, "sbp_mean", where, float)),
-            sbp_sd=float(_get(entry, "sbp_sd", where, float)),
-            dbp_mean=float(_get(entry, "dbp_mean", where, float)),
-            dbp_sd=float(_get(entry, "dbp_sd", where, float)),
-            bmi_mean=float(_get(entry, "bmi_mean", where, float)),
-            bmi_sd=float(_get(entry, "bmi_sd", where, float)),
-            diabetes_prev=float(_get(entry, "diabetes_prev", where, float)),
-            afib_prev=float(_get(entry, "afib_prev", where, float)),
-            smoker_prev=float(_get(entry, "smoker_prev", where, float)),
-            cigs_per_day_mean=float(_get(entry, "cigs_per_day_mean", where, float)),
-        ))
-    tables = RiskFactorTables(bands=bands)
+    for entry, at in _entries(rf, "bands", f"{name}.risk_factors"):
+        lo, hi = parse_age_range(_get(entry, "ages", at, str))
+        bands.append(_record(RiskFactorBand, entry, at, uses=("ages",), age_lo=lo, age_hi=hi))
+    tables = _record(RiskFactorTables, rf, f"{name}.risk_factors", uses=("bands",), bands=bands)
     tables.validate()
     return spec, tables
 
@@ -227,12 +249,11 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
     bundled = isinstance(ref, str) and ref.startswith(BUNDLED_PREFIX)
 
     models = []
-    for i, entry in enumerate(_get(data, "models", name, list)):
-        where = f"{name}.models[{i}]"
-        lo, hi = _age_range(_get(entry, "age_range", where), where)
-        coefficients = _number_table(entry, "coefficients", where)
+    for entry, where in _entries(data, "models", name):
+        lo, hi = _pair(entry, "age_range", where, OPEN_AGE, integer=True)
+        model = _record(LogisticModel, entry, where, uses=("age_range",), age_lo=lo, age_hi=hi)
         for feature in _HARMFUL_FEATURES:
-            coef = coefficients.get(feature, 0.0)
+            coef = model.coefficients.get(feature, 0.0)
             if coef < 0:
                 message = (
                     f"{where}.coefficients.{feature} = {coef} is negative; "
@@ -241,30 +262,15 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
                 if bundled:
                     raise ConfigurationError(message)
                 warnings.warn(message, stacklevel=2)
-        models.append(LogisticModel(
-            age_lo=lo, age_hi=hi,
-            intercept=float(_get(entry, "intercept", where, float)),
-            coefficients=coefficients,
-        ))
+        models.append(model)
 
     weights = []
-    for i, entry in enumerate(_get(data, "weights", name, list)):
-        where = f"{name}.weights[{i}]"
-        lo, hi = _age_range(_get(entry, "age_range", where), where)
-        weights.append(WeightRow(
-            age_lo=lo, age_hi=hi,
-            weights=_numbers(_get(entry, "weights", where, list), f"{where}.weights"),
-        ))
+    for entry, where in _entries(data, "weights", name):
+        lo, hi = _pair(entry, "age_range", where, OPEN_AGE, integer=True)
+        weights.append(_record(WeightRow, entry, where, uses=("age_range",), age_lo=lo, age_hi=hi))
 
-    defaults = _field_defaults(EnsembleRiskModel)
-    ens = EnsembleRiskModel(
-        models=models,
-        weights=weights,
-        crossfade_years=_get(data, "crossfade_years", name, int,
-                             default=defaults["crossfade_years"]),
-        calibration_offset=float(_get(data, "calibration_offset", name, float,
-                                      default=defaults["calibration_offset"])),
-    )
+    ens = _record(EnsembleRiskModel, data, name, uses=("models", "weights", "comment"),
+                  models=models, weights=weights)
     ens.validate()
     return ens
 
@@ -297,12 +303,7 @@ def dump_risk_model(ens: EnsembleRiskModel, path: str | Path) -> None:
 
 def load_life_table(ref: str | Path, base_dir: Optional[Path] = None) -> LifeTable:
     text, name = _read_ref(ref, base_dir)
-    data = _parse_json(text, name)
-    table = LifeTable(
-        ages=_numbers(_get(data, "ages", name, list), f"{name}.ages", integer=True),
-        female=_numbers(_get(data, "female", name, list), f"{name}.female"),
-        male=_numbers(_get(data, "male", name, list), f"{name}.male"),
-    )
+    table = _record(LifeTable, _parse_json(text, name), name, uses=("comment",))
     try:
         table.validate()
     except ConfigurationError as exc:
@@ -314,19 +315,10 @@ def _load_delay(data: Optional[dict], name: str) -> DelayModel:
     if data is None:
         return DelayModel.default()
     bands = []
-    for i, entry in enumerate(_get(data, "bands", name, list)):
-        where = f"{name}.bands[{i}]"
-        hours = _get(entry, "hours", where, list)
-        if len(hours) != 2:
-            raise ConfigurationError(f"{where}: hours must be [lo, hi]")
-        bands.append(DelayBand(
-            cum_threshold=float(_get(entry, "cum_threshold", where, float)),
-            lo=float(_number(hours[0], f"{where}.hours[0]")),
-            hi=math.inf if hours[1] is None else float(_number(hours[1], f"{where}.hours[1]")),
-            mean=float(_get(entry, "mean", where, float)),
-            sd=float(_get(entry, "sd", where, float)),
-        ))
-    model = DelayModel(bands=bands)
+    for entry, where in _entries(data, "bands", name):
+        lo, hi = _pair(entry, "hours", where, math.inf)
+        bands.append(_record(DelayBand, entry, where, uses=("hours",), lo=lo, hi=hi))
+    model = _record(DelayModel, data, name, uses=("bands",), bands=bands)
     model.validate()
     return model
 
@@ -334,6 +326,7 @@ def _load_delay(data: Optional[dict], name: str) -> DelayModel:
 def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistribution, OddsRatioTable]:
     if data is None:
         return SeverityDistribution.default(), OddsRatioTable.default()
+    _reject_unknown(data, ("base", "odds_ratios"), name)
     base = _get(data, "base", name, list)
     if len(base) != 4:
         raise ConfigurationError(f"{name}.base: expected 4 probabilities")
@@ -342,22 +335,13 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
 
     if "odds_ratios" not in data:
         return sev, OddsRatioTable.default()
-    entries = _get(data, "odds_ratios", name, list)
-    if not entries:
-        raise ConfigurationError(f"{name}.odds_ratios: at least one row required")
     rows = []
-    for i, entry in enumerate(entries):
-        where = f"{name}.odds_ratios[{i}]"
-        delay = _get(entry, "delay", where, list)
-        if len(delay) != 2:
-            raise ConfigurationError(f"{where}: delay must be [lo, hi]")
-        rows.append(OddsRatioRow(
-            delay_lo=float(_number(delay[0], f"{where}.delay[0]")),
-            delay_hi=(math.inf if delay[1] is None
-                      else float(_number(delay[1], f"{where}.delay[1]"))),
-            or_mrs_le1=float(_get(entry, "or_mrs_le1", where, float)),
-            or_mrs_ge2=float(_get(entry, "or_mrs_ge2", where, float)),
-        ))
+    for entry, where in _entries(data, "odds_ratios", name):
+        lo, hi = _pair(entry, "delay", where, math.inf)
+        rows.append(_record(OddsRatioRow, entry, where, uses=("delay",),
+                            delay_lo=lo, delay_hi=hi))
+    if not rows:
+        raise ConfigurationError(f"{name}.odds_ratios: at least one row required")
     ors = OddsRatioTable(rows=rows)
     ors.validate()
     return sev, ors
@@ -404,47 +388,18 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     population_ref = _get(data, "population", name, str)
     risk_model_ref = _get(data, "risk_model", name, str)
     life_table_ref = _get(data, "life_table", name, str)
-    _reject_unknown(data, ("population", "risk_model", "life_table", "simulation",
-                           "delay", "severity", "experiment", "calibration"), name)
+    _reject_unknown(data, ("population", "risk_model", "life_table", "simulation", "delay",
+                           "severity", "experiment", "calibration", "comment"), name)
     demographics, risk_tables = load_population_file(population_ref, base_dir)
     ensemble = load_risk_model(risk_model_ref, base_dir)
     life_table = load_life_table(life_table_ref, base_dir)
 
     sim = _get(data, "simulation", name, dict, default={})
-    sim_where = f"{name}.simulation"
-    _reject_unknown(sim, {f.name for f in fields(ScenarioConfig)} - {"scenario"}, sim_where)
-    sim_defaults = _field_defaults(ScenarioConfig)
-
-    exp = _get(data, "experiment", name, dict, default={})
-    exp_where = f"{name}.experiment"
-    _reject_unknown(exp, {f.name for f in fields(ExperimentConfig)} - {"scenarios", "workers"},
-                    exp_where)
-    exp_defaults = _field_defaults(ExperimentConfig)
-
-    def sim_get(key: str, expect: type) -> Any:
-        return _get(sim, key, sim_where, expect, default=sim_defaults[key])
-
-    def exp_get(key: str, expect: type) -> Any:
-        return _get(exp, key, exp_where, expect, default=exp_defaults[key])
-
-    conversation_ages = _numbers(sim_get("conversation_ages", list),
-                                 f"{sim_where}.conversation_ages", integer=True)
-    template = ScenarioConfig(
-        conversation_ages=tuple(conversation_ages),
-        high_risk_threshold=float(sim_get("high_risk_threshold", float)),
-        bmi_reduction_sd_fraction=float(sim_get("bmi_reduction_sd_fraction", float)),
-        bp_reduction_sd_fraction=float(sim_get("bp_reduction_sd_fraction", float)),
-        horizon_days=sim_get("horizon_days", int),
-        days_per_year=sim_get("days_per_year", int),
-    )
-    experiment = ExperimentConfig(
-        base_seed=_get(exp, "base_seed", exp_where, int, default=42),
-        scenarios=[replace(template, scenario=kind) for kind in Scenario],
-        n_runs=exp_get("n_runs", int),
-        significance_level=float(exp_get("significance_level", float)),
-        common_random_numbers=exp_get("common_random_numbers", bool),
-        welch=exp_get("welch", bool),
-    )
+    scenarios = [_record(ScenarioConfig, sim, f"{name}.simulation", scenario=kind)
+                 for kind in Scenario]
+    # workers is chosen per run (--workers), never by the file
+    experiment = _record(ExperimentConfig, _get(data, "experiment", name, dict, default={}),
+                         f"{name}.experiment", scenarios=scenarios, workers=None)
     try:
         experiment.validate()
     except ConfigurationError as exc:

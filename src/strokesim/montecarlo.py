@@ -56,8 +56,8 @@ METRICS = ("strokes", "dalys")
 
 @dataclass
 class ExperimentConfig:
-    base_seed: int
     scenarios: list[ScenarioConfig]
+    base_seed: int = 42
     n_runs: int = 1000
     significance_level: float = 0.05
     workers: Optional[int] = None  # None = one per available core

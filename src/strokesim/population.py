@@ -117,8 +117,12 @@ class DemographicSpec:
             raise ConfigurationError(f"scale_factor = {self.scale_factor}, must be > 0")
         if not self.regions:
             raise ConfigurationError("regions: at least one region required")
+        names = [r.name for r in self.regions]
         for i, region in enumerate(self.regions):
             region.validate(f"regions[{i}]")
+            # synthesis apportions agents by region name, so a repeat would merge two regions
+            if region.name in names[:i]:
+                raise ConfigurationError(f"regions[{i}].name: duplicate region {region.name!r}")
         share_sum = sum(r.share for r in self.regions)
         if abs(share_sum - 1.0) > _PROP_TOL:
             raise ConfigurationError(f"regions: shares sum to {share_sum}, expected 1")

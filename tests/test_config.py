@@ -4,10 +4,14 @@ unknown keys and invalid settings rejected at load time."""
 import importlib.resources
 import inspect
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
 from strokesim.config import (
+    OPEN_AGE,
+    dump_risk_model,
     load_experiment_file,
     load_life_table,
     load_population_file,
@@ -51,8 +55,8 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
     scenario = ScenarioConfig()
     assert (cfg.horizon_days, cfg.days_per_year) == (scenario.horizon_days,
                                                      scenario.days_per_year)
-    experiment = ExperimentConfig(base_seed=0, scenarios=[scenario])
-    for name in ("n_runs", "significance_level", "workers",
+    experiment = ExperimentConfig(scenarios=[scenario])
+    for name in ("base_seed", "n_runs", "significance_level", "workers",
                  "common_random_numbers", "welch"):
         assert getattr(cfg.experiment, name) == getattr(experiment, name), name
     spec = DemographicSpec(regions=[], total_agents=1)
@@ -111,22 +115,101 @@ def test_overflowing_literal_rejected(tmp_path, literal, message):
         load_life_table(path)
 
 
+def _write_bundled(tmp_path, edit=lambda docs: None):
+    """The bundled experiment and the three files it references, as
+    ``exp.json``, ``population.json``, ``risk_model.json`` and
+    ``life_table.json``, after ``edit`` changes their parsed documents
+    (keyed ``exp`` and by reference name); returns the experiment's path."""
+    docs = {"exp": _bundled("experiment_ie.json"),
+            **{ref: _bundled(BUNDLED_REFS[ref].removeprefix("strokesim:")) for ref in BUNDLED_REFS}}
+    edit(docs)
+    for ref in BUNDLED_REFS:
+        docs["exp"][ref] = write_json(tmp_path / f"{ref}.json", docs[ref]).name
+    return write_json(tmp_path / "exp.json", docs["exp"])
+
+
 @pytest.mark.parametrize("section, key", [
     ("experiment", "n_run"),
     ("experiment", "use_skip_sampling"),
+    ("experiment", "workers"),
+    ("experiment", "scenarios"),
     ("simulation", "high_risk_treshold"),
+    ("simulation", "scenario"),
     ("calibration", "target"),
     (None, "life_tables"),
+    ("delay", "band"),
+    ("delay.bands.3", "hour"),
+    ("severity", "odds_ratio"),
+    ("severity.odds_ratios.1", "or_mrs"),
+    ("population", "demographic"),
+    ("population.demographics", "scale"),
+    ("population.demographics.regions.2", "nmae"),
+    ("population.demographics.regions.0", "comment"),
+    ("population.risk_factors", "band"),
+    ("population.risk_factors.bands.1", "sbp_man"),
+    ("risk_model", "crossfade_yrs"),
+    ("risk_model.models.0", "intercpt"),
+    ("risk_model.weights.1", "weight"),
+    ("life_table", "females"),
 ])
 def test_unknown_key_rejected(tmp_path, section, key):
-    doc = dict(BUNDLED_REFS)
-    if section is None:
-        doc[key], where = 1, "exp.json"
+    """``key`` added to the object at the dotted ``section`` path of the
+    experiment file, or of the referenced file that the path starts with,
+    is rejected, naming that object."""
+    steps = section.split(".") if section else []
+    file = steps.pop(0) if steps and steps[0] in BUNDLED_REFS else "exp"
+
+    def add_key(docs):
+        node = docs[file]
+        for step in steps:
+            node = node[int(step) if step.isdigit() else step]
+        node[key] = 1
+
+    where = re.sub(r"\.(\d+)", r"[\1]", ".".join([f"{file}.json", *steps]))
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(where)}: unknown key '{key}'"):
+        load_experiment_file(_write_bundled(tmp_path, add_key))
+
+
+def test_top_level_comment_loads(tmp_path):
+    def add_comments(docs):
+        for doc in docs.values():
+            doc["comment"] = "a note"
+
+    cfg, bundled = load_experiment_file(_write_bundled(tmp_path, add_comments)), load_experiment_file()
+    for name in ("demographics", "risk_tables", "ensemble", "life_table", "experiment"):
+        assert getattr(cfg, name) == getattr(bundled, name), name
+
+
+def test_key_given_twice_rejected(tmp_path):
+    path = tmp_path / "life.json"
+    path.write_text('{"ages": [35, 110], "female": [48.0, 2.0], "male": [45.0, 1.0],'
+                    ' "female": [47.0, 2.0]}')
+    with pytest.raises(ConfigurationError,
+                       match=r"life\.json: key 'female' given twice in one object"):
+        load_life_table(path)
+
+
+def test_duplicate_region_name_rejected(tmp_path):
+    pop = _bundled("population_ie.json")
+    regions = pop["demographics"]["regions"]
+    pop = _set(pop, ["demographics", "regions", 1, "name"], regions[0]["name"])
+    with pytest.raises(ConfigurationError,
+                       match=rf"regions\[1\]\.name: duplicate region '{regions[0]['name']}'"):
+        load_population_file(write_json(tmp_path / "pop.json", pop))
+
+
+@pytest.mark.parametrize("source", ["bundled", "calibrated", "crossfaded"])
+def test_dumped_risk_model_loads_back_equal(tmp_path, source):
+    if source == "crossfaded":
+        model = load_risk_model(write_json(tmp_path / "model.json",
+                                           {**MODEL, "crossfade_years": 5}))
+        assert model.weights[-1].age_hi == OPEN_AGE
     else:
-        doc[section], where = {key: 1}, f"exp.json.{section}"
-    path = write_json(tmp_path / "exp.json", doc)
-    with pytest.raises(ConfigurationError, match=rf"{where}: unknown key '{key}'"):
-        load_experiment_file(path)
+        model = load_risk_model("strokesim:risk_model_ie.json")
+        if source == "calibrated":
+            model = replace(model, calibration_offset=-0.123456789012345)
+    dump_risk_model(model, tmp_path / "dumped.json")
+    assert load_risk_model(tmp_path / "dumped.json") == model
 
 
 @pytest.mark.parametrize("section, key, value", [
