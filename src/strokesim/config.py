@@ -214,6 +214,15 @@ def _pair(entry: dict, key: str, where: str, open_hi: Any, integer: bool = False
     return tuple(_numbers([lo, open_hi if hi is None else hi], f"{where}.{key}", integer))
 
 
+def _validate(obj: Any, name: str) -> None:
+    """``obj.validate()``, its error prefixed with ``name``, the file or
+    section that was read."""
+    try:
+        obj.validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
+
 def load_population_file(
     ref: str | Path, base_dir: Optional[Path] = None
 ) -> tuple[DemographicSpec, RiskFactorTables]:
@@ -226,14 +235,14 @@ def load_population_file(
     where = f"{name}.demographics"
     regions = [_record(RegionSpec, entry, at) for entry, at in _entries(demo, "regions", where)]
     spec = _record(DemographicSpec, demo, where, uses=("regions",), regions=regions)
-    spec.validate()
+    _validate(spec, name)
 
     bands = []
     for entry, at in _entries(rf, "bands", f"{name}.risk_factors"):
         lo, hi = parse_age_range(_get(entry, "ages", at, str))
         bands.append(_record(RiskFactorBand, entry, at, uses=("ages",), age_lo=lo, age_hi=hi))
     tables = _record(RiskFactorTables, rf, f"{name}.risk_factors", uses=("bands",), bands=bands)
-    tables.validate()
+    _validate(tables, name)
     return spec, tables
 
 
@@ -271,7 +280,7 @@ def load_risk_model(ref: str | Path, base_dir: Optional[Path] = None) -> Ensembl
 
     ens = _record(EnsembleRiskModel, data, name, uses=("models", "weights", "comment"),
                   models=models, weights=weights)
-    ens.validate()
+    _validate(ens, name)
     return ens
 
 
@@ -304,10 +313,7 @@ def dump_risk_model(ens: EnsembleRiskModel, path: str | Path) -> None:
 def load_life_table(ref: str | Path, base_dir: Optional[Path] = None) -> LifeTable:
     text, name = _read_ref(ref, base_dir)
     table = _record(LifeTable, _parse_json(text, name), name, uses=("comment",))
-    try:
-        table.validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
+    _validate(table, name)
     return table
 
 
@@ -319,7 +325,7 @@ def _load_delay(data: Optional[dict], name: str) -> DelayModel:
         lo, hi = _pair(entry, "hours", where, math.inf)
         bands.append(_record(DelayBand, entry, where, uses=("hours",), lo=lo, hi=hi))
     model = _record(DelayModel, data, name, uses=("bands",), bands=bands)
-    model.validate()
+    _validate(model, name)
     return model
 
 
@@ -331,7 +337,7 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
     if len(base) != 4:
         raise ConfigurationError(f"{name}.base: expected 4 probabilities")
     sev = SeverityDistribution(*_numbers(base, f"{name}.base"))
-    sev.validate()
+    _validate(sev, f"{name}.base")
 
     if "odds_ratios" not in data:
         return sev, OddsRatioTable.default()
@@ -343,7 +349,7 @@ def _load_severity(data: Optional[dict], name: str) -> tuple[SeverityDistributio
     if not rows:
         raise ConfigurationError(f"{name}.odds_ratios: at least one row required")
     ors = OddsRatioTable(rows=rows)
-    ors.validate()
+    _validate(ors, f"{name}.odds_ratios")
     return sev, ors
 
 
@@ -400,10 +406,7 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     # workers is chosen per run (--workers), never by the file
     experiment = _record(ExperimentConfig, _get(data, "experiment", name, dict, default={}),
                          f"{name}.experiment", scenarios=scenarios, workers=None)
-    try:
-        experiment.validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from exc
+    _validate(experiment, name)
 
     cal = _get(data, "calibration", name, dict, default={})
     cal_where = f"{name}.calibration"

@@ -22,16 +22,27 @@ tests select the naive one (`use_skip_sampling=False`), as the oracle the
 skip path is checked against.
 
 Each model rule is implemented once, as the kernel the replication or the
-table build calls: `_conversation_mask` (notification),
-`_apply_reduction_rows` (risk reduction), `_spillover_mask` (family
-spillover), `_first_success_offsets` (arrival sampling) and
+table build calls: `_conversation_mask` (notification, from an
+age-indexed lookup), `_apply_reduction_rows` (risk reduction),
+`_spillover_mask` (family spillover), `_first_success_offsets` (arrival
+sampling), `OutcomeTable.draw` (a stroke's delay and severity) and
 `compute_outcome` (DALY accounting).  The tests exercise these kernels
 directly.
+
+A replication builds one `OutcomeTable` from the delay, severity and
+odds-ratio models, so a stroke makes only its three draws (a band
+uniform, a normal for the hours, a severity uniform) and looks the rest
+up.  Each stroke draws the same values, in the same order, as the
+scalar path: `sample_delay`, then `adjust_severity` and
+`sample_severity`.  Those scalar functions, with `compute_outcome` and
+`first_success_offset`, are the references the kernels are tested
+against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
@@ -214,8 +225,14 @@ class LifeTable:
         return float(np.interp(age, self.ages, values))
 
     def residual_array(self, male: np.ndarray, ages: np.ndarray) -> np.ndarray:
-        f = np.interp(ages, self.ages, self.female)
-        m = np.interp(ages, self.ages, self.male)
+        """`residual` of every agent.  Integer ages spanning fewer values
+        than there are agents are interpolated once per age in their span
+        and gathered, which gives each agent the same value."""
+        at, index = ages, slice(None)
+        if ages.dtype.kind in "iu" and 0 < ages.size and ages.max() - ages.min() < ages.size:
+            at, index = np.arange(ages.min(), ages.max() + 1), ages - ages.min()
+        f = np.interp(at, self.ages, self.female)[index]
+        m = np.interp(at, self.ages, self.male)[index]
         return np.where(male > 0.5, m, f)
 
 
@@ -229,6 +246,10 @@ class StrokeOutcome:
     yll: float
     yld: float
     daly: float
+
+
+# Bounds the age-indexed lookup `_conversation_mask` builds per call.
+MAX_CONVERSATION_AGE = 200
 
 
 class Scenario(Enum):
@@ -254,6 +275,10 @@ class ScenarioConfig:
             )
         if list(self.conversation_ages) != sorted(self.conversation_ages):
             raise ConfigurationError("conversation_ages must be ascending")
+        if any(not 0 <= a <= MAX_CONVERSATION_AGE for a in self.conversation_ages):
+            raise ConfigurationError(
+                f"conversation_ages must lie in [0, {MAX_CONVERSATION_AGE}]"
+            )
         if self.horizon_days <= 0 or self.days_per_year <= 0:
             raise ConfigurationError("horizon_days and days_per_year must be > 0")
         for name in ("bmi_reduction_sd_fraction", "bp_reduction_sd_fraction"):
@@ -371,6 +396,62 @@ def compute_outcome(
     )
 
 
+@dataclass(frozen=True)
+class OutcomeTable:
+    """The per-stroke outcome draw as lookups: `sample_delay`, then
+    `adjust_severity` and `sample_severity`, with everything but the three
+    draws worked out once.
+
+    `thresholds` are the delay bands' cumulative thresholds but the last
+    (the last band takes every uniform above them), `bands` each band's
+    (mean, sd, lo, capped hi), `delay_lo` the odds-ratio rows' lower
+    bounds, and `cdfs` each row's adjusted severity distribution summed in
+    SEVERITY_ORDER, less its last entry (a uniform above the others is a
+    death).
+    """
+
+    thresholds: tuple[float, ...]
+    bands: tuple[tuple[float, float, float, float], ...]
+    delay_lo: tuple[float, ...]
+    cdfs: tuple[tuple[float, float, float], ...]
+
+    @staticmethod
+    def build(
+        delay: DelayModel, sev: SeverityDistribution, ors: OddsRatioTable
+    ) -> "OutcomeTable":
+        """Tabulate validated models; one `adjust_severity` call per row."""
+        cdfs = []
+        for row in ors.rows:
+            dist = adjust_severity(sev, row.delay_lo, ors)
+            cum, cdf = 0.0, []
+            for p in (dist.p_no, dist.p_mild, dist.p_modsev):
+                cum += p
+                cdf.append(cum)
+            cdfs.append(tuple(cdf))
+        return OutcomeTable(
+            thresholds=tuple(b.cum_threshold for b in delay.bands[:-1]),
+            bands=tuple((b.mean, b.sd, float(b.lo), float(min(b.hi, b.mean + 6.0 * b.sd)))
+                        for b in delay.bands),
+            delay_lo=tuple(row.delay_lo for row in ors.rows),
+            cdfs=tuple(cdfs),
+        )
+
+    def draw(self, rng: np.random.Generator) -> tuple[float, int]:
+        """Arrival hours and severity (an index into SEVERITY_ORDER) of one
+        stroke: the draws `sample_delay` and `sample_severity` make, in
+        their order, and the same values.
+
+        A band is the first whose threshold is >= u; the odds-ratio row is
+        the last starting at or below the hours, and hours below the first
+        row fall to the reference row (index -1), as in `row_for_delay`;
+        the severity is the first whose cumulative mass is > u.
+        """
+        mean, sd, lo, hi = self.bands[bisect_left(self.thresholds, rng.random())]
+        hours = min(max(rng.normal(mean, sd), lo), hi)
+        cdf = self.cdfs[bisect_right(self.delay_lo, hours) - 1]
+        return hours, bisect_right(cdf, rng.random())
+
+
 # --- the array engine ---
 
 _COL = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -426,12 +507,15 @@ def first_success_offset(p: float, u: float, window: int) -> Optional[int]:
 
 
 def _first_success_offsets(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vector form of first_success_offset; inf marks no-success-ever."""
-    out = np.full(p.shape, np.inf)
-    certain = p >= 1.0
-    out[certain] = 0.0
-    open_ = (p > 0.0) & ~certain
-    out[open_] = np.floor(np.log1p(-u[open_]) / np.log1p(-p[open_]))
+    """Vector form of first_success_offset; inf marks no-success-ever.
+
+    The closed form runs over every row, then the rows it does not cover
+    are set: p <= 0 never succeeds, p >= 1 succeeds at once.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.floor(np.log1p(-u) / np.log1p(-p))
+    out[p <= 0.0] = np.inf
+    out[p >= 1.0] = 0.0
     return out
 
 
@@ -467,10 +551,17 @@ def _conversation_mask(
 ) -> np.ndarray:
     """Stroke-free agents a GP conversation notifies this year: those at a
     scheduled conversation age whose five-year risk is strictly above the
-    high-risk threshold."""
+    high-risk threshold.
+
+    Schedule membership is one gather from an age-indexed lookup: entry
+    a + 1 says whether a is a conversation age, and ages off either end
+    clip onto the False entries that pad it.
+    """
+    scheduled = np.zeros(max(cfg.conversation_ages, default=0) + 3, dtype=bool)
+    scheduled[[a + 1 for a in cfg.conversation_ages]] = True
     return (
         active
-        & np.isin(age, cfg.conversation_ages)
+        & scheduled.take(age + 1, mode="clip")
         & (five_year > cfg.high_risk_threshold)
     )
 
@@ -590,30 +681,34 @@ def run_replication(
     notified = np.zeros(n, dtype=bool)
     reduced = np.zeros(n, dtype=bool)
 
+    outcome_table = OutcomeTable.build(delay, sev, ors)
     outcomes: list[StrokeOutcome] = []
-    severity_counts = {s.value: 0 for s in SEVERITY_ORDER}
+    severity_counts = [0] * len(SEVERITY_ORDER)
     total_dalys = 0.0
     conversations = 0
     risk_reductions = 0
     family_reductions = 0
 
-    def process_stroke(row: int, day: int) -> None:
+    def strike(rows: np.ndarray, days: np.ndarray) -> None:
+        """Draw and account the strokes of `rows` on `days`, in that order."""
         nonlocal total_dalys
-        hours = sample_delay(delay, rng)
-        dist = adjust_severity(sev, hours, ors)
-        severity = sample_severity(dist, rng)
-        outcome = compute_outcome(int(arrays.ids[row]), day, hours, severity, float(rle[row]))
-        outcomes.append(outcome)
-        severity_counts[severity.value] += 1
-        total_dalys += outcome.daly
-        stroke_day[row] = day
+        stroke_day[rows] = days
+        for agent_id, d, residual in zip(
+            arrays.ids[rows].tolist(), days.tolist(), rle[rows].tolist()
+        ):
+            hours, k = outcome_table.draw(rng)
+            outcome = compute_outcome(agent_id, d, hours, SEVERITY_ORDER[k], residual)
+            outcomes.append(outcome)
+            severity_counts[k] += 1
+            total_dalys += outcome.daly
 
     for year in range(years):
         day = year * scenario.days_per_year
         active = stroke_day < 0
 
-        # year boundary: birthdays first, then interventions
-        rle[active] -= 1.0
+        # year boundary: birthdays first (a stroke-free agent loses a year
+        # of remaining life; True subtracts 1.0), then interventions
+        rle -= active
         five_year = tables.plain[year]
         if interventions_on:
             five_year = np.where(reduced, tables.reduced[year], five_year)
@@ -630,31 +725,31 @@ def run_replication(
                 reduced |= spill
                 family_reductions += int(spill.sum())
             five_year = np.where(reduced, tables.reduced[year], tables.plain[year])
-        daily = five_year / DAYS_PER_FIVE_YEARS
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
         act_rows = np.flatnonzero(active)
         if use_skip_sampling:
             u = rng.random(act_rows.size)
-            offsets = _first_success_offsets(daily[act_rows], u)
+            offsets = _first_success_offsets(five_year[act_rows] / DAYS_PER_FIVE_YEARS, u)
             hit = offsets < window
             hit_rows = act_rows[hit]
             hit_days = day + offsets[hit].astype(np.int64)
-            for i in np.lexsort((hit_rows, hit_days)):
-                process_stroke(int(hit_rows[i]), int(hit_days[i]))
+            order = np.lexsort((hit_rows, hit_days))
+            strike(hit_rows[order], hit_days[order])
         else:
+            daily = five_year / DAYS_PER_FIVE_YEARS
             for d in range(day, day + window):
                 act_rows = np.flatnonzero(stroke_day < 0)
                 u = rng.random(act_rows.size)
-                for row in act_rows[u < daily[act_rows]]:
-                    process_stroke(int(row), d)
+                rows = act_rows[u < daily[act_rows]]
+                strike(rows, np.full(rows.size, d))
 
     total_strokes = len(outcomes)
     return RunResult(
         total_strokes=total_strokes,
         total_dalys=total_dalys,
         mean_dalys_per_stroke=total_dalys / total_strokes if total_strokes else 0.0,
-        strokes_by_severity=severity_counts,
+        strokes_by_severity={s.value: c for s, c in zip(SEVERITY_ORDER, severity_counts)},
         seed=seed,
         conversations=conversations,
         risk_reductions=risk_reductions,

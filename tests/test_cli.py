@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.resources
 import json
 import os
 import platform
@@ -290,6 +291,62 @@ def test_run_bundled_config_matches_golden_digest(tmp_path):
     out = tmp_path / "golden"
     assert main(["run", "--runs", "4", "--workers", "1", "--out", str(out)]) == 0
     for name, digest in GOLDEN_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def age_graded_experiment(root):
+    """The bundled population and life table under a model the bundled
+    config never exercises: an age coefficient, blended weights crossfaded
+    over 3 years, common random numbers, conversation ages below and above
+    every agent's reach, and odds-ratio rows that split delay bands."""
+    model = json.loads(importlib.resources.files("strokesim")
+                       .joinpath("data", "risk_model_ie.json").read_text())
+    for i, member in enumerate(model["models"]):
+        member["coefficients"]["age"] = 0.02 + 0.01 * i
+        member["intercept"] -= 1.2 + 0.6 * i
+    for row, weights in zip(model["weights"], ([0.7, 0.3, 0.0], [0.2, 0.5, 0.3],
+                                               [0.0, 0.4, 0.6])):
+        row["weights"] = weights
+    model["crossfade_years"] = 3
+    (root / "model.json").write_text(json.dumps(model))
+    doc = experiment_doc(
+        population="strokesim:population_ie.json",
+        life_table="strokesim:life_table_ie.json",
+        simulation={"horizon_days": 3650, "days_per_year": 365,
+                    "conversation_ages": [30, 50, 60, 70, 80, 150],
+                    "high_risk_threshold": 0.08},
+        severity={"base": [0.19, 0.35, 0.37, 0.09], "odds_ratios": [
+            {"delay": [0.0, 2.0], "or_mrs_le1": 1.9, "or_mrs_ge2": 2.1},
+            {"delay": [2.0, 6.0], "or_mrs_le1": 1.3, "or_mrs_ge2": 0.9},
+            {"delay": [6.0, 13.0], "or_mrs_le1": 1.1, "or_mrs_ge2": 1.05},
+            {"delay": [13.0, None], "or_mrs_le1": 1.0, "or_mrs_ge2": 1.0}]},
+        experiment={"base_seed": 42, "n_runs": 1000, "common_random_numbers": True},
+    )
+    (root / "experiment.json").write_text(json.dumps(doc))
+    return str(root / "experiment.json")
+
+
+# Output digests of `strokesim run --runs 4 --workers 1` on
+# `age_graded_experiment`, pinned like GOLDEN_DIGESTS: they cover the age
+# term, crossfaded weights, paired (CRN) statistics and unreachable
+# conversation ages, none of which the bundled config reaches.
+GOLDEN_AGE_GRADED_DIGESTS = {
+    "runs.csv": "22f333053dee8728cac300adf3633cbb9ae494e135f38a722617814893da2e07",
+    "summary.json": "a2a3284dd2a07281e7d24f0442b6c2bb2acfd2917a8f9b1c153331079c41c5d9",
+}
+
+
+def test_run_age_graded_config_matches_golden_digest(tmp_path):
+    config = age_graded_experiment(tmp_path)
+    out = tmp_path / "golden"
+    assert main(["run", "--config", config, "--runs", "4", "--workers", "1",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["common_random_numbers"] is True
+    with open(out / "runs.csv", newline="") as handle:
+        rows = [r for r in csv.DictReader(handle) if r["scenario"] != "baseline"]
+    assert all(int(r["conversations"]) > 0 for r in rows)
+    for name, digest in GOLDEN_AGE_GRADED_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 

@@ -194,8 +194,34 @@ def test_duplicate_region_name_rejected(tmp_path):
     regions = pop["demographics"]["regions"]
     pop = _set(pop, ["demographics", "regions", 1, "name"], regions[0]["name"])
     with pytest.raises(ConfigurationError,
-                       match=rf"regions\[1\]\.name: duplicate region '{regions[0]['name']}'"):
+                       match=rf"pop\.json: regions\[1\]\.name: duplicate region '{regions[0]['name']}'"):
         load_population_file(write_json(tmp_path / "pop.json", pop))
+
+
+@pytest.mark.parametrize("file, path, value, where, message", [
+    ("population", ["demographics", "min_age"], 30, "population.json",
+     "min_age = 30, must be >= 35"),
+    ("population", ["risk_factors", "bands"], [], "population.json",
+     "risk_factors.bands: at least one band required"),
+    ("risk_model", ["weights", 0, "weights"], [0.5, 0.0, 0.0], "risk_model.json",
+     r"weights\[0\]: weights must sum to 1"),
+    ("life_table", ["female", 1], -1.0, "life_table.json",
+     "life table: negative life expectancy"),
+    ("exp", ["experiment", "n_runs"], 1, "exp.json", "n_runs = 1, need at least 2"),
+    ("exp", ["delay", "bands", 1, "cum_threshold"], 0.2, "exp.json.delay",
+     "delay band 1: thresholds must increase"),
+    ("exp", ["severity", "base", 0], 0.5, "exp.json.severity.base",
+     "severity probabilities sum to"),
+    ("exp", ["severity", "odds_ratios", 2, "or_mrs_le1"], 1.2, "exp.json.severity.odds_ratios",
+     r"odds ratio table: last row must be the \(1, 1\) reference"),
+], ids=["demographics", "risk_factors", "risk_model", "life_table", "experiment", "delay",
+        "severity", "odds_ratios"])
+def test_validation_error_names_its_file(tmp_path, file, path, value, where, message):
+    def edit(docs):
+        docs[file] = _set(docs[file], path, value)
+
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(tmp_path / where))}: {message}"):
+        load_experiment_file(_write_bundled(tmp_path, edit))
 
 
 @pytest.mark.parametrize("source", ["bundled", "calibrated", "crossfaded"])

@@ -1,6 +1,7 @@
 """Replication engine: life table, sampling primitives, interventions, full runs."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -15,8 +16,10 @@ from strokesim.engine import (
     LifeTable,
     OddsRatioRow,
     OddsRatioTable,
+    OutcomeTable,
     PopulationArrays,
     RunResult,
+    SEVERITY_ORDER,
     Scenario,
     ScenarioConfig,
     Severity,
@@ -125,6 +128,21 @@ def test_residual_array_matches_scalar():
         assert got[i] == life.residual(sex, int(ages[i]))
 
 
+def test_residual_array_by_age_lookup_matches_per_agent_interpolation():
+    # many agents over few integer ages take the per-age lookup; float ages
+    # interpolate each agent, and both must agree bit for bit
+    life = LifeTable(ages=[35, 52, 60, 90], female=[48.3, 33.1, 26.7, 5.2],
+                     male=[44.9, 30.3, 23.6, 4.5])
+    rng = np.random.default_rng(4)
+    ages = rng.integers(30, 115, 5000)
+    male = (rng.random(ages.size) < 0.5).astype(float)
+    got = life.residual_array(male, ages)
+    want = life.residual_array(male, ages.astype(float))
+    assert got.tobytes() == want.tobytes()
+    for i in range(0, ages.size, 97):
+        assert got[i] == life.residual("male" if male[i] else "female", int(ages[i]))
+
+
 def test_bundled_life_table_invariant_under_interpolation():
     from strokesim.config import load_life_table
     life = load_life_table("strokesim:life_table_ie.json")
@@ -187,6 +205,9 @@ def test_scenario_config_validate():
         ScenarioConfig(high_risk_threshold=0.0).validate()
     with pytest.raises(ConfigurationError, match="ascending"):
         ScenarioConfig(conversation_ages=(60, 50)).validate()
+    for ages in ((-1, 50), (50, 201), (10**9,)):
+        with pytest.raises(ConfigurationError, match=r"conversation_ages must lie in \[0, 200\]"):
+            ScenarioConfig(conversation_ages=ages).validate()
     with pytest.raises(ConfigurationError, match="horizon"):
         ScenarioConfig(horizon_days=0).validate()
     with pytest.raises(ConfigurationError, match="bmi_reduction"):
@@ -221,14 +242,14 @@ def test_first_success_offset_is_inverse_transform():
 
 def test_vector_offsets_match_scalar():
     rng = np.random.default_rng(33)
-    p = np.concatenate([[0.0, 1.0, 2.0], rng.uniform(1e-8, 0.99, 100)])
-    u = rng.uniform(0.0, 0.9999, p.size)
-    out = _first_success_offsets(p, u)
-    assert out[0] == np.inf
-    assert out[1] == 0.0
-    assert out[2] == 0.0
-    for i in range(3, p.size):
-        scalar = first_success_offset(float(p[i]), float(u[i]), 10**9)
+    p = np.concatenate([[0.0, 1.0, 2.0, -0.5, 1.0, 1e-300], rng.uniform(1e-8, 0.99, 100)])
+    u = np.concatenate([[0.5, 0.5, 0.5, 0.5, 1.0, 0.5], rng.uniform(0.0, 0.9999, 100)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rows outside the closed form are set quietly
+        out = _first_success_offsets(p, u)
+    assert out[:5].tolist() == [np.inf, 0.0, 0.0, np.inf, 0.0]
+    for i in range(5, p.size):
+        scalar = first_success_offset(float(p[i]), float(u[i]), 10**400)  # no window: every offset
         assert out[i] == scalar
 
 
@@ -402,6 +423,154 @@ def test_sample_severity_frequencies():
     assert counts[Severity.DEATH] / 20000 == pytest.approx(0.09, abs=0.015)
 
 
+# --- the outcome kernel against the scalar oracles ---
+
+
+def scalar_outcome(delay, sev, ors, rng):
+    """One stroke's delay and severity from the scalar reference functions."""
+    hours = sample_delay(delay, rng)
+    return hours, sample_severity(adjust_severity(sev, hours, ors), rng)
+
+
+def table_outcome(delay, sev, ors, rng):
+    hours, k = OutcomeTable.build(delay, sev, ors).draw(rng)
+    return hours, SEVERITY_ORDER[k]
+
+
+def assert_same_draws(delay, sev, ors, uniforms, normals):
+    """The kernel and the oracles give the same outcome and use every draw."""
+    oracle, kernel = StubRng(uniforms, normals), StubRng(uniforms, normals)
+    want = scalar_outcome(delay, sev, ors, oracle)
+    assert table_outcome(delay, sev, ors, kernel) == want
+    assert (oracle.uniforms, oracle.normals) == (kernel.uniforms, kernel.normals) == ([], [])
+    return want
+
+
+def cumulative(dist):
+    """sample_severity's cumulative masses, summed in its order."""
+    cum, out = 0.0, []
+    for p in (dist.p_no, dist.p_mild, dist.p_modsev, dist.p_death):
+        cum += p
+        out.append(cum)
+    return out
+
+
+# (band uniform, normal) -> hours under the default delay model
+DELAY_BOUNDARIES = [
+    ((0.49, 2.0), 2.0),             # threshold exactly: the lower band
+    ((0.4900001, 3.9), 3.9),
+    ((0.59, 3.8), 3.8),
+    ((0.79, 6.0), 6.0),
+    ((1.0, 15.5), 15.5),            # the last threshold
+    ((0.0, -5.0), 0.0),             # clamped to the first band's floor
+    ((0.1, 10.0), 3.0),             # and to its top
+    ((0.5, 1.0), 3.0),              # a band's floor
+    ((0.7, 99.0), 12.0),            # a band's top
+    ((0.95, 100.0), 21.0),          # the open band's cap, mean + 6 sd
+    ((0.95, 5.0), 12.0),
+    ((0.5, 3.0), 3.0),              # exactly on the odds-ratio bound 3.0
+    ((0.7, 8.0), 8.0),              # exactly on the odds-ratio bound 8.0
+    ((0.7, math.nextafter(8.0, 0.0)), math.nextafter(8.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("draws, hours", DELAY_BOUNDARIES)
+def test_outcome_kernel_delay_boundaries(draws, hours):
+    delay, sev, ors = DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default()
+    u_band, normal = draws
+    for u_sev in (0.0, 0.5, 0.999):
+        got_hours, _ = assert_same_draws(delay, sev, ors, [u_band, u_sev], [normal])
+        assert got_hours == hours
+
+
+@pytest.mark.parametrize("hours", [1.0, 3.0, 5.0, 8.0, 13.0])
+def test_outcome_kernel_severity_boundaries(hours):
+    # u on each cumulative mass of the row's adjusted distribution, just
+    # below it, and u = 1.0, which falls back on death
+    delay, sev, ors = DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default()
+    u_band = 0.3 if hours < 3.0 else 0.55 if hours < 4.5 else 0.7 if hours < 12.0 else 0.9
+    cums = cumulative(adjust_severity(sev, hours, ors))
+    cases = [0.0, 1.0] + cums[:3] + [math.nextafter(c, 0.0) for c in cums[:3]]
+    seen = set()
+    for u_sev in cases:
+        got_hours, severity = assert_same_draws(delay, sev, ors, [u_band, u_sev], [hours])
+        assert got_hours == hours
+        seen.add(severity)
+    assert seen == set(SEVERITY_ORDER)
+    _, severity = assert_same_draws(delay, sev, ors, [u_band, 1.0], [hours])
+    assert severity is Severity.DEATH
+
+
+def test_outcome_kernel_hours_below_the_first_row_take_the_reference_row():
+    # row_for_delay falls back on the last (reference) row below the first
+    # row's delay_lo
+    ors = OddsRatioTable([
+        OddsRatioRow(1.0, 3.0, 1.66, 1.73),
+        OddsRatioRow(3.0, 8.0, 1.15, 0.98),
+        OddsRatioRow(8.0, math.inf, 1.0, 1.0),
+    ])
+    ors.validate()
+    delay, sev = DelayModel.default(), SeverityDistribution.default()
+    assert ors.row_for_delay(0.5) is ors.rows[-1]
+    for hours in (0.0, 0.5, math.nextafter(1.0, 0.0), 1.0, 2.0):
+        for u_sev in (0.189, 0.19, 0.3, 0.54, 0.6, 0.91, 0.95):
+            assert_same_draws(delay, sev, ors, [0.2, u_sev], [hours])
+
+
+def custom_outcome_models():
+    """Bands whose odds-ratio rows split them, a first row starting above
+    zero, a neutral middle row and a base whose mild mass clamps to 0."""
+    delay = DelayModel([
+        DelayBand(0.3, 0.0, 2.0, 1.0, 0.8),
+        DelayBand(0.75, 2.0, 9.0, 5.0, 2.5),
+        DelayBand(1.0, 9.0, math.inf, 11.0, 1.5),
+    ])
+    ors = OddsRatioTable([
+        OddsRatioRow(0.5, 1.5, 3.0, 4.0),
+        OddsRatioRow(1.5, 4.0, 1.0, 1.0),
+        OddsRatioRow(4.0, 10.0, 0.8, 0.6),
+        OddsRatioRow(10.0, math.inf, 1.0, 1.0),
+    ])
+    sev = SeverityDistribution(0.5, 0.02, 0.38, 0.1)
+    for model in (delay, ors, sev):
+        model.validate()
+    return delay, sev, ors
+
+
+def test_outcome_kernel_matches_oracles_over_a_seeded_stream():
+    delay, sev, ors = custom_outcome_models()
+    table = OutcomeTable.build(delay, sev, ors)
+    oracle, kernel = np.random.default_rng(2024), np.random.default_rng(2024)
+    rows = Counter()
+    for _ in range(10_000):
+        want_hours, want_severity = scalar_outcome(delay, sev, ors, oracle)
+        hours, k = table.draw(kernel)
+        assert (hours, SEVERITY_ORDER[k]) == (want_hours, want_severity)
+        rows[ors.rows.index(ors.row_for_delay(hours))] += 1
+    assert oracle.random() == kernel.random()  # the streams stay in step
+    assert set(rows) == {0, 1, 2, 3}  # every row, the fallback below 0.5 included
+
+
+def test_replication_matches_the_scalar_oracles_stroke_for_stroke(monkeypatch):
+    delay, sev, ors = custom_outcome_models()
+    pop = small_pop(n=200)
+    arrays, tables, scenario, *_, life = run_args(
+        pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY, high_risk_threshold=0.2)
+    args = (arrays, tables, scenario, delay, sev, ors, life)
+
+    def scalar_draw(self, rng):
+        hours, severity = scalar_outcome(delay, sev, ors, rng)
+        return hours, SEVERITY_ORDER.index(severity)
+
+    for use_skip in (True, False):
+        fast = run_replication(*args, rng=17, use_skip_sampling=use_skip)
+        with monkeypatch.context() as patch:
+            patch.setattr(OutcomeTable, "draw", scalar_draw)
+            slow = run_replication(*args, rng=17, use_skip_sampling=use_skip)
+        assert fast.total_strokes > 20
+        assert fast == slow
+
+
 # --- outcomes ---
 
 
@@ -449,6 +618,20 @@ def test_hold_conversation_age_and_threshold():
     # notified; at the threshold (strictly above only); off schedule;
     # notified; already had a stroke
     assert talk.tolist() == [True, False, False, True, False]
+
+    # the age lookup against set membership: ages below, inside and above
+    # its range, negative ones included
+    age = np.concatenate([np.arange(-5, 215), [-10**6, 10**6, 10**12]])
+    rng = np.random.default_rng(8)
+    five_year = rng.uniform(0.0, 0.2, age.size)
+    active = rng.random(age.size) < 0.9
+    for ages in ((50, 60, 70, 80, 90), (0,), (0, 1, 2), (35, 150, 200), (200,), ()):
+        cfg = ScenarioConfig(conversation_ages=ages)
+        cfg.validate()
+        want = active & np.isin(age, ages) & (five_year > cfg.high_risk_threshold)
+        assert _conversation_mask(age, five_year, active, cfg).tolist() == want.tolist(), ages
+
+
 
 
 def reduction_arrays(agents, stats):
