@@ -225,14 +225,12 @@ class LifeTable:
         return float(np.interp(age, self.ages, values))
 
     def residual_array(self, male: np.ndarray, ages: np.ndarray) -> np.ndarray:
-        """`residual` of every agent.  Integer ages spanning fewer values
-        than there are agents are interpolated once per age in their span
-        and gathered, which gives each agent the same value."""
-        at, index = ages, slice(None)
-        if ages.dtype.kind in "iu" and 0 < ages.size and ages.max() - ages.min() < ages.size:
-            at, index = np.arange(ages.min(), ages.max() + 1), ages - ages.min()
-        f = np.interp(at, self.ages, self.female)[index]
-        m = np.interp(at, self.ages, self.male)[index]
+        """`residual` of every agent, for integer ages: each age in their
+        span is interpolated once and gathered."""
+        lo = ages.min()
+        at = np.arange(lo, ages.max() + 1)
+        f = np.interp(at, self.ages, self.female)[ages - lo]
+        m = np.interp(at, self.ages, self.male)[ages - lo]
         return np.where(male > 0.5, m, f)
 
 
@@ -246,10 +244,6 @@ class StrokeOutcome:
     yll: float
     yld: float
     daly: float
-
-
-# Bounds the age-indexed lookup `_conversation_mask` builds per call.
-MAX_CONVERSATION_AGE = 200
 
 
 class Scenario(Enum):
@@ -275,10 +269,6 @@ class ScenarioConfig:
             )
         if list(self.conversation_ages) != sorted(self.conversation_ages):
             raise ConfigurationError("conversation_ages must be ascending")
-        if any(not 0 <= a <= MAX_CONVERSATION_AGE for a in self.conversation_ages):
-            raise ConfigurationError(
-                f"conversation_ages must lie in [0, {MAX_CONVERSATION_AGE}]"
-            )
         if self.horizon_days <= 0 or self.days_per_year <= 0:
             raise ConfigurationError("horizon_days and days_per_year must be > 0")
         for name in ("bmi_reduction_sd_fraction", "bp_reduction_sd_fraction"):
@@ -546,22 +536,28 @@ def _apply_reduction_rows(
     )
 
 
+def _schedule_lookup(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
+    """The conversation schedule over ages `lo` to `hi`: entry a - lo + 1
+    says whether age a is a conversation age, and the False entry at each
+    end catches every age outside that span."""
+    return np.pad(np.isin(np.arange(lo, hi + 1), cfg.conversation_ages), 1)
+
+
 def _conversation_mask(
-    age: np.ndarray, five_year: np.ndarray, active: np.ndarray, cfg: ScenarioConfig
+    age: np.ndarray,
+    five_year: np.ndarray,
+    active: np.ndarray,
+    cfg: ScenarioConfig,
+    schedule: np.ndarray,
+    lo: int,
 ) -> np.ndarray:
     """Stroke-free agents a GP conversation notifies this year: those at a
     scheduled conversation age whose five-year risk is strictly above the
-    high-risk threshold.
-
-    Schedule membership is one gather from an age-indexed lookup: entry
-    a + 1 says whether a is a conversation age, and ages off either end
-    clip onto the False entries that pad it.
-    """
-    scheduled = np.zeros(max(cfg.conversation_ages, default=0) + 3, dtype=bool)
-    scheduled[[a + 1 for a in cfg.conversation_ages]] = True
+    high-risk threshold.  `schedule` is `_schedule_lookup(cfg, lo, hi)`
+    over a span holding every age."""
     return (
         active
-        & scheduled.take(age + 1, mode="clip")
+        & schedule.take(age - lo + 1, mode="clip")
         & (five_year > cfg.high_risk_threshold)
     )
 
@@ -677,6 +673,9 @@ def run_replication(
         rng = np.random.default_rng(seed)
 
     rle = life.residual_array(arrays.male, arrays.age)
+    # the ages agents reach at the year boundaries of the run
+    age_lo = int(arrays.age.min()) + 1
+    schedule = _schedule_lookup(scenario, age_lo, int(arrays.age.max()) + years)
     stroke_day = np.full(n, -1, dtype=np.int64)
     notified = np.zeros(n, dtype=bool)
     reduced = np.zeros(n, dtype=bool)
@@ -706,13 +705,14 @@ def run_replication(
         day = year * scenario.days_per_year
         active = stroke_day < 0
 
-        # year boundary: birthdays first (a stroke-free agent loses a year
-        # of remaining life; True subtracts 1.0), then interventions
-        rle -= active
+        # year boundary: birthdays first, then interventions
+        rle[active] -= 1.0
         five_year = tables.plain[year]
         if interventions_on:
             five_year = np.where(reduced, tables.reduced[year], five_year)
-            talk = _conversation_mask(arrays.age + (year + 1), five_year, active, scenario)
+            talk = _conversation_mask(
+                arrays.age + (year + 1), five_year, active, scenario, schedule, age_lo
+            )
             conversations += int(talk.sum())
             notified |= talk
 
