@@ -2,18 +2,27 @@
 
 A replication walks the population day by day for the horizon: yearly
 birthdays, stroke draws (skip-sampled, so quiet stretches cost nothing),
-treatment delay, severity, and the DALY split into years of life lost and
-years lived with disability.  Risks are not recomputed inside it: every
-agent is scored once per simulated year beforehand, into risk tables
-that all replications of a scenario share.
+treatment delay and severity.  It returns each agent's stroke day and
+severity, and the DALYs of those strokes: a death loses the agent's
+residual life years, a survivor lives them with a disability weight.
+Nothing model-wide is recomputed inside it: every agent is scored once
+per simulated year beforehand, into risk tables that all replications of
+a scenario share, and the outcome model and the residual life
+expectancies are tabulated once too.
 """
-
-import collections
 
 import numpy as np
 
 from strokesim.config import load_experiment_file
-from strokesim.engine import PopulationArrays, Scenario, build_risk_tables, run_replication
+from strokesim.engine import (
+    DALY_WEIGHTS,
+    SEVERITY_ORDER,
+    OutcomeTable,
+    PopulationArrays,
+    Scenario,
+    build_risk_tables,
+    run_replication,
+)
 from strokesim.population import assign_risk_factors, build_population
 from strokesim.seeds import derive_seed
 
@@ -29,30 +38,38 @@ scenarios = {s.scenario: s for s in cfg.experiment.scenarios}
 tables = build_risk_tables(arrays, cfg.ensemble, cfg.experiment.scenarios)
 print(f"risk tables: {tables[Scenario.BASELINE].plain.shape[0]} years "
       f"x {tables[Scenario.BASELINE].plain.shape[1]} agents")
+# The delay and severity models as lookups, and each agent's residual life
+# expectancy at entry; run_experiment builds these once, too.
+outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
+residual = cfg.life_table.residual_array(arrays.male, arrays.age)
 
 result = run_replication(
     arrays, tables[Scenario.BASELINE], scenarios[Scenario.BASELINE],
-    cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
-    rng=7,
+    outcome_table, residual, rng=7,
 )
 
 print(f"baseline replication, seed {result.seed}:")
 print(f"  strokes: {result.total_strokes}")
 print(f"  DALYs:   {result.total_dalys:.1f} "
-      f"({result.mean_dalys_per_stroke:.2f} per stroke)")
+      f"({result.total_dalys / result.total_strokes:.2f} per stroke)")
 for name, count in result.strokes_by_severity.items():
     print(f"    {name:<16} {count:>4}")
 
-# The first few outcomes, in simulation order.
+# The first few strokes, in simulation order (by day, then agent).  A
+# stroke in year y leaves the entry residual less the y + 1 years aged.
+day = result.stroke_day
+struck = np.flatnonzero(day >= 0)
+struck = struck[np.argsort(day[struck], kind="stable")]
 print("first five strokes:")
-for o in result.outcomes[:5]:
-    print(f"  agent {o.agent_id:>5}  day {o.day:>4}  "
-          f"delay {o.delay_hours:>5.2f} h  {o.severity.value:<16} "
-          f"YLL {o.yll:>5.2f}  YLD {o.yld:>5.2f}  DALY {o.daly:>5.2f}")
+for i in struck[:5]:
+    years_left = max(residual[i] - (day[i] // 365 + 1), 0.0)
+    k = result.severity[i]
+    print(f"  agent {pop.agents[i].id:>5}  day {day[i]:>4}  "
+          f"{SEVERITY_ORDER[k].value:<16} residual {years_left:>5.2f} y  "
+          f"DALY {years_left * DALY_WEIGHTS[k]:>5.2f}")
 
-years = collections.Counter(o.day // 365 for o in result.outcomes)
-print("strokes per simulated year:",
-      " ".join(str(years.get(y, 0)) for y in range(10)))
+per_year = np.bincount(day[day >= 0] // 365, minlength=10)
+print("strokes per simulated year:", " ".join(str(n) for n in per_year))
 
 # The conversation scenario on the same seed.  Reduced risks shift which
 # uniforms each agent consumes, so a single pair of runs is dominated by
@@ -61,8 +78,7 @@ print("strokes per simulated year:",
 # is what 05_experiment.py is for.
 treated = run_replication(
     arrays, tables[Scenario.CONVERSATIONS], scenarios[Scenario.CONVERSATIONS],
-    cfg.delay, cfg.severity, cfg.odds_ratios, cfg.life_table,
-    rng=7,
+    outcome_table, residual, rng=7,
 )
 print(f"conversations scenario, same seed: {treated.total_strokes} strokes, "
       f"{treated.conversations} conversations, "

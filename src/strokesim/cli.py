@@ -29,6 +29,7 @@ from .files import atomic_open
 from .montecarlo import (
     ExperimentResult,
     run_experiment,
+    vs_baseline,
     worker_count,
     write_runs_csv,
     write_summary_csv,
@@ -177,23 +178,17 @@ def format_summary_table(result: ExperimentResult) -> str:
     """Plain-text table: per scenario, mean strokes/DALYs and the change
     against baseline, starred when significant."""
     summary = result.summary
-    vs_base = {
-        (c.scenario, c.metric): c
-        for c in summary.comparisons
-        if c.reference == Scenario.BASELINE.value
-    }
+    vs_base = vs_baseline(summary)
     lines = [
         f"{'scenario':<28} {'strokes':>10} {'diff':>9} {'dalys':>12} {'diff':>9}"
     ]
     for s in summary.scenarios:
-        cells = [f"{s.scenario:<28}", f"{s.strokes_mean:>10.2f}"]
-        c = vs_base.get((s.scenario, "strokes"))
-        cells.append(f"{'-':>9}" if c is None else
-                     f"{c.percent_difference:>8.2f}%" + ("*" if c.significant else " "))
-        cells.append(f"{s.dalys_mean:>12.2f}")
-        c = vs_base.get((s.scenario, "dalys"))
-        cells.append(f"{'-':>9}" if c is None else
-                     f"{c.percent_difference:>8.2f}%" + ("*" if c.significant else " "))
+        cells = [f"{s.scenario:<28}"]
+        for metric, value, width in (("strokes", s.strokes_mean, 10), ("dalys", s.dalys_mean, 12)):
+            c = vs_base.get((s.scenario, metric))
+            cells.append(f"{value:>{width}.2f}")
+            cells.append(f"{'-':>9}" if c is None else
+                         f"{c.percent_difference:>8.2f}%" + ("*" if c.significant else " "))
         lines.append(" ".join(cells))
     lines.append("(* significant at the "
                  f"{100 * (1 - summary.significance_level):.0f}% level, "

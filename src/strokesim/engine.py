@@ -1,11 +1,12 @@
 """One replication of the stroke microsimulation.
 
 The run is a 10-year daily loop.  On every year boundary (day 0 included)
-agents age a year and lose a year of remaining life expectancy, and the
-intervention scenario may notify them of high risk and reduce their
-factors.  On every day a stroke-free agent may stroke with its daily
-risk; a stroke draws an arrival delay, a delay-adjusted severity, and its
-DALY contribution, and removes the agent from further dynamics.
+agents age a year, and the intervention scenario may notify them of high
+risk and reduce their factors.  On every day a stroke-free agent may
+stroke with its daily risk; a stroke in year y draws an arrival delay and
+a delay-adjusted severity, costs the agent's residual life expectancy at
+entry less y + 1 years times the severity's DALY weight, and removes the
+agent from further dynamics.
 
 An agent's five-year risk in year y depends only on its age then (entry
 age + y + 1) and on whether its factors have been reduced, a one-off
@@ -26,24 +27,24 @@ table build calls: `_conversation_mask` (notification, from an
 age-indexed lookup), `_apply_reduction_rows` (risk reduction),
 `_spillover_mask` (family spillover), `_first_success_offsets` (arrival
 sampling), `OutcomeTable.draw` (a stroke's delay and severity) and
-`compute_outcome` (DALY accounting).  The tests exercise these kernels
+`_stroke_dalys` (DALY accounting).  The tests exercise these kernels
 directly.
 
-A replication builds one `OutcomeTable` from the delay, severity and
-odds-ratio models, so a stroke makes only its three draws (a band
-uniform, a normal for the hours, a severity uniform) and looks the rest
-up.  Each stroke draws the same values, in the same order, as the
-scalar path: `sample_delay`, then `adjust_severity` and
-`sample_severity`.  Those scalar functions, with `compute_outcome` and
-`first_success_offset`, are the references the kernels are tested
-against.
+The experiment builds an `OutcomeTable` from the delay, severity and
+odds-ratio models, and each agent's residual life expectancy at entry,
+once.  A stroke then makes only its three draws (a band uniform, a
+normal for the hours, a severity uniform), the values the scalar path
+`sample_delay`, `adjust_severity`, `sample_severity` draws, in its
+order, and looks the rest up.  Those scalar functions, with
+`compute_outcome` and `first_success_offset`, are the references the
+kernels are tested against; no replication calls them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -86,6 +87,11 @@ DISABILITY_WEIGHTS = {
 SEVERITY_ORDER = (
     Severity.NO_DISABILITY, Severity.MILD, Severity.MODERATE_SEVERE, Severity.DEATH,
 )
+
+# DALYs per residual life year of a stroke, indexed like SEVERITY_ORDER: a
+# survivor's disability weight, and 1 for a death, whose residual years
+# are all lost.
+DALY_WEIGHTS = np.array([DISABILITY_WEIGHTS[s] for s in SEVERITY_ORDER[:-1]] + [1.0])
 
 
 @dataclass
@@ -278,15 +284,26 @@ class ScenarioConfig:
 
 @dataclass
 class RunResult:
-    total_strokes: int
+    """One replication.  `stroke_day` and `severity` are per agent, in row
+    order: the day of its stroke and the stroke's index into
+    SEVERITY_ORDER, -1 for an agent who had none."""
+
     total_dalys: float
-    mean_dalys_per_stroke: float
-    strokes_by_severity: dict[str, int]
     seed: Optional[int]
     conversations: int
     risk_reductions: int
     family_reductions: int
-    outcomes: list[StrokeOutcome] = field(default_factory=list)
+    stroke_day: np.ndarray
+    severity: np.ndarray
+
+    @property
+    def total_strokes(self) -> int:
+        return int(np.count_nonzero(self.stroke_day >= 0))
+
+    @property
+    def strokes_by_severity(self) -> dict[str, int]:
+        counts = np.bincount(self.severity[self.severity >= 0], minlength=len(SEVERITY_ORDER))
+        return {s.value: int(c) for s, c in zip(SEVERITY_ORDER, counts)}
 
 
 # --- per-stroke sampling and DALY accounting ---
@@ -371,7 +388,8 @@ def compute_outcome(
 
     Death costs the agent's residual life expectancy as YLL; survivors
     carry their residual years times the disability weight as YLD.  A
-    residual that has run below zero counts as zero.
+    residual that has run below zero counts as zero.  The reference for
+    `_stroke_dalys`.
     """
     residual = max(residual, 0.0)
     if severity is Severity.DEATH:
@@ -384,6 +402,12 @@ def compute_outcome(
         agent_id=agent_id, day=day, delay_hours=delay_hours, severity=severity,
         disability_weight=weight, yll=yll, yld=yld, daly=yll + yld,
     )
+
+
+def _stroke_dalys(residual: np.ndarray, severity: np.ndarray) -> np.ndarray:
+    """`compute_outcome(...).daly` of strokes with `residual` years of life
+    left and `severity` indices into SEVERITY_ORDER."""
+    return np.maximum(residual, 0.0) * DALY_WEIGHTS[severity]
 
 
 @dataclass(frozen=True)
@@ -456,7 +480,6 @@ class PopulationArrays:
     computed from the feature columns.  Replications only read it.
     """
 
-    ids: np.ndarray
     features: np.ndarray
     age: np.ndarray
     male: np.ndarray
@@ -468,15 +491,13 @@ class PopulationArrays:
         if not pop.agents:
             raise ConfigurationError("empty population")
         features = feature_matrix(pop.agents)
-        ids = np.array([a.id for a in pop.agents], dtype=np.int64)
         age = features[:, _COL["age"]].astype(np.int64)
         male = features[:, _COL["male"]].copy()
         hh_raw = np.array([a.household_id for a in pop.agents], dtype=np.int64)
         _, household = np.unique(hh_raw, return_inverse=True)
         stats = _stats(*(features[:, _COL[name]] for name in ("sbp", "dbp", "bmi")))
         return PopulationArrays(
-            ids=ids, features=features, age=age, male=male,
-            household=household, stats=stats,
+            features=features, age=age, male=male, household=household, stats=stats,
         )
 
 
@@ -623,7 +644,7 @@ def build_risk_tables(
         key = (s.bmi_reduction_sd_fraction, s.bp_reduction_sd_fraction)
         if key not in reduced:
             scratch.features[:] = arrays.features
-            _apply_reduction_rows(scratch, np.arange(len(arrays.ids)), s)
+            _apply_reduction_rows(scratch, np.arange(len(arrays.age)), s)
             reduced[key] = _score_by_year(ens, scratch.features, arrays.age, years)
         tables[s.scenario] = RiskTables(plain, reduced[key])
     return tables
@@ -633,37 +654,33 @@ def run_replication(
     arrays: PopulationArrays,
     tables: RiskTables,
     scenario: ScenarioConfig,
-    delay: DelayModel,
-    sev: SeverityDistribution,
-    ors: OddsRatioTable,
-    life: LifeTable,
+    outcome_table: OutcomeTable,
+    residual: np.ndarray,
     rng: np.random.Generator | int,
     use_skip_sampling: bool = True,
 ) -> RunResult:
-    """Run one full replication and aggregate its outcomes.
+    """Run one full replication; no input is mutated.
 
     `tables` are the scenario's risk tables from `build_risk_tables` for
-    these `arrays`; neither is mutated.  Passing an integer seed records
-    it in the result, passing a Generator records None.  With identical
-    inputs and seed the result is identical, on either sampling path
-    (`use_skip_sampling=False`, the naive path, is the tests' oracle;
-    each path is deterministic, and the two agree in distribution, not
-    draw for draw).
+    these `arrays`, `outcome_table` is `OutcomeTable.build` of validated
+    models, and `residual` is `LifeTable.residual_array(arrays.male,
+    arrays.age)`.  Passing an integer seed records it in the result,
+    passing a Generator records None.  With identical inputs and seed the
+    result is identical, on either sampling path (`use_skip_sampling=False`,
+    the naive path, is the tests' oracle; each path is deterministic, and
+    the two agree in distribution, not draw for draw).
     """
     scenario.validate()
-    delay.validate()
-    sev.validate()
-    ors.validate()
-    life.validate()
 
     interventions_on = scenario.scenario is not Scenario.BASELINE
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
-    n = len(arrays.ids)
+    n = len(arrays.age)
     years = year_count(scenario)
     needed = [tables.plain] + ([tables.reduced] if interventions_on else [])
-    if any(t is None or t.shape[0] < years or t.shape[1] != n for t in needed):
+    fits = all(t is not None and t.shape[0] >= years and t.shape[1] == n for t in needed)
+    if not fits or residual.shape != (n,):
         raise ConfigurationError(
-            f"risk tables do not cover {years} years of {n} agents "
+            f"risk tables or residuals do not cover {years} years of {n} agents "
             f"in scenario {scenario.scenario.value}"
         )
 
@@ -672,41 +689,27 @@ def run_replication(
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    rle = life.residual_array(arrays.male, arrays.age)
     # the ages agents reach at the year boundaries of the run
     age_lo = int(arrays.age.min()) + 1
     schedule = _schedule_lookup(scenario, age_lo, int(arrays.age.max()) + years)
     stroke_day = np.full(n, -1, dtype=np.int64)
+    severity = np.full(n, -1, dtype=np.int64)
     notified = np.zeros(n, dtype=bool)
     reduced = np.zeros(n, dtype=bool)
-
-    outcome_table = OutcomeTable.build(delay, sev, ors)
-    outcomes: list[StrokeOutcome] = []
-    severity_counts = [0] * len(SEVERITY_ORDER)
-    total_dalys = 0.0
     conversations = 0
     risk_reductions = 0
     family_reductions = 0
 
     def strike(rows: np.ndarray, days: np.ndarray) -> None:
-        """Draw and account the strokes of `rows` on `days`, in that order."""
-        nonlocal total_dalys
+        """Record the strokes of `rows` on `days`, drawing in that order."""
         stroke_day[rows] = days
-        for agent_id, d, residual in zip(
-            arrays.ids[rows].tolist(), days.tolist(), rle[rows].tolist()
-        ):
-            hours, k = outcome_table.draw(rng)
-            outcome = compute_outcome(agent_id, d, hours, SEVERITY_ORDER[k], residual)
-            outcomes.append(outcome)
-            severity_counts[k] += 1
-            total_dalys += outcome.daly
+        severity[rows] = [outcome_table.draw(rng)[1] for _ in range(rows.size)]
 
     for year in range(years):
         day = year * scenario.days_per_year
         active = stroke_day < 0
 
         # year boundary: birthdays first, then interventions
-        rle[active] -= 1.0
         five_year = tables.plain[year]
         if interventions_on:
             five_year = np.where(reduced, tables.reduced[year], five_year)
@@ -744,15 +747,14 @@ def run_replication(
                 rows = act_rows[u < daily[act_rows]]
                 strike(rows, np.full(rows.size, d))
 
-    total_strokes = len(outcomes)
+    # added one by one in the order the strokes happened (by day, then
+    # agent), as a stroke-by-stroke total would be; np.sum rounds otherwise
+    struck = np.flatnonzero(stroke_day >= 0)
+    struck = struck[np.argsort(stroke_day[struck], kind="stable")]
+    aged = stroke_day[struck] // scenario.days_per_year + 1
+    dalys = _stroke_dalys(residual[struck] - aged, severity[struck])
     return RunResult(
-        total_strokes=total_strokes,
-        total_dalys=total_dalys,
-        mean_dalys_per_stroke=total_dalys / total_strokes if total_strokes else 0.0,
-        strokes_by_severity={s.value: c for s, c in zip(SEVERITY_ORDER, severity_counts)},
-        seed=seed,
-        conversations=conversations,
-        risk_reductions=risk_reductions,
-        family_reductions=family_reductions,
-        outcomes=outcomes,
+        total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0, seed=seed,
+        conversations=conversations, risk_reductions=risk_reductions,
+        family_reductions=family_reductions, stroke_day=stroke_day, severity=severity,
     )

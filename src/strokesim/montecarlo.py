@@ -3,11 +3,13 @@
 Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
 on how runs are ordered or spread across worker processes.  Each
-experiment scores its population once, into per-year risk tables
-(`engine.build_risk_tables`), before any replication runs.  Replications
-run in a process pool (the population arrays and risk tables are shipped
-to each worker once) and are merged by index before any aggregation; the
-first failed replication cancels the rest and stops the experiment.
+experiment scores its population into per-year risk tables
+(`engine.build_risk_tables`), and tabulates the outcome model and each
+agent's residual life expectancy, once, before any replication runs.
+Replications run in a process pool (the population arrays and tables
+are shipped to each worker once) and are merged by index before any
+aggregation; the first failed replication cancels the rest and stops
+the experiment.
 
 With common random numbers every scenario's run i uses the same seed, so
 runs pair up by index and comparisons use the paired t-test; otherwise
@@ -18,6 +20,7 @@ Welch's with `welch`).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -29,6 +32,7 @@ from .engine import (
     DelayModel,
     LifeTable,
     OddsRatioTable,
+    OutcomeTable,
     PopulationArrays,
     RunResult,
     Scenario,
@@ -99,14 +103,10 @@ class RunMetrics:
 
     @staticmethod
     def from_result(scenario: str, run: int, seed: int, res: RunResult) -> "RunMetrics":
-        by_sev = res.strokes_by_severity
         return RunMetrics(
             scenario=scenario, run=run, seed=seed,
-            strokes=res.total_strokes, dalys=res.total_dalys,
-            no_disability=by_sev["no_disability"], mild=by_sev["mild"],
-            moderate_severe=by_sev["moderate_severe"], death=by_sev["death"],
-            conversations=res.conversations,
-            risk_reductions=res.risk_reductions,
+            strokes=res.total_strokes, dalys=res.total_dalys, **res.strokes_by_severity,
+            conversations=res.conversations, risk_reductions=res.risk_reductions,
             family_reductions=res.family_reductions,
         )
 
@@ -191,7 +191,7 @@ def _run_task(task: tuple[str, int, int], state: Optional[dict] = None) -> RunMe
     try:
         res = run_replication(
             st["arrays"], st["tables"][scenario_value], st["scenarios"][scenario_value],
-            st["delay"], st["sev"], st["ors"], st["life"], seed,
+            st["outcome_table"], st["residual"], seed,
         )
     except Exception as exc:
         raise RuntimeError(
@@ -211,24 +211,25 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every configured scenario n_runs times and summarize.
 
-    The risk tables are built here, once, before the pool starts, so
-    every replication and every worker reads the same scores.  Results
-    are keyed by (scenario, run index) and merged in index order, so the
-    summary is identical however many workers execute the runs.
+    The models are validated and every table is built here, once,
+    before the pool starts, so every replication and every worker reads
+    the same tables.  Results are keyed by (scenario, run index) and
+    merged in index order, so the summary is identical however many
+    workers execute the runs.
     The first failing replication aborts the experiment, cancelling the
     replications still queued; the error names the scenario, run and
     seed that failed.
     """
     cfg.validate()
+    for model in (delay, sev, ors, life):
+        model.validate()
     tables = build_risk_tables(arrays, ens, cfg.scenarios)
     state = {
         "arrays": arrays,
         "tables": {kind.value: t for kind, t in tables.items()},
         "scenarios": {s.scenario.value: s for s in cfg.scenarios},
-        "delay": delay,
-        "sev": sev,
-        "ors": ors,
-        "life": life,
+        "outcome_table": OutcomeTable.build(delay, sev, ors),
+        "residual": life.residual_array(arrays.male, arrays.age),
     }
 
     tasks: list[tuple[str, int, int]] = []
@@ -284,13 +285,9 @@ def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> Expe
             deaths_mean=mean(deaths),
         ))
 
-    names = [sc.scenario.value for sc in cfg.scenarios]
     baseline = Scenario.BASELINE.value
-    pairs = [(baseline, n) for n in names if n != baseline]
-    others = [n for n in names if n != baseline]
-    for i in range(len(others)):
-        for j in range(i + 1, len(others)):
-            pairs.append((others[i], others[j]))
+    others = [sc.scenario.value for sc in cfg.scenarios if sc.scenario is not Scenario.BASELINE]
+    pairs = [(baseline, n) for n in others] + list(itertools.combinations(others, 2))
 
     comparisons = []
     for ref, scen in pairs:
@@ -360,13 +357,18 @@ def write_summary_json(summary: ExperimentSummary, path) -> None:
         handle.write("\n")
 
 
-def write_summary_csv(summary: ExperimentSummary, path) -> None:
-    """One row per scenario x metric, with the vs-baseline test inline."""
-    vs_baseline = {
+def vs_baseline(summary: ExperimentSummary) -> dict[tuple[str, str], Comparison]:
+    """The comparisons against baseline, by (scenario, metric)."""
+    return {
         (c.scenario, c.metric): c
         for c in summary.comparisons
         if c.reference == Scenario.BASELINE.value
     }
+
+
+def write_summary_csv(summary: ExperimentSummary, path) -> None:
+    """One row per scenario x metric, with the vs-baseline test inline."""
+    by_key = vs_baseline(summary)
     with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([
@@ -376,12 +378,9 @@ def write_summary_csv(summary: ExperimentSummary, path) -> None:
         for s in summary.scenarios:
             for metric in METRICS:
                 m = (s.strokes_mean, s.strokes_sd) if metric == "strokes" else (s.dalys_mean, s.dalys_sd)
-                c = vs_baseline.get((s.scenario, metric))
-                if c is None:
-                    writer.writerow([s.scenario, metric, repr(m[0]), repr(m[1]), "", "", "", "", ""])
-                else:
-                    writer.writerow([
-                        s.scenario, metric, repr(m[0]), repr(m[1]),
-                        repr(c.percent_difference), repr(c.t), repr(c.df), repr(c.p),
-                        int(c.significant),
-                    ])
+                c = by_key.get((s.scenario, metric))
+                test = [""] * 5 if c is None else [
+                    repr(c.percent_difference), repr(c.t), repr(c.df), repr(c.p),
+                    int(c.significant),
+                ]
+                writer.writerow([s.scenario, metric, repr(m[0]), repr(m[1]), *test])

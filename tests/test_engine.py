@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import strokesim.engine as engine
 from strokesim.engine import (
+    DALY_WEIGHTS,
     DISABILITY_WEIGHTS,
     DelayBand,
     DelayModel,
@@ -18,7 +20,6 @@ from strokesim.engine import (
     OddsRatioTable,
     OutcomeTable,
     PopulationArrays,
-    RunResult,
     SEVERITY_ORDER,
     Scenario,
     ScenarioConfig,
@@ -33,6 +34,7 @@ from strokesim.engine import (
     _first_success_offsets,
     _schedule_lookup,
     _spillover_mask,
+    _stroke_dalys,
     build_risk_tables,
     run_replication,
     year_count,
@@ -549,9 +551,8 @@ def test_outcome_kernel_matches_oracles_over_a_seeded_stream():
 def test_replication_matches_the_scalar_oracles_stroke_for_stroke(monkeypatch):
     delay, sev, ors = custom_outcome_models()
     pop = small_pop(n=200)
-    arrays, tables, scenario, *_, life = run_args(
-        pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY, high_risk_threshold=0.2)
-    args = (arrays, tables, scenario, delay, sev, ors, life)
+    args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY,
+                    models=(delay, sev, ors), high_risk_threshold=0.2)
 
     def scalar_draw(self, rng):
         hours, severity = scalar_outcome(delay, sev, ors, rng)
@@ -563,7 +564,27 @@ def test_replication_matches_the_scalar_oracles_stroke_for_stroke(monkeypatch):
             patch.setattr(OutcomeTable, "draw", scalar_draw)
             slow = run_replication(*args, rng=17, use_skip_sampling=use_skip)
         assert fast.total_strokes > 20
-        assert fast == slow
+        assert_same_result(fast, slow)
+
+
+def test_replication_calls_no_scalar_reference(monkeypatch):
+    # the scalar functions are the kernels' references only: a replication
+    # of every scenario, on either path, runs with all of them refusing
+    pop = small_pop()
+    args = {kind: run_args(pop, strong_ens(), kind) for kind in Scenario}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replication called a scalar reference")
+
+    for name in ("compute_outcome", "sample_delay", "adjust_severity", "sample_severity",
+                 "first_success_offset"):
+        monkeypatch.setattr(engine, name, refuse)
+    monkeypatch.setattr(StrokeOutcome, "__init__", refuse)
+    for kind in Scenario:
+        for use_skip in (True, False):
+            result = run_replication(*args[kind], rng=3, use_skip_sampling=use_skip)
+            assert result.total_strokes > 0
+            assert result.total_dalys > 0.0
 
 
 # --- outcomes ---
@@ -599,6 +620,22 @@ def test_disability_weights_table():
     assert DISABILITY_WEIGHTS[Severity.MILD] == 0.35
     assert DISABILITY_WEIGHTS[Severity.MODERATE_SEVERE] == 0.7
     assert Severity.DEATH not in DISABILITY_WEIGHTS
+    # per residual year: the survivors' weights in SEVERITY_ORDER, then a
+    # death's, which loses every residual year
+    assert DALY_WEIGHTS.tolist() == [0.0, 0.35, 0.7, 1.0]
+
+
+def test_stroke_dalys_match_compute_outcome():
+    residual = np.array([-1e6, -2.0, -1e-300, 0.0, 1e-300, 0.5, 1.0, 22.0, 61.3])
+    for k, severity in enumerate(SEVERITY_ORDER):
+        got = _stroke_dalys(residual, np.full(residual.size, k))
+        want = [compute_outcome(0, 0, 0.0, severity, r).daly for r in residual.tolist()]
+        assert got.tolist() == want, severity
+    # severities mixed in one call, each looked up on its own
+    ks = np.arange(residual.size) % len(SEVERITY_ORDER)
+    want = [compute_outcome(0, 0, 0.0, SEVERITY_ORDER[k], r).daly
+            for k, r in zip(ks.tolist(), residual.tolist())]
+    assert _stroke_dalys(residual, ks).tolist() == want
 
 
 # --- intervention kernels ---
@@ -815,6 +852,11 @@ def test_run_replication_rejects_tables_that_do_not_fit():
     args[1] = short
     with pytest.raises(ConfigurationError, match="of 5 agents"):
         run_replication(*args, rng=0)
+    # residuals of another population
+    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
+    args[4] = args[4][:5]
+    with pytest.raises(ConfigurationError, match="residuals do not cover 2 years of 6 agents"):
+        run_replication(*args, rng=0)
 
 
 # --- full replications ---
@@ -837,13 +879,30 @@ def small_pop(n=40, seed=3, risk_spread=True):
     return population_of(agents)
 
 
-def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, **cfg_kwargs):
+LIFE = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
+
+
+def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, models=None,
+             **cfg_kwargs):
+    """run_replication's arguments before the generator, as run_experiment
+    builds them; `models` are (delay, sev, ors), the defaults when None."""
     scenario = ScenarioConfig(scenario=scenario_kind, horizon_days=horizon, **cfg_kwargs)
     arrays = PopulationArrays.from_population(pop)
     tables = build_risk_tables(arrays, ens, [scenario])[scenario_kind]
-    return (arrays, tables, scenario, DelayModel.default(),
-            SeverityDistribution.default(), OddsRatioTable.default(), LifeTable(
-                ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0]))
+    delay, sev, ors = models or (
+        DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default())
+    return (arrays, tables, scenario, OutcomeTable.build(delay, sev, ors),
+            LIFE.residual_array(arrays.male, arrays.age))
+
+
+def assert_same_result(a, b):
+    """Field by field, arrays element by element."""
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(b, name)), name
+        else:
+            assert value == getattr(b, name), name
 
 
 def strong_ens():
@@ -857,23 +916,24 @@ def test_run_replication_deterministic_and_seed_recorded():
     first = run_replication(*args, rng=1234)
     second = run_replication(*args, rng=1234)
     assert first.seed == 1234
-    assert first.total_strokes == second.total_strokes
-    assert first.total_dalys == second.total_dalys
-    assert [vars(o) for o in first.outcomes] == [vars(o) for o in second.outcomes]
+    assert first.total_strokes > 0
+    assert_same_result(first, second)
 
     via_generator = run_replication(*args, rng=np.random.default_rng(1234))
     assert via_generator.seed is None
-    assert via_generator.total_strokes == first.total_strokes
-    assert via_generator.total_dalys == first.total_dalys
+    assert_same_result(replace(via_generator, seed=1234), first)
 
 
 def test_run_replication_does_not_mutate_inputs():
     args = run_args(small_pop(), strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY)
-    arrays, tables = args[0], args[1]
+    arrays, tables, residual = args[0], args[1], args[4]
     features_before, age_before = arrays.features.copy(), arrays.age.copy()
     plain_before, reduced_before = tables.plain.copy(), tables.reduced.copy()
+    residual_before = residual.copy()
     result = run_replication(*args, rng=7)
     assert result.risk_reductions > 0
+    assert result.total_strokes > 0
+    assert (residual == residual_before).all()
     assert (arrays.features == features_before).all()
     assert (arrays.age == age_before).all()
     assert (tables.plain == plain_before).all()
@@ -885,51 +945,47 @@ def test_zero_risk_population_has_no_strokes():
     result = run_replication(*run_args(pop, one_member(-60.0)), rng=9)
     assert result.total_strokes == 0
     assert result.total_dalys == 0.0
-    assert result.mean_dalys_per_stroke == 0.0
-    assert result.outcomes == []
+    assert result.stroke_day.tolist() == result.severity.tolist() == [-1] * len(pop.agents)
     assert set(result.strokes_by_severity.values()) == {0}
 
 
 def test_run_result_bookkeeping_consistent():
     pop = small_pop()
     result = run_replication(*run_args(pop, strong_ens()), rng=31)
-    assert result.total_strokes > 0
-    assert result.total_strokes == len(result.outcomes)
+    assert result.stroke_day.shape == result.severity.shape == (len(pop.agents),)
+    struck = result.stroke_day >= 0
+    assert result.total_strokes == int(struck.sum()) > 0
+    # an agent has a severity exactly when it had a stroke, inside the horizon
+    assert ((result.severity >= 0) == struck).all()
+    assert set(result.severity[~struck].tolist()) == {-1}
+    assert set(result.severity[struck].tolist()) <= set(range(len(SEVERITY_ORDER)))
+    assert (result.stroke_day[struck] < 3650).all()
     assert sum(result.strokes_by_severity.values()) == result.total_strokes
-    by_sev = Counter(o.severity.value for o in result.outcomes)
+    by_sev = Counter(SEVERITY_ORDER[k].value for k in result.severity[struck].tolist())
     assert dict(by_sev) == {k: v for k, v in result.strokes_by_severity.items() if v}
-    assert result.total_dalys == pytest.approx(sum(o.daly for o in result.outcomes))
-    assert result.mean_dalys_per_stroke == pytest.approx(
-        result.total_dalys / result.total_strokes)
-    # one stroke per agent, days inside the horizon, emitted in day order
-    ids = [o.agent_id for o in result.outcomes]
-    assert len(ids) == len(set(ids))
-    days = [o.day for o in result.outcomes]
-    assert all(0 <= d < 3650 for d in days)
-    assert days == sorted(days)
+    assert list(result.strokes_by_severity) == [s.value for s in SEVERITY_ORDER]
 
 
 def test_run_replication_daly_residuals_from_entry_age():
     # residual years at a stroke in year k equal LE(entry age) - (k + 1):
-    # the agent ages on every boundary, day 0 included, before any stroke
+    # the agent ages on every boundary, day 0 included, before any stroke.
+    # The total is the scalar oracle's DALYs summed in stroke order, by day
+    # and then agent, and equal to the last bit.
     pop = small_pop(n=60)
-    life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
-    entry = {a.id: (a.sex, a.age) for a in pop.agents}
-    args = run_args(pop, strong_ens())
-    result = run_replication(args[0], args[1], args[2], args[3], args[4], args[5], life,
-                             rng=2024)
-    assert result.total_strokes > 0
-    for o in result.outcomes:
-        sex, age0 = entry[o.agent_id]
-        expected_residual = max(life.residual(sex, age0) - (o.day // 365 + 1), 0.0)
-        if o.severity is Severity.DEATH:
-            assert o.yll == pytest.approx(expected_residual, abs=1e-9)
-            assert o.yld == 0.0
-        else:
-            assert o.yll == 0.0
-            assert o.yld == pytest.approx(
-                expected_residual * DISABILITY_WEIGHTS[o.severity], abs=1e-9)
-        assert o.daly == o.yll + o.yld
+    for kind in Scenario:
+        args = run_args(pop, strong_ens(), kind)
+        for use_skip in (True, False):
+            result = run_replication(*args, rng=2024, use_skip_sampling=use_skip)
+            assert result.total_strokes > 0
+            days = result.stroke_day.tolist()
+            total = 0.0
+            for i in sorted((i for i, d in enumerate(days) if d >= 0),
+                            key=lambda i: (days[i], i)):
+                a = pop.agents[i]
+                residual = LIFE.residual(a.sex, a.age) - (days[i] // 365 + 1)
+                severity = SEVERITY_ORDER[result.severity[i]]
+                total += compute_outcome(a.id, days[i], 0.0, severity, residual).daly
+            assert result.total_dalys == total, (kind, use_skip)
 
 
 def test_naive_and_skip_paths_agree_on_average():
@@ -963,8 +1019,8 @@ def test_naive_and_skip_paths_agree_over_whole_runs():
         for skip, seeds in ((True, SKIP_SEEDS), (False, NAIVE_SEEDS)):
             results = [run_replication(*args, rng=s, use_skip_sampling=skip) for s in seeds]
             totals.append([r.total_strokes for r in results])
-            per_year.append(np.bincount(
-                [o.day // 365 for r in results for o in r.outcomes], minlength=10))
+            days = np.concatenate([r.stroke_day for r in results])
+            per_year.append(np.bincount(days[days >= 0] // 365, minlength=10))
         se = math.sqrt(sum(np.var(t, ddof=1) / len(t) for t in totals))
         assert abs(np.mean(totals[0]) - np.mean(totals[1])) < 4 * se, kind
         assert scipy.stats.chi2_contingency(per_year).pvalue > 0.001, kind

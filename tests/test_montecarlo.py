@@ -15,6 +15,7 @@ from strokesim.engine import (
     DelayModel,
     LifeTable,
     OddsRatioTable,
+    OutcomeTable,
     PopulationArrays,
     Scenario,
     ScenarioConfig,
@@ -154,13 +155,13 @@ def tiny_life():
     return LifeTable(ages=[35, 110], female=[47.0, 2.0], male=[44.0, 2.0])
 
 
-def run_tiny(cfg, life=None):
+def run_tiny(cfg, delay=None, sev=None, ors=None, life=None):
     """The experiment on the tiny population, with the default delay,
-    severity and odds-ratio inputs."""
+    severity and odds-ratio inputs unless given."""
     return run_experiment(
         cfg, PopulationArrays.from_population(tiny_population()), tiny_ens(),
-        DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default(),
-        life or tiny_life())
+        delay or DelayModel.default(), sev or SeverityDistribution.default(),
+        ors or OddsRatioTable.default(), life or tiny_life())
 
 
 def make_config(**overrides):
@@ -186,14 +187,16 @@ def test_every_run_reproducible_in_isolation(experiment):
     """Each row of runs must be replayable from its recorded seed alone."""
     arrays = PopulationArrays.from_population(tiny_population())
     tables = build_risk_tables(arrays, tiny_ens(), scenario_list())
+    outcome_table = OutcomeTable.build(
+        DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default())
+    residual = tiny_life().residual_array(arrays.male, arrays.age)
     by_kind = {s.scenario.value: s for s in scenario_list()}
     for name, metrics in experiment.runs.items():
         for m in metrics[:3]:
             assert m.seed == derive_seed(99, SCENARIO_SEED_INDEX[Scenario(name)], m.run)
             direct = run_replication(
-                arrays, tables[Scenario(name)], by_kind[name], DelayModel.default(),
-                SeverityDistribution.default(), OddsRatioTable.default(),
-                tiny_life(), rng=m.seed)
+                arrays, tables[Scenario(name)], by_kind[name], outcome_table, residual,
+                rng=m.seed)
             assert direct.total_strokes == m.strokes
             assert direct.total_dalys == m.dalys
             assert direct.conversations == m.conversations
@@ -293,6 +296,27 @@ def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios, r
     assert set(calls) == {len(tiny_population().agents)}
 
 
+def test_outcome_table_and_residuals_are_per_experiment(monkeypatch):
+    calls = []
+    build, residual_array = OutcomeTable.build, LifeTable.residual_array
+
+    def counted_build(*args, **kwargs):
+        calls.append("build")
+        return build(*args, **kwargs)
+
+    def counted_residuals(self, *args, **kwargs):
+        calls.append("residual_array")
+        return residual_array(self, *args, **kwargs)
+
+    monkeypatch.setattr(OutcomeTable, "build", staticmethod(counted_build))
+    monkeypatch.setattr(LifeTable, "residual_array", counted_residuals)
+    for n_runs in (2, 5):
+        calls.clear()
+        result = run_tiny(make_config(n_runs=n_runs))
+        assert all(len(v) == n_runs for v in result.runs.values())
+        assert sorted(calls) == ["build", "residual_array"]
+
+
 def test_summary_statistics_recomputable(experiment):
     summary = experiment.summary
     for s in summary.scenarios:
@@ -352,10 +376,44 @@ def test_welch_flag_changes_degrees_of_freedom(experiment):
                     for m in welch.runs[c.reference]], welch=True).df)
 
 
-def test_failing_replication_names_the_run():
-    bad_life = LifeTable(ages=[110, 35], female=[2.0, 47.0], male=[2.0, 44.0])
-    with pytest.raises(RuntimeError, match=r"scenario=baseline run=0 seed=\d+"):
-        run_tiny(make_config(), life=bad_life)
+def failing_replication(monkeypatch, seed):
+    """Make the replication with `seed` raise; the others run as usual."""
+    original = montecarlo.run_replication
+
+    def replication(*args, **kwargs):
+        if args[5] == seed:
+            raise ValueError("replication broke")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "run_replication", replication)
+
+
+def test_failing_replication_names_the_run(monkeypatch):
+    seed = derive_seed(99, SCENARIO_SEED_INDEX[Scenario.CONVERSATIONS], 2)
+    failing_replication(monkeypatch, seed)
+    with pytest.raises(RuntimeError, match=rf"scenario=conversations run=2 seed={seed}$") as err:
+        run_tiny(make_config())
+    assert str(err.value.__cause__) == "replication broke"
+
+
+BAD_MODELS = {
+    "delay": (DelayModel([]), "no bands"),
+    "sev": (SeverityDistribution(0.5, 0.5, 0.5, 0.0), "sum to 1.5"),
+    "ors": (OddsRatioTable([]), "no rows"),
+    "life": (LifeTable(ages=[110, 35], female=[2.0, 47.0], male=[2.0, 44.0]), "increasing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_invalid_model_rejected_before_the_pool_starts(monkeypatch, name):
+    def no_pool(**kwargs):
+        raise AssertionError("a pool was created")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model, message = BAD_MODELS[name]
+    with pytest.raises(ConfigurationError, match=message):
+        run_tiny(make_config(workers=2), **{name: model})
 
 
 class FailFirstPool:
@@ -400,12 +458,13 @@ def test_pool_stops_at_first_failed_replication(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    bad_life = LifeTable(ages=[110, 35], female=[2.0, 47.0], male=[2.0, 44.0])
+    seed = derive_seed(99, SCENARIO_SEED_INDEX[Scenario.BASELINE], 0)
+    failing_replication(monkeypatch, seed)
     previous = signal.signal(signal.SIGALRM, waited)
     signal.alarm(10)
     try:
-        with pytest.raises(RuntimeError, match=r"scenario=baseline run=0 seed=\d+"):
-            run_tiny(make_config(workers=2), life=bad_life)
+        with pytest.raises(RuntimeError, match=rf"scenario=baseline run=0 seed={seed}$"):
+            run_tiny(make_config(workers=2))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
