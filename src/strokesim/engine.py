@@ -12,23 +12,34 @@ An agent's five-year risk in year y depends only on its age then (entry
 age + y + 1) and on whether its factors have been reduced, a one-off
 change fixed by its original factors and the frozen baseline stats.  So
 `build_risk_tables` scores every agent at every year's age once per
-experiment, with and without the reduction, and a replication only
-gathers from those `RiskTables`; it never rescores.
+experiment, with and without the reduction, and lists the rows at a
+conversation age in each year; a replication only gathers from those
+`RiskTables`, it never rescores.
+
+A replication's year touches only the rows it needs.  Notification tests
+the year's scheduled rows; reduction and spillover start from that year's
+notified agents, since anyone notified earlier was reduced then, with the
+stroke-free members of their household.  Arrival keeps the stroke-free
+rows as an index array that each year's strokes leave.
 
 Two sampling paths produce the same stroke-day distribution: the skip
 path draws the day of first success directly from the geometric
-distribution (one uniform per agent per year), the naive path draws one
-uniform per agent per day.  Experiments always run the skip path; only
-tests select the naive one (`use_skip_sampling=False`), as the oracle the
-skip path is checked against.
+distribution (one uniform per stroke-free agent per year), the naive path
+draws one uniform per agent per day.  Experiments always run the skip
+path; only tests select the naive one (`use_skip_sampling=False`), as the
+oracle the skip path is checked against.  Both paths share the year
+boundary's notification, reduction and spillover.
 
 Each model rule is implemented once, as the kernel the replication or the
-table build calls: `_conversation_mask` (notification, from an
-age-indexed lookup), `_apply_reduction_rows` (risk reduction),
-`_spillover_mask` (family spillover), `_first_success_offsets` (arrival
-sampling), `OutcomeTable.draw` (a stroke's delay and severity) and
-`_stroke_dalys` (DALY accounting).  The tests exercise these kernels
-directly.
+table build calls: `_scheduled_rows` and `_conversation_rows`
+(notification: the rows at a conversation age each year, listed once per
+experiment, then the threshold on those rows only),
+`_apply_reduction_rows` (risk reduction), `_spillover_rows` (family
+spillover, gathered from the notified households' members),
+`_year_arrivals` (arrival sampling: a bound that no year's hit exceeds
+picks the candidates, and `_first_success_offsets` runs on those only),
+`OutcomeTable.draw` (a stroke's delay and severity) and `_stroke_dalys`
+(DALY accounting).  The tests exercise these kernels directly.
 
 The experiment builds an `OutcomeTable` from the delay, severity and
 odds-ratio models, and each agent's residual life expectancy at entry,
@@ -65,6 +76,7 @@ from .risk import (
     FEATURE_NAMES,
     HORIZON_DAYS,
     EnsembleRiskModel,
+    WeightTable,
     feature_matrix,
     five_year_matrix,
 )
@@ -484,6 +496,9 @@ class PopulationArrays:
     age: np.ndarray
     male: np.ndarray
     household: np.ndarray  # dense household index per agent
+    # household h's rows, in no set order: members[member_start[h]:member_start[h + 1]]
+    members: np.ndarray
+    member_start: np.ndarray
     stats: BaselineStats
 
     @staticmethod
@@ -495,9 +510,12 @@ class PopulationArrays:
         male = features[:, _COL["male"]].copy()
         hh_raw = np.array([a.household_id for a in pop.agents], dtype=np.int64)
         _, household = np.unique(hh_raw, return_inverse=True)
+        member_start = np.concatenate(([0], np.cumsum(np.bincount(household))))
         stats = _stats(*(features[:, _COL[name]] for name in ("sbp", "dbp", "bmi")))
         return PopulationArrays(
-            features=features, age=age, male=male, household=household, stats=stats,
+            features=features, age=age, male=male, household=household,
+            members=np.argsort(household), member_start=member_start,
+            stats=stats,
         )
 
 
@@ -530,6 +548,26 @@ def _first_success_offsets(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _year_arrivals(
+    five_year: np.ndarray, u: np.ndarray, window: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and day offsets of the rows whose first success falls
+    inside `window` days, at daily risk `five_year / DAYS_PER_FIVE_YEARS`
+    with uniforms `u`: the rows `_first_success_offsets` puts below
+    `window`, in order, with its offsets.
+
+    A success inside the window needs u < 1 - (1 - p)^window, which is at
+    most window * p (Bernoulli's inequality).  Only rows under that bound,
+    widened by 1e-9 to cover the rounding of p, the bound and the closed
+    form, are candidates, and only they get the closed form.
+    """
+    bound = five_year * (window / DAYS_PER_FIVE_YEARS * (1.0 + 1e-9))
+    at = np.flatnonzero(u < bound)
+    offsets = _first_success_offsets(five_year[at] / DAYS_PER_FIVE_YEARS, u[at])
+    hit = offsets < window
+    return at[hit], offsets[hit]
+
+
 def _apply_reduction_rows(
     arrays: PopulationArrays, rows: np.ndarray, cfg: ScenarioConfig
 ) -> None:
@@ -557,40 +595,55 @@ def _apply_reduction_rows(
     )
 
 
-def _schedule_lookup(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    """The conversation schedule over ages `lo` to `hi`: entry a - lo + 1
-    says whether age a is a conversation age, and the False entry at each
-    end catches every age outside that span."""
-    return np.pad(np.isin(np.arange(lo, hi + 1), cfg.conversation_ages), 1)
+def _scheduled_rows(
+    entry_age: np.ndarray, conversation_ages: tuple[int, ...], years: int
+) -> tuple[np.ndarray, ...]:
+    """Per year y, the rows at a conversation age on year boundary y (entry
+    age + y + 1), ascending.  Each conversation age is one block of a
+    stable argsort of the entry ages, found by `searchsorted`; entry ages
+    are computed as Python ints, so no conversation age can overflow."""
+    order = np.argsort(entry_age, kind="stable")
+    by_age = entry_age[order]
+    youngest, oldest = int(by_age[0]), int(by_age[-1])
+    schedule = []
+    for year in range(years):
+        blocks = []
+        for age in sorted(set(conversation_ages)):
+            entry = int(age) - year - 1
+            if youngest <= entry <= oldest:
+                lo = np.searchsorted(by_age, entry, side="left")
+                hi = np.searchsorted(by_age, entry, side="right")
+                blocks.append(order[lo:hi])
+        schedule.append(np.sort(np.concatenate(blocks)) if blocks
+                        else np.empty(0, dtype=np.int64))
+    return tuple(schedule)
 
 
-def _conversation_mask(
-    age: np.ndarray,
-    five_year: np.ndarray,
-    active: np.ndarray,
-    cfg: ScenarioConfig,
-    schedule: np.ndarray,
-    lo: int,
+def _conversation_rows(
+    rows: np.ndarray, five_year: np.ndarray, active: np.ndarray, cfg: ScenarioConfig
 ) -> np.ndarray:
-    """Stroke-free agents a GP conversation notifies this year: those at a
-    scheduled conversation age whose five-year risk is strictly above the
-    high-risk threshold.  `schedule` is `_schedule_lookup(cfg, lo, hi)`
-    over a span holding every age."""
-    return (
-        active
-        & schedule.take(age - lo + 1, mode="clip")
-        & (five_year > cfg.high_risk_threshold)
-    )
+    """Agents a GP conversation notifies this year: of `rows`, the year's
+    `_scheduled_rows`, those stroke-free (`active`) whose five-year risk is
+    strictly above the high-risk threshold.  `five_year` and `active` hold
+    one entry per row of `rows`."""
+    return rows[active & (five_year > cfg.high_risk_threshold)]
 
 
-def _spillover_mask(
-    household: np.ndarray, notified: np.ndarray, active: np.ndarray, reduced: np.ndarray
+def _spillover_rows(
+    arrays: PopulationArrays, talk: np.ndarray, stroke_day: np.ndarray, reduced: np.ndarray
 ) -> np.ndarray:
-    """Stroke-free, not-yet-reduced agents sharing a household with any
-    notified agent; `household` holds dense indices."""
-    flagged = np.zeros(int(household.max()) + 1, dtype=bool)
-    flagged[household[notified]] = True
-    return active & ~reduced & flagged[household]
+    """Stroke-free, not-yet-reduced agents sharing a household with an
+    agent of `talk`: the members of those households, gathered household
+    by household."""
+    flagged = np.zeros(arrays.member_start.size - 1, dtype=bool)
+    flagged[arrays.household[talk]] = True
+    households = np.flatnonzero(flagged)
+    start = arrays.member_start[households]
+    size = arrays.member_start[households + 1] - start
+    # each household's run of members: its start, then consecutive positions
+    at = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    mates = arrays.members[at]
+    return mates[(stroke_day[mates] < 0) & ~reduced[mates]]
 
 
 def year_count(cfg: ScenarioConfig) -> int:
@@ -600,26 +653,30 @@ def year_count(cfg: ScenarioConfig) -> int:
 
 @dataclass(frozen=True)
 class RiskTables:
-    """Five-year risk of every agent in every simulated year.
+    """A scenario's five-year risks and conversation schedule, per
+    simulated year.
 
-    Row y, column i is agent i's ensemble score at the age it reaches on
-    year boundary y (entry age + y + 1): in `plain` with its original
-    factors, in `reduced` after `_apply_reduction_rows`.  `reduced` is
-    None for a scenario that reduces no one.
+    Row y, column i of `plain` and `reduced` is agent i's ensemble score
+    at the age it reaches on year boundary y (entry age + y + 1): in
+    `plain` with its original factors, in `reduced` after
+    `_apply_reduction_rows`.  `scheduled[y]` holds the rows at one of the
+    scenario's conversation ages that year (`_scheduled_rows`).  A
+    scenario that notifies no one has no `reduced` table and no schedule.
     """
 
     plain: np.ndarray
     reduced: Optional[np.ndarray] = None
+    scheduled: tuple[np.ndarray, ...] = ()
 
 
 def _score_by_year(ens: EnsembleRiskModel, X: np.ndarray, entry_age: np.ndarray,
-                   years: int) -> np.ndarray:
+                   years: int, weights: WeightTable) -> np.ndarray:
     """Score `X` at each year's age; overwrites its age column."""
     out = np.empty((years, len(entry_age)))
     for year in range(years):
         age = entry_age + (year + 1)
         X[:, _COL["age"]] = age
-        out[year] = five_year_matrix(ens, X, age)
+        out[year] = five_year_matrix(ens, X, age, weights)
     return out
 
 
@@ -628,14 +685,18 @@ def build_risk_tables(
 ) -> dict[Scenario, RiskTables]:
     """The risk tables of each scenario, scored once for all its replications.
 
-    Every table covers the longest horizon among `scenarios`.  `plain` is
-    built once and shared; one `reduced` table is built per distinct pair
-    of reduction fractions, and baseline gets none.
+    Every table covers the longest horizon among `scenarios`, and every
+    score reads one `WeightTable` over the ages agents reach in it.
+    `plain` is built once and shared; one `reduced` table is built per
+    distinct pair of reduction fractions and one schedule per distinct
+    list of conversation ages, and baseline gets neither.
     """
     years = max(year_count(s) for s in scenarios)
+    weights = WeightTable.spanning(ens, [arrays.age.min() + 1, arrays.age.max() + years])
     scratch = replace(arrays, features=arrays.features.copy())  # every table scores this
-    plain = _score_by_year(ens, scratch.features, arrays.age, years)
+    plain = _score_by_year(ens, scratch.features, arrays.age, years, weights)
     reduced: dict[tuple[float, float], np.ndarray] = {}
+    schedules: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
     tables = {}
     for s in scenarios:
         if s.scenario is Scenario.BASELINE:
@@ -645,8 +706,11 @@ def build_risk_tables(
         if key not in reduced:
             scratch.features[:] = arrays.features
             _apply_reduction_rows(scratch, np.arange(len(arrays.age)), s)
-            reduced[key] = _score_by_year(ens, scratch.features, arrays.age, years)
-        tables[s.scenario] = RiskTables(plain, reduced[key])
+            reduced[key] = _score_by_year(ens, scratch.features, arrays.age, years, weights)
+        if s.conversation_ages not in schedules:
+            schedules[s.conversation_ages] = _scheduled_rows(
+                arrays.age, s.conversation_ages, years)
+        tables[s.scenario] = RiskTables(plain, reduced[key], schedules[s.conversation_ages])
     return tables
 
 
@@ -678,6 +742,8 @@ def run_replication(
     years = year_count(scenario)
     needed = [tables.plain] + ([tables.reduced] if interventions_on else [])
     fits = all(t is not None and t.shape[0] >= years and t.shape[1] == n for t in needed)
+    if interventions_on:
+        fits = fits and len(tables.scheduled) >= years
     if not fits or residual.shape != (n,):
         raise ConfigurationError(
             f"risk tables or residuals do not cover {years} years of {n} agents "
@@ -689,13 +755,13 @@ def run_replication(
         seed = int(rng)
         rng = np.random.default_rng(seed)
 
-    # the ages agents reach at the year boundaries of the run
-    age_lo = int(arrays.age.min()) + 1
-    schedule = _schedule_lookup(scenario, age_lo, int(arrays.age.max()) + years)
     stroke_day = np.full(n, -1, dtype=np.int64)
     severity = np.full(n, -1, dtype=np.int64)
-    notified = np.zeros(n, dtype=bool)
     reduced = np.zeros(n, dtype=bool)
+    # the stroke-free rows, and those of them whose factors are reduced,
+    # ascending; a year's strokes leave both
+    free = np.arange(n)
+    lowered = np.empty(0, dtype=np.int64)
     conversations = 0
     risk_reductions = 0
     family_reductions = 0
@@ -707,45 +773,50 @@ def run_replication(
 
     for year in range(years):
         day = year * scenario.days_per_year
-        active = stroke_day < 0
 
-        # year boundary: birthdays first, then interventions
-        five_year = tables.plain[year]
+        # year boundary: birthdays first, then interventions.  Anyone
+        # notified in an earlier year was reduced then, with the stroke-free
+        # members of their household, so only this year's notified count
         if interventions_on:
-            five_year = np.where(reduced, tables.reduced[year], five_year)
-            talk = _conversation_mask(
-                arrays.age + (year + 1), five_year, active, scenario, schedule, age_lo
-            )
-            conversations += int(talk.sum())
-            notified |= talk
+            rows = tables.scheduled[year]
+            risk = np.where(reduced[rows], tables.reduced[year].take(rows),
+                            tables.plain[year].take(rows))
+            talk = _conversation_rows(rows, risk, stroke_day[rows] < 0, scenario)
+            conversations += talk.size
 
-            own = active & notified & ~reduced
-            reduced |= own
-            risk_reductions += int(own.sum())
-
+            own = talk[~reduced[talk]]
+            reduced[own] = True
+            risk_reductions += own.size
+            spill = np.empty(0, dtype=np.int64)
             if spillover_on:
-                spill = _spillover_mask(arrays.household, notified, active, reduced)
-                reduced |= spill
-                family_reductions += int(spill.sum())
-            five_year = np.where(reduced, tables.reduced[year], tables.plain[year])
+                spill = _spillover_rows(arrays, talk, stroke_day, reduced)
+                reduced[spill] = True
+                family_reductions += spill.size
+            lowered = np.sort(np.concatenate((lowered, own, spill)))
+
+        five_year = tables.plain[year].take(free)
+        if lowered.size:
+            five_year[np.searchsorted(free, lowered)] = tables.reduced[year].take(lowered)
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
-        act_rows = np.flatnonzero(active)
         if use_skip_sampling:
-            u = rng.random(act_rows.size)
-            offsets = _first_success_offsets(five_year[act_rows] / DAYS_PER_FIVE_YEARS, u)
-            hit = offsets < window
-            hit_rows = act_rows[hit]
-            hit_days = day + offsets[hit].astype(np.int64)
+            at, offsets = _year_arrivals(five_year, rng.random(free.size), window)
+            hit_rows = free[at]
+            hit_days = day + offsets.astype(np.int64)
             order = np.lexsort((hit_rows, hit_days))
             strike(hit_rows[order], hit_days[order])
+            keep = np.ones(free.size, dtype=bool)
+            keep[at] = False
+            free = free[keep]
         else:
             daily = five_year / DAYS_PER_FIVE_YEARS
             for d in range(day, day + window):
-                act_rows = np.flatnonzero(stroke_day < 0)
-                u = rng.random(act_rows.size)
-                rows = act_rows[u < daily[act_rows]]
+                at = np.flatnonzero(stroke_day[free] < 0)
+                u = rng.random(at.size)
+                rows = free[at[u < daily[at]]]
                 strike(rows, np.full(rows.size, d))
+            free = free[stroke_day[free] < 0]
+        lowered = lowered[stroke_day[lowered] < 0]
 
     # added one by one in the order the strokes happened (by day, then
     # agent), as a stroke-by-stroke total would be; np.sum rounds otherwise

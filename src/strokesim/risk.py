@@ -8,8 +8,9 @@ ages.  A single additive calibration offset, shared by every member
 intercept, is tuned by `calibrate_intercepts` so the population-level
 expected stroke count matches a target incidence.
 
-Every score comes from one scorer, `_scorer`, and `calibrate_intercepts`
-bisects on the expectation `expected_stroke_count` reports, `_expectation`.
+Every score comes from one scorer, `_scorer`, which works member by
+member over rows of features, and `calibrate_intercepts` bisects on the
+expectation `expected_stroke_count` reports, `_expectation`.
 Daily risk is the five-year probability spread over the 1826 days in five years.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,8 +41,13 @@ FEATURE_NAMES = (
 _LP_LIMIT = 60.0  # keeps exp() finite; sigmoid(+-60) is still strictly inside (0, 1)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -_LP_LIMIT, _LP_LIMIT)))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with x clipped to +-_LP_LIMIT; one new array."""
+    out = np.clip(x, -_LP_LIMIT, _LP_LIMIT)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def agent_features(agent: Agent) -> tuple[float, ...]:
@@ -194,21 +200,42 @@ def weights_for_age(ensemble: EnsembleRiskModel, age: int) -> np.ndarray:
     return np.asarray(rows[idx].weights, dtype=float)
 
 
-def weight_matrix(ensemble: EnsembleRiskModel, ages: np.ndarray) -> np.ndarray:
-    """(n_agents, n_models) weight matrix; rows match `weights_for_age`.
+@dataclass(frozen=True)
+class WeightTable:
+    """Member weights by whole year of age, one row per member: `columns[j,
+    k]` is member j's `weights_for_age` at age `youngest + k`.
 
-    One `weights_for_age` row per whole year from the youngest age to the
-    oldest, gathered by age (fractional ages truncate, as `int()` does).
     Every age past the last band has that band's weights, so ages are
-    capped just above it and the table stays as small as the bands.
+    capped just above it (`cap`) and the table stays as small as the bands.
     """
-    ages = np.minimum(np.asarray(ages).astype(np.int64), ensemble.weights[-1].age_hi + 1)
-    if ages.size == 0:
-        return np.empty((0, len(ensemble.models)))
-    youngest = int(ages.min())
-    table = np.array([weights_for_age(ensemble, age)
-                      for age in range(youngest, int(ages.max()) + 1)])
-    return table[ages - youngest]
+
+    youngest: int
+    cap: int
+    columns: np.ndarray
+
+    @staticmethod
+    def spanning(ensemble: EnsembleRiskModel, ages: np.ndarray) -> "WeightTable":
+        """The table over every whole age from the youngest of `ages` to
+        the oldest."""
+        ages = np.asarray(ages).astype(np.int64)
+        cap = ensemble.weights[-1].age_hi + 1
+        span = range(min(int(ages.min()), cap), min(int(ages.max()), cap) + 1) \
+            if ages.size else range(0)
+        columns = np.array([weights_for_age(ensemble, age) for age in span])
+        # the reshape keeps one row per member when the span is empty
+        columns = columns.T.reshape(len(ensemble.models), len(span))
+        return WeightTable(youngest=span.start, cap=cap, columns=np.ascontiguousarray(columns))
+
+    def at(self, ages: np.ndarray) -> np.ndarray:
+        """(n_models, n_agents) weights at `ages`, which the table spans;
+        fractional ages truncate, as `int()` does."""
+        at = np.minimum(np.asarray(ages).astype(np.int64), self.cap) - self.youngest
+        return self.columns.take(at, axis=1)
+
+
+def weight_matrix(ensemble: EnsembleRiskModel, ages: np.ndarray) -> np.ndarray:
+    """(n_agents, n_models) weight matrix; rows match `weights_for_age`."""
+    return WeightTable.spanning(ensemble, ages).at(ages).T
 
 
 def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndarray]:
@@ -223,29 +250,44 @@ def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndar
 
 
 def _scorer(
-    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray,
+    weights: Optional[WeightTable] = None,
 ) -> Callable[[float], np.ndarray]:
     """Five-year ensemble scores of the rows of `features` as a function of
-    the calibration offset.  The linear predictors and the weight matrix are
-    computed once, so each further offset costs one sigmoid."""
+    the calibration offset.
+
+    Member by member: the linear predictors `coefs @ features.T +
+    intercepts` and the member weights at `ages` (from `weights`, a table
+    spanning them, or one built here) are computed once, so each further
+    offset costs one sigmoid, one product and a sum over the members in
+    member order.
+    """
     coefs, intercepts = coefficient_matrix(ensemble)
-    lps = features @ coefs.T + intercepts
-    weights = weight_matrix(ensemble, ages)
+    lps = coefs @ features.T
+    lps += intercepts[:, None]
+    w = (weights or WeightTable.spanning(ensemble, ages)).at(ages)
 
     def five_year(offset: float) -> np.ndarray:
-        return (weights * _sigmoid(lps + offset)).sum(axis=1)
+        terms = _sigmoid(lps + offset)
+        terms *= w
+        total = terms[0].copy()
+        for term in terms[1:]:
+            total += term
+        return total
     return five_year
 
 
 def five_year_matrix(
-    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray,
+    weights: Optional[WeightTable] = None,
 ) -> np.ndarray:
     """Vectorized ensemble score for many agents at once.
 
     Equivalent to `ensemble_score` per row; the engine builds its per-year
-    risk tables (`engine.build_risk_tables`) with it.
+    risk tables (`engine.build_risk_tables`) with it, passing one
+    `WeightTable` over every age its agents reach.
     """
-    return _scorer(ensemble, features, ages)(ensemble.calibration_offset)
+    return _scorer(ensemble, features, ages, weights)(ensemble.calibration_offset)
 
 
 def ensemble_score(ensemble: EnsembleRiskModel, agent: Agent) -> float:

@@ -1,9 +1,13 @@
 """Replication engine: life table, sampling primitives, interventions, full runs."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,20 +34,23 @@ from strokesim.engine import (
     compute_outcome,
     first_success_offset,
     _apply_reduction_rows,
-    _conversation_mask,
+    _conversation_rows,
     _first_success_offsets,
-    _schedule_lookup,
-    _spillover_mask,
+    _scheduled_rows,
+    _spillover_rows,
     _stroke_dalys,
+    _year_arrivals,
     build_risk_tables,
     run_replication,
     year_count,
     sample_delay,
     sample_severity,
 )
+from strokesim.config import load_experiment_file
 from strokesim.errors import ConfigurationError
 from strokesim.population import Agent, BaselineStats, Population
 from strokesim.risk import (
+    DAYS_PER_FIVE_YEARS,
     FEATURE_NAMES,
     EnsembleRiskModel,
     LogisticModel,
@@ -273,6 +280,43 @@ def test_skip_sample_distribution_matches_truncated_geometric():
     for k in (0, 1, 5, 20):
         expect = 0.05 * (1 - 0.05) ** k
         assert counts[k] / 40000 == pytest.approx(expect, abs=0.005)
+
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-12, 1e-5, 0.01, 0.5, 1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("window", [1, 365])
+def test_arrival_candidate_bound_keeps_every_hit(p, window):
+    # u at the year-hit boundary 1 - (1 - p)^window and a few ulps either
+    # side: the bound drops no row the closed form puts inside the window,
+    # and the candidates' offsets are the ones it gives over every row
+    five_year = p * DAYS_PER_FIVE_YEARS
+    daily = five_year / DAYS_PER_FIVE_YEARS
+    edge = 1.0 - (1.0 - daily) ** window
+    u = [edge]
+    below = above = edge
+    for _ in range(4):
+        below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+        u += [below, above]
+    u = np.array(sorted(x for x in u if 0.0 <= x < 1.0))
+    every_row = _first_success_offsets(np.full(u.size, daily), u)
+    at, offsets = _year_arrivals(np.full(u.size, five_year), u, window)
+    assert at.tolist() == np.flatnonzero(every_row < window).tolist()
+    assert offsets.tolist() == every_row[at].tolist()
+
+
+def test_arrival_candidates_match_every_row_offsets():
+    # engine-sized rows: five-year risks up to 0.9 and down to 1e-30, as
+    # the tables can give, and one uniform each
+    rng = np.random.default_rng(61)
+    five_year = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 0.9, 50_000),
+                                10.0 ** rng.uniform(-30, -1, 5_000)])
+    u = np.concatenate([[0.0, 0.0], rng.random(five_year.size - 2)])
+    for window in (1, 30, 365):
+        every_row = _first_success_offsets(five_year / DAYS_PER_FIVE_YEARS, u)
+        at, offsets = _year_arrivals(five_year, u, window)
+        assert at.tolist() == np.flatnonzero(every_row < window).tolist()
+        assert np.array_equal(offsets, every_row[at])
+        assert at.size > 0
 
 
 # --- arrival delay ---
@@ -646,29 +690,34 @@ def test_hold_conversation_age_and_threshold():
     age = np.array([50, 50, 55, 60, 70])
     five_year = np.array([0.2, 0.1, 0.9, 0.3, 0.3])
     active = np.array([True, True, True, True, False])
-    talk = _conversation_mask(age, five_year, active, cfg, _schedule_lookup(cfg, 50, 70), 50)
+    # one year: these are the ages the agents reach on its boundary
+    rows = _scheduled_rows(age - 1, cfg.conversation_ages, 1)[0]
+    talk = _conversation_rows(rows, five_year[rows], active[rows], cfg)
     # notified; at the threshold (strictly above only); off schedule;
     # notified; already had a stroke
-    assert talk.tolist() == [True, False, False, True, False]
+    assert talk.tolist() == [0, 3]
 
-    # the schedule lookup against set membership: every age of its span,
-    # both ends included, and ages below and above it, which it never
-    # schedules, even when they are conversation ages
-    lo, hi = -5, 215
-    age = np.concatenate([np.arange(lo - 3, hi + 4), [-10**6, 10**6, 10**12]])
-    inside = (lo <= age) & (age <= hi)
+    # the schedule against set membership, year by year: every age of a
+    # span, ages far outside it, and conversation ages no agent reaches,
+    # some too far out for int64 once the years are taken off
+    years = 3
+    age = np.concatenate([np.arange(-8, 219), [-10**6, 10**6, 10**12]])
+    entry = age - years
     rng = np.random.default_rng(8)
     five_year = rng.uniform(0.0, 0.2, age.size)
     active = rng.random(age.size) < 0.9
     for ages in ((50, 60, 70, 80, 90), (0,), (0, 1, 2), (35, 150, 200),
-                 (-5, 215), (-6, 216), (-10**6, 10**12), ()):
+                 (-5, 215), (-6, 216), (-10**6, 10**12), (-2**63, 2**63 - 1), ()):
         cfg = ScenarioConfig(conversation_ages=ages)
         cfg.validate()
-        want = active & inside & np.isin(age, ages) & (five_year > cfg.high_risk_threshold)
-        talk = _conversation_mask(age, five_year, active, cfg, _schedule_lookup(cfg, lo, hi), lo)
-        assert talk.tolist() == want.tolist(), ages
-
-
+        schedule = _scheduled_rows(entry, ages, years)
+        assert len(schedule) == years
+        for year, rows in enumerate(schedule):
+            reached = entry + year + 1
+            assert rows.tolist() == np.flatnonzero(np.isin(reached, ages)).tolist(), ages
+            want = active & np.isin(reached, ages) & (five_year > cfg.high_risk_threshold)
+            talk = _conversation_rows(rows, five_year[rows], active[rows], cfg)
+            assert talk.tolist() == np.flatnonzero(want).tolist(), (ages, year)
 
 
 def reduction_arrays(agents, stats):
@@ -723,34 +772,50 @@ def test_reduce_risk_rescores_when_given_model():
     assert after[0] / 1826 == pytest.approx(want / 1826.0, abs=1e-15)
 
 
+def household_arrays(household_ids):
+    agents = []
+    for i, hh in enumerate(household_ids):
+        a = agent(household_id=hh)
+        a.id = i
+        agents.append(a)
+    return PopulationArrays.from_population(population_of(agents))
+
+
 def test_family_spillover_reaches_household_not_strangers():
-    household = np.array([0, 0, 1])
-    notified = np.array([True, False, False])
-    spill = _spillover_mask(household, notified, np.ones(3, dtype=bool), np.zeros(3, dtype=bool))
+    arrays = household_arrays([0, 0, 1])
+    spill = _spillover_rows(arrays, np.array([0]), np.full(3, -1), np.zeros(3, dtype=bool))
     # notifier not yet reduced: spillover covers it; the stranger is untouched
-    assert spill.tolist() == [True, True, False]
+    assert spill.tolist() == [0, 1]
 
 
 def test_family_spillover_skips_reduced_and_stroked():
-    household = np.array([0, 0, 0])
-    notified = np.array([True, False, False])
-    active = np.array([True, False, True])      # agent 1 has had a stroke
+    arrays = household_arrays([0, 0, 0])
+    stroke_day = np.array([-1, 100, -1])        # agent 1 has had a stroke
     reduced = np.array([True, False, False])    # agent 0 has already reduced
-    spill = _spillover_mask(household, notified, active, reduced)
-    assert spill.tolist() == [False, False, True]
+    spill = _spillover_rows(arrays, np.array([0]), stroke_day, reduced)
+    assert spill.tolist() == [2]
+
+
+def test_family_spillover_gathers_interleaved_households():
+    # households' rows need not be adjacent, and two notified members of
+    # one household spread to it once
+    arrays = household_arrays([30, 10, 30, 20, 10, 50, 30])
+    none = np.zeros(7, dtype=bool)
+    for talk, mates in (([0, 2], [0, 2, 6]), ([4, 6], [0, 1, 2, 4, 6]), ([5], [5]),
+                        ([3, 1, 3], [1, 3, 4]), ([], [])):
+        spill = _spillover_rows(arrays, np.array(talk, dtype=np.int64), np.full(7, -1), none)
+        assert sorted(spill.tolist()) == mates, talk
 
 
 # --- population arrays ---
 
 
 def test_population_arrays_dense_households():
-    agents = []
-    for i, hh in enumerate((40, 9, 40)):
-        a = agent(household_id=hh)
-        a.id = i
-        agents.append(a)
-    arrays = PopulationArrays.from_population(population_of(agents))
+    arrays = household_arrays((40, 9, 40))
     assert arrays.household.tolist() == [1, 0, 1]
+    assert arrays.member_start.tolist() == [0, 1, 3]
+    assert arrays.members[:1].tolist() == [1]
+    assert sorted(arrays.members[1:].tolist()) == [0, 2]
 
 
 def test_population_arrays_rejects_empty():
@@ -779,9 +844,37 @@ def aging_ens():
     return ens
 
 
+def age_graded_ens():
+    """Three members with age terms, blended weights crossfaded over 3
+    years, as the age-graded test config reweights the bundled model."""
+    ens = load_experiment_file().ensemble
+    for i, member in enumerate(ens.models):
+        member.coefficients["age"] = 0.02 + 0.01 * i
+        member.intercept -= 1.2 + 0.6 * i
+    for row, weights in zip(ens.weights, ([0.7, 0.3, 0.0], [0.2, 0.5, 0.3], [0.0, 0.4, 0.6])):
+        row.weights = weights
+    ens.crossfade_years = 3
+    ens.validate()
+    return ens
+
+
+# each model, and whether its scores move with age
+SCORING_MODELS = {
+    "bundled": (lambda: load_experiment_file().ensemble, False),
+    "age_graded": (age_graded_ens, True),
+    "one_member": (lambda: strong_ens(), False),
+    "zero_weight_band": (aging_ens, True),  # the second member weighs nothing below 57
+}
+
+
 def test_risk_tables_match_scoring_at_each_years_age():
+    for model in SCORING_MODELS:
+        check_risk_tables_at_each_years_age(*SCORING_MODELS[model])
+
+
+def check_risk_tables_at_each_years_age(make, ages_move):
     pop = small_pop(n=30, seed=4)
-    ens = aging_ens()
+    ens = make()
     scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365) for kind in Scenario]
     arrays = PopulationArrays.from_population(pop)
     tables = build_risk_tables(arrays, ens, scenarios)
@@ -792,7 +885,7 @@ def test_risk_tables_match_scoring_at_each_years_age():
     assert all(t.plain is plain for t in tables.values())
     assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].reduced is reduced
     assert plain.shape == reduced.shape == (8, 30)
-    assert (np.diff(plain, axis=0) != 0).all()  # age moves every score
+    assert (np.diff(plain, axis=0) != 0).all() == ages_move
     assert (reduced < plain).any()
 
     # the scoring kernel on every agent at that year's age: bit for bit;
@@ -1121,6 +1214,44 @@ def test_reduction_takes_effect_in_the_year_it_happens():
     assert (result.conversations, result.risk_reductions, result.family_reductions) == \
         (100, 100, 100)
     assert result.total_strokes == 0
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def test_replication_imports_no_module():
+    # a pool worker is a fresh fork that runs a handful of replications, so
+    # a module a replication imports on first use (numpy.ma, through
+    # np.unique, costs 20-30 ms) is paid again in every worker of every run
+    code = """
+import sys
+import numpy as np
+from strokesim.engine import (
+    DelayModel, LifeTable, OddsRatioTable, OutcomeTable, PopulationArrays, Scenario,
+    ScenarioConfig, SeverityDistribution, build_risk_tables, run_replication)
+from strokesim.population import Agent, Population
+from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
+agents = [Agent(id=i, age=60, sex="male", region="r", household_id=i // 2,
+                employment="employed", smoker=True, cigs_per_day=10) for i in range(40)]
+arrays = PopulationArrays.from_population(Population(agents, {}, {}))
+life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
+ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
+scenarios = [ScenarioConfig(scenario=kind, conversation_ages=(61, 63)) for kind in Scenario]
+tables = build_risk_tables(arrays, ens, scenarios)
+outcome = OutcomeTable.build(DelayModel.default(), SeverityDistribution.default(),
+                             OddsRatioTable.default())
+residual = life.residual_array(arrays.male, arrays.age)
+np.random.default_rng(0)  # the process that forks the workers has drawn its population
+before = set(sys.modules)
+for s in scenarios:
+    result = run_replication(arrays, tables[s.scenario], s, outcome, residual, 3)
+    assert result.total_strokes > 0 and (s.scenario is Scenario.BASELINE or result.conversations)
+print(sorted(set(sys.modules) - before))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_counter_invariants_across_seeds():

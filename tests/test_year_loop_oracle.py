@@ -1,0 +1,192 @@
+"""The replication's year loop against the loop it replaced, draw for draw.
+
+`reference_replication` is that earlier loop, kept as the oracle: a
+full-population conversation mask from an age lookup, both risk tables
+gathered for every agent with `np.where`, spillover from every household
+ever notified, and arrival offsets over every stroke-free row (or one
+uniform per stroke-free agent per day).  `run_replication` tests only the
+scheduled rows, reduces and spreads from that year's notified agents
+only, and gives only the rows under the arrival bound the closed form;
+on the same tables and seed every field of the result must be the same,
+`total_dalys` to the last bit.
+"""
+
+import importlib.resources
+import json
+
+import numpy as np
+import pytest
+
+from strokesim.cli import _build_population
+from strokesim.config import load_experiment_file
+from strokesim.engine import (
+    OutcomeTable,
+    PopulationArrays,
+    RunResult,
+    Scenario,
+    _first_success_offsets,
+    _stroke_dalys,
+    build_risk_tables,
+    run_replication,
+    year_count,
+)
+from strokesim.population import Population
+from strokesim.risk import DAYS_PER_FIVE_YEARS
+from test_cli import age_graded_experiment
+
+# Fixed when the test was written.
+SEEDS = (5, 23, 101)
+
+
+def reference_replication(arrays, tables, scenario, outcome_table, residual, seed,
+                          use_skip_sampling=True):
+    """The earlier year loop, with how often it re-notified an agent and
+    notified two members of one household in one year."""
+    rng = np.random.default_rng(seed)
+    interventions_on = scenario.scenario is not Scenario.BASELINE
+    spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
+    n = len(arrays.age)
+    years = year_count(scenario)
+    age_lo = int(arrays.age.min()) + 1
+    schedule = np.pad(np.isin(np.arange(age_lo, int(arrays.age.max()) + years + 1),
+                              scenario.conversation_ages), 1)
+    stroke_day = np.full(n, -1, dtype=np.int64)
+    severity = np.full(n, -1, dtype=np.int64)
+    notified = np.zeros(n, dtype=bool)
+    reduced = np.zeros(n, dtype=bool)
+    conversations = risk_reductions = family_reductions = 0
+    renotified = shared = 0
+
+    def strike(rows, days):
+        stroke_day[rows] = days
+        severity[rows] = [outcome_table.draw(rng)[1] for _ in range(rows.size)]
+
+    for year in range(years):
+        day = year * scenario.days_per_year
+        active = stroke_day < 0
+        five_year = tables.plain[year]
+        if interventions_on:
+            five_year = np.where(reduced, tables.reduced[year], five_year)
+            talk = (active & schedule.take(arrays.age + (year + 1) - age_lo + 1, mode="clip")
+                    & (five_year > scenario.high_risk_threshold))
+            conversations += int(talk.sum())
+            renotified += int((talk & notified).sum())
+            shared += int((np.bincount(arrays.household[talk]) > 1).sum())
+            notified |= talk
+
+            own = active & notified & ~reduced
+            reduced |= own
+            risk_reductions += int(own.sum())
+            if spillover_on:
+                flagged = np.zeros(int(arrays.household.max()) + 1, dtype=bool)
+                flagged[arrays.household[notified]] = True
+                spill = active & ~reduced & flagged[arrays.household]
+                reduced |= spill
+                family_reductions += int(spill.sum())
+            five_year = np.where(reduced, tables.reduced[year], tables.plain[year])
+
+        window = min(scenario.days_per_year, scenario.horizon_days - day)
+        act_rows = np.flatnonzero(active)
+        if use_skip_sampling:
+            u = rng.random(act_rows.size)
+            offsets = _first_success_offsets(five_year[act_rows] / DAYS_PER_FIVE_YEARS, u)
+            hit = offsets < window
+            hit_rows = act_rows[hit]
+            hit_days = day + offsets[hit].astype(np.int64)
+            order = np.lexsort((hit_rows, hit_days))
+            strike(hit_rows[order], hit_days[order])
+        else:
+            daily = five_year / DAYS_PER_FIVE_YEARS
+            for d in range(day, day + window):
+                act_rows = np.flatnonzero(stroke_day < 0)
+                u = rng.random(act_rows.size)
+                rows = act_rows[u < daily[act_rows]]
+                strike(rows, np.full(rows.size, d))
+
+    struck = np.flatnonzero(stroke_day >= 0)
+    struck = struck[np.argsort(stroke_day[struck], kind="stable")]
+    aged = stroke_day[struck] // scenario.days_per_year + 1
+    dalys = _stroke_dalys(residual[struck] - aged, severity[struck])
+    result = RunResult(
+        total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0, seed=seed,
+        conversations=conversations, risk_reductions=risk_reductions,
+        family_reductions=family_reductions, stroke_day=stroke_day, severity=severity,
+    )
+    return result, renotified, shared
+
+
+def biennial_experiment(root):
+    """The bundled config with a conversation every second year of age from
+    36 on: over ten years each agent is seen five times, so high-risk
+    agents are notified again after their reduction, and both members of a
+    household are notified, in one year or in different ones."""
+    doc = json.loads(importlib.resources.files("strokesim")
+                     .joinpath("data", "experiment_ie.json").read_text())
+    doc["simulation"]["conversation_ages"] = list(range(36, 112, 2))
+    (root / "biennial.json").write_text(json.dumps(doc))
+    return str(root / "biennial.json")
+
+
+CONFIGS = {
+    "bundled": lambda root: None,
+    "age_graded": age_graded_experiment,
+    "biennial": biennial_experiment,
+}
+
+
+@pytest.fixture(scope="module", params=list(CONFIGS))
+def experiment(request, tmp_path_factory):
+    path = CONFIGS[request.param](tmp_path_factory.mktemp(request.param))
+    cfg = load_experiment_file() if path is None else load_experiment_file(path)
+    pop = _build_population(cfg, cfg.experiment.base_seed)
+    arrays = PopulationArrays.from_population(pop)
+    scenarios = cfg.experiment.scenarios
+    return request.param, cfg, pop, arrays, build_risk_tables(arrays, cfg.ensemble, scenarios)
+
+
+def assert_same_result(a, b):
+    """Field by field, arrays element by element, floats bit for bit."""
+    assert vars(a).keys() == vars(b).keys()
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, getattr(b, name)), name
+        else:
+            assert value == getattr(b, name), name
+            assert type(value) is type(getattr(b, name)), name
+    assert np.float64(a.total_dalys).tobytes() == np.float64(b.total_dalys).tobytes()
+
+
+def test_replication_matches_the_earlier_year_loop(experiment):
+    name, cfg, _, arrays, tables = experiment
+    outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
+    residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+    renotified = shared = 0
+    for scenario in cfg.experiment.scenarios:
+        args = (arrays, tables[scenario.scenario], scenario, outcome_table, residual)
+        for seed in SEEDS:
+            want, again, both = reference_replication(*args, seed)
+            assert_same_result(run_replication(*args, seed), want)
+            assert want.total_strokes > 0
+            renotified += again
+            shared += both
+    if name == "biennial":
+        assert renotified > 0 and shared > 0
+
+
+def test_naive_path_matches_the_earlier_naive_loop(experiment):
+    # one uniform per agent per day: the first 600 agents keep it quick
+    _, cfg, pop, _, _ = experiment
+    agents = pop.agents[:600]
+    households = {a.household_id: pop.households[a.household_id] for a in agents}
+    part = Population(agents=agents, households=households,
+                      household_types={h: pop.household_types[h] for h in households})
+    arrays = PopulationArrays.from_population(part)
+    tables = build_risk_tables(arrays, cfg.ensemble, cfg.experiment.scenarios)
+    outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
+    residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+    for scenario in cfg.experiment.scenarios:
+        args = (arrays, tables[scenario.scenario], scenario, outcome_table, residual)
+        want, _, _ = reference_replication(*args, SEEDS[0], use_skip_sampling=False)
+        got = run_replication(*args, SEEDS[0], use_skip_sampling=False)
+        assert_same_result(got, want)
+        assert want.total_strokes > 0
