@@ -43,12 +43,13 @@ print(f"risk tables: {tables[Scenario.BASELINE].plain.shape[0]} years "
 outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
 residual = cfg.life_table.residual_array(arrays.male, arrays.age)
 
+seed = 7
 result = run_replication(
     arrays, tables[Scenario.BASELINE], scenarios[Scenario.BASELINE],
-    outcome_table, residual, rng=7,
+    outcome_table, residual, rng=seed,
 )
 
-print(f"baseline replication, seed {result.seed}:")
+print(f"baseline replication, seed {seed}:")
 print(f"  strokes: {result.total_strokes}")
 print(f"  DALYs:   {result.total_dalys:.1f} "
       f"({result.total_dalys / result.total_strokes:.2f} per stroke)")

@@ -1,12 +1,13 @@
 """One replication of the stroke microsimulation.
 
-The run is a 10-year daily loop.  On every year boundary (day 0 included)
-agents age a year, and the intervention scenario may notify them of high
-risk and reduce their factors.  On every day a stroke-free agent may
-stroke with its daily risk; a stroke in year y draws an arrival delay and
-a delay-adjusted severity, costs the agent's residual life expectancy at
-entry less y + 1 years times the severity's DALY weight, and removes the
-agent from further dynamics.
+A run loops over simulated years.  On each year boundary (day 0
+included) agents age a year and the scenario may notify high-risk agents
+and reduce their factors; then each stroke-free agent's first stroke day
+in the year is drawn from the geometric distribution of its daily risk
+(skip sampling: one uniform per stroke-free agent per year).  A stroke in
+year y draws an arrival delay and a delay-adjusted severity, costs the
+agent's residual life expectancy at entry less y + 1 years times the
+severity's DALY weight, and removes the agent from further dynamics.
 
 An agent's five-year risk in year y depends only on its age then (entry
 age + y + 1) and on whether its factors have been reduced, a one-off
@@ -14,32 +15,23 @@ change fixed by its original factors and the frozen baseline stats.  So
 `build_risk_tables` scores every agent at every year's age once per
 experiment, with and without the reduction, and lists the rows at a
 conversation age in each year; a replication only gathers from those
-`RiskTables`, it never rescores.
-
-A replication's year touches only the rows it needs.  Notification tests
-the year's scheduled rows; reduction and spillover start from that year's
-notified agents, since anyone notified earlier was reduced then, with the
-stroke-free members of their household.  Arrival keeps the stroke-free
-rows as an index array that each year's strokes leave.
-
-Two sampling paths produce the same stroke-day distribution: the skip
-path draws the day of first success directly from the geometric
-distribution (one uniform per stroke-free agent per year), the naive path
-draws one uniform per agent per day.  Experiments always run the skip
-path; only tests select the naive one (`use_skip_sampling=False`), as the
-oracle the skip path is checked against.  Both paths share the year
-boundary's notification, reduction and spillover.
+`RiskTables`, and one bool array records whose factors are reduced.
+Each year touches only the rows it needs: notification tests its
+scheduled rows, reduction and spillover start from its notified agents
+(anyone notified earlier was reduced then, with the stroke-free members
+of their household), and arrival reads the stroke-free rows only.
 
 Each model rule is implemented once, as the kernel the replication or the
-table build calls: `_scheduled_rows` and `_conversation_rows`
-(notification: the rows at a conversation age each year, listed once per
-experiment, then the threshold on those rows only),
-`_apply_reduction_rows` (risk reduction), `_spillover_rows` (family
-spillover, gathered from the notified households' members),
-`_year_arrivals` (arrival sampling: a bound that no year's hit exceeds
-picks the candidates, and `_first_success_offsets` runs on those only),
-`OutcomeTable.draw` (a stroke's delay and severity) and `_stroke_dalys`
-(DALY accounting).  The tests exercise these kernels directly.
+table build calls: `_current_risk` (an agent's risk this year),
+`_scheduled_rows` and `_conversation_rows` (notification: the rows at a
+conversation age each year, listed once per experiment, then the
+threshold on those rows only), `_apply_reduction_rows` (risk reduction),
+`_spillover_rows` (family spillover, gathered from the notified
+households' members), `_year_arrivals` (arrival sampling: a bound that no
+year's hit exceeds picks the candidates, and `_first_success_offsets`
+runs on those only), `OutcomeTable.draw` (a stroke's delay and severity)
+and `_stroke_dalys` (DALY accounting).  The tests exercise these kernels
+directly and check the whole loop against a one-uniform-per-day oracle.
 
 The experiment builds an `OutcomeTable` from the delay, severity and
 odds-ratio models, and each agent's residual life expectancy at entry,
@@ -296,12 +288,11 @@ class ScenarioConfig:
 
 @dataclass
 class RunResult:
-    """One replication.  `stroke_day` and `severity` are per agent, in row
-    order: the day of its stroke and the stroke's index into
-    SEVERITY_ORDER, -1 for an agent who had none."""
+    """One replication (the caller keeps its seed).  `stroke_day` and
+    `severity` are per agent, in row order: the day of its stroke and the
+    stroke's index into SEVERITY_ORDER, -1 for an agent who had none."""
 
     total_dalys: float
-    seed: Optional[int]
     conversations: int
     risk_reductions: int
     family_reductions: int
@@ -714,6 +705,19 @@ def build_risk_tables(
     return tables
 
 
+def _current_risk(
+    tables: RiskTables, year: int, rows: np.ndarray, reduced: np.ndarray
+) -> np.ndarray:
+    """Five-year risk of `rows` in `year`: the `reduced` table's score for
+    the rows whose factors are `reduced`, the `plain` one for the rest.
+    Tables with no `reduced` table (baseline) read `plain` only."""
+    risk = tables.plain[year].take(rows)
+    if tables.reduced is not None:
+        lowered = reduced[rows]
+        risk[lowered] = tables.reduced[year].take(rows[lowered])
+    return risk
+
+
 def run_replication(
     arrays: PopulationArrays,
     tables: RiskTables,
@@ -721,18 +725,14 @@ def run_replication(
     outcome_table: OutcomeTable,
     residual: np.ndarray,
     rng: np.random.Generator | int,
-    use_skip_sampling: bool = True,
 ) -> RunResult:
     """Run one full replication; no input is mutated.
 
     `tables` are the scenario's risk tables from `build_risk_tables` for
     these `arrays`, `outcome_table` is `OutcomeTable.build` of validated
-    models, and `residual` is `LifeTable.residual_array(arrays.male,
-    arrays.age)`.  Passing an integer seed records it in the result,
-    passing a Generator records None.  With identical inputs and seed the
-    result is identical, on either sampling path (`use_skip_sampling=False`,
-    the naive path, is the tests' oracle; each path is deterministic, and
-    the two agree in distribution, not draw for draw).
+    models, `residual` is `LifeTable.residual_array(arrays.male,
+    arrays.age)` and `rng` is a seed or a Generator (`default_rng` takes
+    either).  Identical inputs give an identical result.
     """
     scenario.validate()
 
@@ -750,26 +750,12 @@ def run_replication(
             f"in scenario {scenario.scenario.value}"
         )
 
-    seed: Optional[int] = None
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(seed)
-
+    rng = np.random.default_rng(rng)
     stroke_day = np.full(n, -1, dtype=np.int64)
     severity = np.full(n, -1, dtype=np.int64)
     reduced = np.zeros(n, dtype=bool)
-    # the stroke-free rows, and those of them whose factors are reduced,
-    # ascending; a year's strokes leave both
-    free = np.arange(n)
-    lowered = np.empty(0, dtype=np.int64)
-    conversations = 0
-    risk_reductions = 0
-    family_reductions = 0
-
-    def strike(rows: np.ndarray, days: np.ndarray) -> None:
-        """Record the strokes of `rows` on `days`, drawing in that order."""
-        stroke_day[rows] = days
-        severity[rows] = [outcome_table.draw(rng)[1] for _ in range(rows.size)]
+    free = np.arange(n)  # the stroke-free rows, ascending
+    conversations = risk_reductions = family_reductions = 0
 
     for year in range(years):
         day = year * scenario.days_per_year
@@ -779,44 +765,28 @@ def run_replication(
         # members of their household, so only this year's notified count
         if interventions_on:
             rows = tables.scheduled[year]
-            risk = np.where(reduced[rows], tables.reduced[year].take(rows),
-                            tables.plain[year].take(rows))
-            talk = _conversation_rows(rows, risk, stroke_day[rows] < 0, scenario)
+            talk = _conversation_rows(rows, _current_risk(tables, year, rows, reduced),
+                                      stroke_day[rows] < 0, scenario)
             conversations += talk.size
 
             own = talk[~reduced[talk]]
             reduced[own] = True
             risk_reductions += own.size
-            spill = np.empty(0, dtype=np.int64)
             if spillover_on:
                 spill = _spillover_rows(arrays, talk, stroke_day, reduced)
                 reduced[spill] = True
                 family_reductions += spill.size
-            lowered = np.sort(np.concatenate((lowered, own, spill)))
-
-        five_year = tables.plain[year].take(free)
-        if lowered.size:
-            five_year[np.searchsorted(free, lowered)] = tables.reduced[year].take(lowered)
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
-        if use_skip_sampling:
-            at, offsets = _year_arrivals(five_year, rng.random(free.size), window)
-            hit_rows = free[at]
-            hit_days = day + offsets.astype(np.int64)
-            order = np.lexsort((hit_rows, hit_days))
-            strike(hit_rows[order], hit_days[order])
-            keep = np.ones(free.size, dtype=bool)
-            keep[at] = False
-            free = free[keep]
-        else:
-            daily = five_year / DAYS_PER_FIVE_YEARS
-            for d in range(day, day + window):
-                at = np.flatnonzero(stroke_day[free] < 0)
-                u = rng.random(at.size)
-                rows = free[at[u < daily[at]]]
-                strike(rows, np.full(rows.size, d))
-            free = free[stroke_day[free] < 0]
-        lowered = lowered[stroke_day[lowered] < 0]
+        at, offsets = _year_arrivals(_current_risk(tables, year, free, reduced),
+                                     rng.random(free.size), window)
+        hit = free[at]
+        days = day + offsets.astype(np.int64)
+        stroke_day[hit] = days
+        # one outcome draw per stroke, in the order they happen: by day, then row
+        severity[hit[np.lexsort((hit, days))]] = [
+            outcome_table.draw(rng)[1] for _ in range(hit.size)]
+        free = np.delete(free, at)
 
     # added one by one in the order the strokes happened (by day, then
     # agent), as a stroke-by-stroke total would be; np.sum rounds otherwise
@@ -825,7 +795,7 @@ def run_replication(
     aged = stroke_day[struck] // scenario.days_per_year + 1
     dalys = _stroke_dalys(residual[struck] - aged, severity[struck])
     return RunResult(
-        total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0, seed=seed,
+        total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0,
         conversations=conversations, risk_reductions=risk_reductions,
         family_reductions=family_reductions, stroke_day=stroke_day, severity=severity,
     )

@@ -455,14 +455,22 @@ def read_population_csv(path) -> Population:
 
     Household membership is reconstructed from the household_id column.  A
     header other than `CSV_COLUMNS`, a row with the wrong field count, a
-    non-numeric number cell or a flag other than 0/1 raises ConfigurationError.
+    non-numeric number cell, a flag other than 0/1, a repeated id, an
+    unknown household type, a household whose rows name different types and
+    a household with more members than its type holds raise
+    ConfigurationError, naming the line and the field.
     """
     agents: list[Agent] = []
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
+    line_of: dict[int, int] = {}  # agent id -> its line
     flag = _FLAGS.__getitem__
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
+
+        def error(message: str) -> ConfigurationError:
+            return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
+
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise ConfigurationError(f"population csv {path}: unexpected header {header}")
@@ -470,10 +478,7 @@ def read_population_csv(path) -> Population:
             if not row:  # blank line
                 continue
             if len(row) != len(CSV_COLUMNS):
-                raise ConfigurationError(
-                    f"population csv {path}, line {reader.line_num}: "
-                    f"{len(row)} fields, expected {len(CSV_COLUMNS)}"
-                )
+                raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
             (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
              smoker, cigs, five_year) = row
             try:
@@ -485,10 +490,22 @@ def read_population_csv(path) -> Population:
                     cigs_per_day=int(cigs), five_year_risk=float(five_year),
                 )
             except (ValueError, KeyError):
-                raise ConfigurationError(
-                    f"population csv {path}, line {reader.line_num}: {_bad_cell(row)}"
-                ) from None
+                raise error(_bad_cell(row)) from None
+            if agent.id in line_of:
+                raise error(f"id = {aid!r} repeats line {line_of[agent.id]}")
+            size = HOUSEHOLD_SIZES.get(htype)
+            if size is None:
+                raise error(f"household_type = {htype!r}, expected one of "
+                            f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
+            members = households.setdefault(agent.household_id, [])
+            if members and household_types[agent.household_id] != htype:
+                raise error(f"household_type = {htype!r}, but household_id {hid} is "
+                            f"{household_types[agent.household_id]!r} on an earlier line")
+            if len(members) == size:
+                raise error(f"household_id = {hid!r} has more members than a {htype!r} "
+                            f"household holds ({size})")
+            line_of[agent.id] = reader.line_num
             agents.append(agent)
-            households.setdefault(agent.household_id, []).append(agent.id)
+            members.append(agent.id)
             household_types[agent.household_id] = htype
     return Population(agents=agents, households=households, household_types=household_types)

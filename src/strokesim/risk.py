@@ -233,11 +233,6 @@ class WeightTable:
         return self.columns.take(at, axis=1)
 
 
-def weight_matrix(ensemble: EnsembleRiskModel, ages: np.ndarray) -> np.ndarray:
-    """(n_agents, n_models) weight matrix; rows match `weights_for_age`."""
-    return WeightTable.spanning(ensemble, ages).at(ages).T
-
-
 def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndarray]:
     """Member coefficients as ((n_models, n_features), intercepts) arrays."""
     coefs = np.zeros((len(ensemble.models), len(FEATURE_NAMES)))

@@ -24,6 +24,7 @@ from strokesim.engine import (
     OddsRatioTable,
     OutcomeTable,
     PopulationArrays,
+    RiskTables,
     SEVERITY_ORDER,
     Scenario,
     ScenarioConfig,
@@ -35,6 +36,7 @@ from strokesim.engine import (
     first_success_offset,
     _apply_reduction_rows,
     _conversation_rows,
+    _current_risk,
     _first_success_offsets,
     _scheduled_rows,
     _spillover_rows,
@@ -58,6 +60,7 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
 )
+from test_year_loop_oracle import reference_replication
 
 
 def agent(age=60, sex="male", household_id=0, **kwargs):
@@ -602,18 +605,17 @@ def test_replication_matches_the_scalar_oracles_stroke_for_stroke(monkeypatch):
         hours, severity = scalar_outcome(delay, sev, ors, rng)
         return hours, SEVERITY_ORDER.index(severity)
 
-    for use_skip in (True, False):
-        fast = run_replication(*args, rng=17, use_skip_sampling=use_skip)
-        with monkeypatch.context() as patch:
-            patch.setattr(OutcomeTable, "draw", scalar_draw)
-            slow = run_replication(*args, rng=17, use_skip_sampling=use_skip)
-        assert fast.total_strokes > 20
-        assert_same_result(fast, slow)
+    fast = run_replication(*args, rng=17)
+    with monkeypatch.context() as patch:
+        patch.setattr(OutcomeTable, "draw", scalar_draw)
+        slow = run_replication(*args, rng=17)
+    assert fast.total_strokes > 20
+    assert_same_result(fast, slow)
 
 
 def test_replication_calls_no_scalar_reference(monkeypatch):
     # the scalar functions are the kernels' references only: a replication
-    # of every scenario, on either path, runs with all of them refusing
+    # of every scenario runs with all of them refusing
     pop = small_pop()
     args = {kind: run_args(pop, strong_ens(), kind) for kind in Scenario}
 
@@ -625,10 +627,9 @@ def test_replication_calls_no_scalar_reference(monkeypatch):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(StrokeOutcome, "__init__", refuse)
     for kind in Scenario:
-        for use_skip in (True, False):
-            result = run_replication(*args[kind], rng=3, use_skip_sampling=use_skip)
-            assert result.total_strokes > 0
-            assert result.total_dalys > 0.0
+        result = run_replication(*args[kind], rng=3)
+        assert result.total_strokes > 0
+        assert result.total_dalys > 0.0
 
 
 # --- outcomes ---
@@ -930,6 +931,27 @@ def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
                                                          lowered.age + 1))
 
 
+def test_current_risk_reads_each_row_from_its_table():
+    rng = np.random.default_rng(13)
+    plain = rng.uniform(0.01, 0.5, (3, 8))
+    lowered = plain * rng.uniform(0.2, 0.9, (3, 8))  # never equal to plain
+    reduced = np.array([False, True, True, False, False, True, False, True])
+    rows = np.array([5, 0, 1, 3, 7, 1])  # unsorted, a repeat, reduced and not mixed
+    tables = RiskTables(plain, lowered, ())
+    before = plain.copy(), lowered.copy()
+    for year in range(3):
+        got = _current_risk(tables, year, rows, reduced)
+        want = [(lowered if reduced[i] else plain)[year, i] for i in rows]
+        assert got.tolist() == want, year
+    assert np.array_equal(plain, before[0]) and np.array_equal(lowered, before[1])
+    # no reduced table (baseline): every row reads plain, whatever `reduced` says
+    everyone = np.ones(8, dtype=bool)
+    assert _current_risk(RiskTables(plain), 2, rows, everyone).tolist() == plain[2, rows].tolist()
+    for t in (tables, RiskTables(plain)):
+        empty = _current_risk(t, 0, np.empty(0, dtype=np.int64), reduced)
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
 def test_run_replication_rejects_tables_that_do_not_fit():
     pop = small_pop(n=6)
     args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
@@ -1008,13 +1030,11 @@ def test_run_replication_deterministic_and_seed_recorded():
     args = run_args(pop, strong_ens())
     first = run_replication(*args, rng=1234)
     second = run_replication(*args, rng=1234)
-    assert first.seed == 1234
     assert first.total_strokes > 0
     assert_same_result(first, second)
 
     via_generator = run_replication(*args, rng=np.random.default_rng(1234))
-    assert via_generator.seed is None
-    assert_same_result(replace(via_generator, seed=1234), first)
+    assert_same_result(via_generator, first)
 
 
 def test_run_replication_does_not_mutate_inputs():
@@ -1066,30 +1086,29 @@ def test_run_replication_daly_residuals_from_entry_age():
     # and then agent, and equal to the last bit.
     pop = small_pop(n=60)
     for kind in Scenario:
-        args = run_args(pop, strong_ens(), kind)
-        for use_skip in (True, False):
-            result = run_replication(*args, rng=2024, use_skip_sampling=use_skip)
-            assert result.total_strokes > 0
-            days = result.stroke_day.tolist()
-            total = 0.0
-            for i in sorted((i for i, d in enumerate(days) if d >= 0),
-                            key=lambda i: (days[i], i)):
-                a = pop.agents[i]
-                residual = LIFE.residual(a.sex, a.age) - (days[i] // 365 + 1)
-                severity = SEVERITY_ORDER[result.severity[i]]
-                total += compute_outcome(a.id, days[i], 0.0, severity, residual).daly
-            assert result.total_dalys == total, (kind, use_skip)
+        result = run_replication(*run_args(pop, strong_ens(), kind), rng=2024)
+        assert result.total_strokes > 0
+        days = result.stroke_day.tolist()
+        total = 0.0
+        for i in sorted((i for i, d in enumerate(days) if d >= 0),
+                        key=lambda i: (days[i], i)):
+            a = pop.agents[i]
+            residual = LIFE.residual(a.sex, a.age) - (days[i] // 365 + 1)
+            severity = SEVERITY_ORDER[result.severity[i]]
+            total += compute_outcome(a.id, days[i], 0.0, severity, residual).daly
+        assert result.total_dalys == total, kind
 
 
 def test_naive_and_skip_paths_agree_on_average():
+    # the naive path is the oracle's one uniform per stroke-free agent per day
     pop = small_pop(n=200, seed=8)
     ens = strong_ens()
     skip_totals, naive_totals = [], []
     for s in range(30):
         skip_totals.append(run_replication(
-            *run_args(pop, ens, horizon=365), rng=s, use_skip_sampling=True).total_strokes)
-        naive_totals.append(run_replication(
-            *run_args(pop, ens, horizon=365), rng=s, use_skip_sampling=False).total_strokes)
+            *run_args(pop, ens, horizon=365), rng=s).total_strokes)
+        naive_totals.append(reference_replication(
+            *run_args(pop, ens, horizon=365), s, use_skip_sampling=False)[0].total_strokes)
     m_skip, m_naive = np.mean(skip_totals), np.mean(naive_totals)
     spread = math.sqrt((np.var(skip_totals) + np.var(naive_totals)) / 30)
     assert abs(m_skip - m_naive) < 4 * max(spread, 0.5)
@@ -1109,8 +1128,9 @@ def test_naive_and_skip_paths_agree_over_whole_runs():
     for kind in Scenario:
         args = run_args(pop, ens, kind)
         totals, per_year = [], []
-        for skip, seeds in ((True, SKIP_SEEDS), (False, NAIVE_SEEDS)):
-            results = [run_replication(*args, rng=s, use_skip_sampling=skip) for s in seeds]
+        for results in ([run_replication(*args, rng=s) for s in SKIP_SEEDS],
+                        [reference_replication(*args, s, use_skip_sampling=False)[0]
+                         for s in NAIVE_SEEDS]):
             totals.append([r.total_strokes for r in results])
             days = np.concatenate([r.stroke_day for r in results])
             per_year.append(np.bincount(days[days >= 0] // 365, minlength=10))

@@ -396,13 +396,42 @@ def _corrupt_row(tmp_path, column, value):
     ("household_id", "", "household_id = '', expected an integer"),
     ("diabetes", "2", "diabetes = '2', expected 0 or 1"),
     ("smoker", "True", "smoker = 'True', expected 0 or 1"),
+    ("id", "0", "id = '0' repeats line 2"),
+    ("household_type", "triple",
+     "household_type = 'triple', expected one of 'single', 'couple', 'with_children'"),
 ], ids=["field_count", "non_numeric_float", "non_numeric_int", "empty_int", "flag_2",
-        "flag_word"])
+        "flag_word", "repeated_id", "unknown_household_type"])
 def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value, message):
     path = _corrupt_row(tmp_path, column, value)
     where = re.escape(f"population csv {path}, line 3: {message}")
     with pytest.raises(ConfigurationError, match=f"{where}$"):
         read_population_csv(path)
+
+
+def test_csv_rejects_inconsistent_households(tmp_path):
+    # agents 2 and 5 (lines 4 and 7) share a couple; agent 0 (line 2) lives alone
+    pop = build(total=6)
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]  # line n: rows[n - 1]
+    hid, htype = CSV_COLUMNS.index("household_id"), CSV_COLUMNS.index("household_type")
+    assert [rows[i][htype] for i in (1, 3, 6)] == ["single", "couple", "couple"]
+    assert rows[3][hid] == rows[6][hid] != rows[1][hid]
+
+    def rejects(line, column, value, message):
+        cells = [list(r) for r in rows]
+        cells[line - 1][CSV_COLUMNS.index(column)] = value
+        path.write_text("\n".join(",".join(r) for r in cells) + "\n")
+        where = re.escape(f"population csv {path}, line {line}: {message}")
+        with pytest.raises(ConfigurationError, match=f"{where}$"):
+            read_population_csv(path)
+
+    couple = rows[3][hid]
+    rejects(7, "household_type", "single",
+            f"household_type = 'single', but household_id {couple} is 'couple' on an earlier line")
+    alone = rows[1][hid]
+    rejects(3, "household_id", alone,
+            f"household_id = '{alone}' has more members than a 'single' household holds (1)")
 
 
 def test_csv_skips_blank_lines(tmp_path):

@@ -14,6 +14,7 @@ from strokesim.risk import (
     EnsembleRiskModel,
     LogisticModel,
     WeightRow,
+    WeightTable,
     agent_features,
     calibrate_intercepts,
     coefficient_matrix,
@@ -22,7 +23,6 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
     logistic_score,
-    weight_matrix,
     weights_for_age,
 )
 from strokesim.risk import _scorer
@@ -214,21 +214,25 @@ def test_weight_matrix_rows_match_weights_for_age():
     # last band's end and ages past it, unsorted and repeated
     ages = np.array([60, 35, 45, 46, 49, 50, 53, 54, 60, 61, 64, 65, 68, 69,
                      90, 91, 120, 50, 35])
-    wm = weight_matrix(ens, ages)
-    assert wm.shape == (len(ages), 3)
-    for row, age in zip(wm, ages):
+    wm = WeightTable.spanning(ens, ages).at(ages)
+    assert wm.shape == (3, len(ages))
+    for row, age in zip(wm.T, ages):
         assert row.tolist() == weights_for_age(ens, int(age)).tolist(), age
-    assert wm[ages.tolist().index(50)].tolist() == [0.6, 0.25, 0.15]  # halfway at 50
+    assert wm[:, ages.tolist().index(50)].tolist() == [0.6, 0.25, 0.15]  # halfway at 50
 
 
 def test_weight_matrix_edge_inputs():
     ens = three_band_ensemble()
-    assert weight_matrix(ens, np.array([], dtype=int)).shape == (0, 3)
-    assert weight_matrix(ens, np.array([47.9])).tolist() == [weights_for_age(ens, 47).tolist()]
-    far = weight_matrix(ens, np.array([35, 10**12]))  # no row per year up to 10**12
-    assert far[1].tolist() == weights_for_age(ens, 10**12).tolist() == [0.0, 0.25, 0.75]
+    none = np.array([], dtype=int)
+    assert WeightTable.spanning(ens, none).at(none).shape == (3, 0)
+    fractional = np.array([47.9])
+    assert WeightTable.spanning(ens, fractional).at(fractional).T.tolist() == [
+        weights_for_age(ens, 47).tolist()]
+    far = np.array([35, 10**12])  # no row per year up to 10**12
+    assert WeightTable.spanning(ens, far).at(far)[:, 1].tolist() == \
+        weights_for_age(ens, 10**12).tolist() == [0.0, 0.25, 0.75]
     with pytest.raises(ConfigurationError, match="age 34"):
-        weight_matrix(ens, np.array([60, 34]))
+        WeightTable.spanning(ens, np.array([60, 34]))
 
 
 def test_validate_rejects_gapped_weight_bands():
