@@ -79,10 +79,21 @@ def _phase(phases: dict[str, float], name: str) -> Iterator[None]:
     phases[name] = round(time.perf_counter() - start, 6)
 
 
+def _blas() -> Optional[dict]:
+    """The BLAS numpy was built against, or None where numpy (before 1.26)
+    cannot report its build as data."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def _environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas": _blas(),
         "cpu_count": os.cpu_count(),
         "threads": {name: os.environ.get(name) for name in THREAD_VARS},
     }

@@ -64,21 +64,23 @@ _HARMFUL_FEATURES = ("sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_pe
 
 
 def _read_ref(ref: str | Path, base_dir: Optional[Path]) -> tuple[str, str]:
-    """Fetch a config reference; returns (text, display name)."""
+    """Fetch a config reference as UTF-8 text; returns (text, display name)."""
     if isinstance(ref, str) and ref.startswith(BUNDLED_PREFIX):
         name = ref[len(BUNDLED_PREFIX):]
         resource = importlib.resources.files("strokesim").joinpath("data", name)
         try:
-            return resource.read_text(), ref
+            return resource.read_text(encoding="utf-8"), ref
         except (FileNotFoundError, OSError) as exc:
             raise ConfigurationError(f"bundled resource {ref!r} not found") from exc
     path = Path(ref)
     if not path.is_absolute() and base_dir is not None:
         path = base_dir / path
     try:
-        return path.read_text(), str(path)
+        return path.read_text(encoding="utf-8"), str(path)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_json(text: str, name: str) -> Any:

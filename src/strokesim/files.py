@@ -11,7 +11,7 @@ from typing import IO, Iterator, Optional
 
 @contextlib.contextmanager
 def atomic_open(path: str | os.PathLike, newline: Optional[str] = None) -> Iterator[IO[str]]:
-    """Open `path` for writing text, so that readers never see it half written.
+    """Open `path` for writing UTF-8 text, so that readers never see it half written.
 
     The block writes a new temporary file beside `path`, which then
     replaces `path` in one `os.replace`.  If the block raises, the
@@ -21,7 +21,7 @@ def atomic_open(path: str | os.PathLike, newline: Optional[str] = None) -> Itera
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
     try:
-        with open(tmp, "x", newline=newline) as handle:
+        with open(tmp, "x", newline=newline, encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

@@ -16,14 +16,23 @@ draw per agent or household would: the tests keep that per-agent form as
 the reference the batched one must match, generator state included.
 
 Each fact is stored once: `Agent.daily_risk` is derived from the five-year
-risk, and the baseline factor stats are computed when needed.
+risk, and the baseline factor stats are computed when needed.  `Agent` rows
+are slotted and built a region at a time by one `map` over its columns.
+
+`write_population_csv` writes UTF-8, a column at a time: each field is read
+for all agents at once and formatted by `str` (ints, and flags as 0/1) or
+`repr` (floats), and each distinct text value is quoted once by
+`csv.writer`, so the bytes are the ones a row-by-row `csv.writer` writes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -186,7 +195,7 @@ class RiskFactorTables:
                 raise ConfigurationError(f"risk_factors.bands[{i}]: empty age range")
 
 
-@dataclass
+@dataclass(slots=True)
 class Agent:
     """One simulated person.  `five_year_risk` is 0 until the agent is scored."""
 
@@ -325,12 +334,11 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
             household_types[hid] = type_labels[htype]
 
         sex_labels, job_labels = list(region.sex), list(region.employment)
-        agents.extend(
-            Agent(id=first_agent + i, age=age, sex=sex_labels[sex], region=region.name,
-                  household_id=hid, employment=job_labels[job])
-            for i, (age, sex, hid, job) in enumerate(zip(
-                ages.tolist(), sexes.tolist(), household_id.tolist(), jobs.tolist()))
-        )
+        agents.extend(map(
+            Agent, range(first_agent, first_agent + n), ages.tolist(),
+            map(sex_labels.__getitem__, sexes.tolist()), repeat(region.name, n),
+            household_id.tolist(), map(job_labels.__getitem__, jobs.tolist()),
+        ))
 
     return Population(agents=agents, households=households, household_types=household_types)
 
@@ -414,19 +422,53 @@ CSV_COLUMNS = [
 ]
 
 
+# Rows per block handed to the file: large enough that the joins stay in C,
+# small enough that no block holds more than a fraction of the file.
+_CSV_BLOCK = 4096
+
+
+class _CsvText(dict):
+    """Each text value as `csv.writer` writes it inside a row, quoted once.
+    The value is written with an empty field after it, so an empty value
+    stays unquoted as it would be amid a row; that field's ``,\\r\\n`` is cut."""
+
+    def __missing__(self, value: str) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow([value, ""])
+        self[value] = text = buffer.getvalue()[:-3]
+        return text
+
+
+def _csv_block(agents: list[Agent], household_types: dict[int, str], text: _CsvText) -> str:
+    """The CSV lines of ``agents``, formatted a column at a time."""
+    def column(name: str, fmt=str):
+        return map(fmt, map(attrgetter(name), agents))
+
+    def flags(name: str):
+        return map(str, map(int, map(attrgetter(name), agents)))
+
+    hids = list(map(attrgetter("household_id"), agents))
+    quote = text.__getitem__
+    columns = (
+        column("id"), column("age"), column("sex", quote), column("region", quote),
+        column("employment", quote), map(str, hids),
+        map(quote, map(household_types.__getitem__, hids)),
+        column("sbp", repr), column("dbp", repr), column("bmi", repr),
+        flags("diabetes"), flags("afib"), flags("smoker"), column("cigs_per_day"),
+        column("five_year_risk", repr),
+    )
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
 def write_population_csv(pop: Population, path) -> None:
-    """Dump one agent per row.  Floats use repr so a round trip is exact."""
+    """Dump one agent per row, in `CSV_COLUMNS` order, as UTF-8 with
+    ``\\r\\n`` line ends.  Floats use repr so a round trip is exact.  A
+    household without a type raises KeyError and leaves no file."""
+    agents, text = pop.agents, _CsvText()
     with atomic_open(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for a in pop.agents:
-            writer.writerow([
-                a.id, a.age, a.sex, a.region, a.employment, a.household_id,
-                pop.household_types[a.household_id],
-                repr(a.sbp), repr(a.dbp), repr(a.bmi),
-                int(a.diabetes), int(a.afib), int(a.smoker), a.cigs_per_day,
-                repr(a.five_year_risk),
-            ])
+        csv.writer(handle).writerow(CSV_COLUMNS)
+        for start in range(0, len(agents), _CSV_BLOCK):
+            handle.write(_csv_block(agents[start:start + _CSV_BLOCK], pop.household_types, text))
 
 
 _FLAGS = {"0": False, "1": True}
@@ -465,7 +507,7 @@ def read_population_csv(path) -> Population:
     household_types: dict[int, str] = {}
     line_of: dict[int, int] = {}  # agent id -> its line
     flag = _FLAGS.__getitem__
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
 
         def error(message: str) -> ConfigurationError:

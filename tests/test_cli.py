@@ -6,7 +6,10 @@ import importlib.resources
 import json
 import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +119,41 @@ def test_generate_writes_population_and_manifest(config_path, tmp_path, capsys):
     assert manifest["population_seed"] == derive_seed(7)
     assert manifest["agents"] == 120
     assert "created_utc" in manifest
+
+
+# Runs `generate` under the C locale with UTF-8 mode off, so the locale's
+# encoding is ASCII, then reads the CSV back and writes it again.
+ASCII_LOCALE_GENERATE = """
+import sys
+from strokesim.cli import main
+from strokesim.population import read_population_csv, write_population_csv
+config, out, again = sys.argv[1:]
+assert main(["generate", "--config", config, "--out", out]) == 0
+write_population_csv(read_population_csv(out), again)
+"""
+
+
+def test_generate_and_read_back_utf8_under_an_ascii_locale(config_dir, tmp_path):
+    pop = json.loads(json.dumps(SMALL_POP))
+    pop["demographics"]["regions"][0]["name"] = "Dún Laoghaire"
+    (tmp_path / "pop.json").write_text(json.dumps(pop, ensure_ascii=False), encoding="utf-8")
+    for name in ("model.json", "life.json", "experiment.json"):
+        (tmp_path / name).write_bytes((config_dir / name).read_bytes())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out, again = tmp_path / "out.csv", tmp_path / "again.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", ASCII_LOCALE_GENERATE, str(tmp_path / "experiment.json"),
+         str(out), str(again)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == again.read_bytes()
+    assert {a.region for a in read_population_csv(out).agents} == {"Dún Laoghaire"}
+    # the same bytes as under this process's locale
+    here = tmp_path / "here.csv"
+    assert main(["generate", "--config", str(tmp_path / "experiment.json"),
+                 "--out", str(here)]) == 0
+    assert here.read_bytes() == out.read_bytes()
 
 
 def test_generate_deterministic_and_seed_sensitive(config_path, tmp_path):
@@ -432,6 +470,7 @@ PHASES = {
 def test_manifests_record_phase_timings_and_environment(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     common = ["--config", config_path]
     assert main(["generate", *common, "--out", str(tmp_path / "pop.csv")]) == 0
     assert main(["calibrate", *common, "--out", str(tmp_path / "model.json")]) == 0
@@ -450,6 +489,7 @@ def test_manifests_record_phase_timings_and_environment(config_path, tmp_path, m
         env = manifest["environment"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert env["cpu_count"] == os.cpu_count()
         assert env["threads"] == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS":
                                   os.environ.get("OPENBLAS_NUM_THREADS"),

@@ -189,6 +189,16 @@ def test_key_given_twice_rejected(tmp_path):
         load_life_table(path)
 
 
+@pytest.mark.parametrize("name", ["exp.json", "population.json"])
+def test_config_file_that_is_not_utf8_rejected_naming_it(tmp_path, name):
+    exp = _write_bundled(tmp_path)
+    path = tmp_path / name
+    path.write_bytes('{"comment": "Dún Laoghaire"}'.encode("latin-1"))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"config file {path} is not UTF-8 text")):
+        load_experiment_file(exp)
+
+
 def test_duplicate_region_name_rejected(tmp_path):
     pop = _bundled("population_ie.json")
     regions = pop["demographics"]["regions"]

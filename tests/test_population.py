@@ -1,5 +1,6 @@
 """Population synthesis: apportionment, households, factor assignment, CSV round trip."""
 
+import csv
 import math
 import re
 from dataclasses import fields, replace
@@ -446,6 +447,70 @@ def test_csv_skips_blank_lines(tmp_path):
 # --- the bundled spec at scale ---
 
 
+# --- the row-by-row writer ---
+#
+# `write_population_csv` formats a column at a time.  This is the writer it
+# replaced, one `csv.writer` row per agent; the two must write the same bytes.
+
+
+def reference_write_population_csv(pop, path):
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for a in pop.agents:
+            writer.writerow([
+                a.id, a.age, a.sex, a.region, a.employment, a.household_id,
+                pop.household_types[a.household_id],
+                repr(a.sbp), repr(a.dbp), repr(a.bmi),
+                int(a.diabetes), int(a.afib), int(a.smoker), a.cigs_per_day,
+                repr(a.five_year_risk),
+            ])
+
+
+def assert_writes_like_the_row_writer(pop, tmp_path):
+    column, row = tmp_path / "column.csv", tmp_path / "row.csv"
+    write_population_csv(pop, column)
+    reference_write_population_csv(pop, row)
+    assert column.read_bytes() == row.read_bytes()
+    for path in (column, row):
+        back = read_population_csv(path)
+        assert back.agents == pop.agents
+        assert back.household_types == pop.household_types
+
+
+# a comma, a double quote, a newline, a leading space, nothing, and non-ASCII text
+AWKWARD_TEXT = ["north,east", 'the "west"', "two\nlines", " leading", "", "Dún Laoghaire"]
+
+
+def test_column_writer_quotes_text_like_the_row_writer(tmp_path):
+    share = 1 / len(AWKWARD_TEXT)
+    spec = DemographicSpec(regions=[
+        region(name=name, share=share, employment=dict.fromkeys(AWKWARD_TEXT, share))
+        for name in AWKWARD_TEXT
+    ], total_agents=90)
+    rng = np.random.default_rng(11)
+    pop = build_population(spec, rng)
+    assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), rng)
+    for a, risk in zip(pop.agents, rng.uniform(0.0, 0.5, len(pop)).tolist()):
+        a.five_year_risk = risk
+    assert {a.region for a in pop.agents} == set(AWKWARD_TEXT)
+    assert {a.employment for a in pop.agents} == set(AWKWARD_TEXT)
+    assert_writes_like_the_row_writer(pop, tmp_path)
+
+
+def test_column_writer_writes_an_empty_population_as_its_header(tmp_path):
+    assert_writes_like_the_row_writer(Population([], {}, {}), tmp_path)
+
+
+def test_column_writer_matches_the_row_writer_on_the_bundled_population(
+        bundled_population, tmp_path):
+    _, built = bundled_population
+    risks = np.random.default_rng(12).uniform(0.0, 0.5, len(built)).tolist()
+    pop = replace(built, agents=[replace(a, five_year_risk=risk)
+                                 for a, risk in zip(built.agents, risks)])
+    assert_writes_like_the_row_writer(pop, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def bundled_population():
     spec, tables = load_population_file("strokesim:population_ie.json")
@@ -586,8 +651,9 @@ def assert_same_synthesis(spec, tables, seed, primed=False):
         results.append((pop, households, rng.bit_generator.state))
     (pop, households, state), (ref, ref_households, ref_state) = results
     assert pop.agents == ref.agents
+    names = [f.name for f in fields(Agent)]
     for a, b in zip(pop.agents, ref.agents):  # the CSV writes these with repr
-        assert [type(getattr(a, f)) for f in vars(a)] == [type(getattr(b, f)) for f in vars(b)]
+        assert [type(getattr(a, f)) for f in names] == [type(getattr(b, f)) for f in names]
     assert list(households.items()) == list(ref_households.items())
     assert list(pop.household_types.items()) == list(ref.household_types.items())
     # the engine's stats, from its feature columns, equal the reference's
