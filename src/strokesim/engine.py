@@ -13,9 +13,16 @@ An agent's five-year risk in year y depends only on its age then (entry
 age + y + 1) and on whether its factors have been reduced, a one-off
 change fixed by its original factors and the frozen baseline stats.  So
 `build_risk_tables` scores every agent at every year's age once per
-experiment, with and without the reduction, and lists the rows at a
-conversation age in each year; a replication only gathers from those
-`RiskTables`, and one bool array records whose factors are reduced.
+experiment and lists the rows at a conversation age in each year.  It
+scores the reduced factors only for the rows a replication can reduce:
+the members of households where some agent at a conversation age is
+above the threshold with its original factors (`_reducible_rows` proves
+that no other row is ever reduced).  These columns form a compact
+`reduced` table, and `slot` maps each row to its column.  When no
+ensemble member has an age term, each agent's member probabilities are
+the same in every year, so they are computed once per table.  A
+replication only gathers from those `RiskTables`, and one bool array
+records whose factors are reduced.
 Each year touches only the rows it needs: notification tests its
 scheduled rows, reduction and spillover start from its notified agents
 (anyone notified earlier was reduced then, with the stroke-free members
@@ -25,8 +32,9 @@ Each model rule is implemented once, as the kernel the replication or the
 table build calls: `_current_risk` (an agent's risk this year),
 `_scheduled_rows` and `_conversation_rows` (notification: the rows at a
 conversation age each year, listed once per experiment, then the
-threshold on those rows only), `_apply_reduction_rows` (risk reduction),
-`_spillover_rows` (family spillover, gathered from the notified
+threshold on those rows only), `_apply_reduction_rows` (risk reduction;
+`_mark_reduced` records it and refuses a row the tables have no column
+for), `_spillover_rows` (family spillover, gathered from the notified
 households' members), `_year_arrivals` (arrival sampling: a bound that no
 year's hit exceeds picks the candidates, and `_first_success_offsets`
 runs on those only), `OutcomeTable.draw` (a stroke's delay and severity)
@@ -69,8 +77,10 @@ from .risk import (
     HORIZON_DAYS,
     EnsembleRiskModel,
     WeightTable,
+    ensemble_mix,
     feature_matrix,
-    five_year_matrix,
+    five_year_matrix,  # not called here; perfbench/tracing.py patches it by name
+    member_probabilities,
 )
 
 
@@ -647,28 +657,66 @@ class RiskTables:
     """A scenario's five-year risks and conversation schedule, per
     simulated year.
 
-    Row y, column i of `plain` and `reduced` is agent i's ensemble score
-    at the age it reaches on year boundary y (entry age + y + 1): in
-    `plain` with its original factors, in `reduced` after
-    `_apply_reduction_rows`.  `scheduled[y]` holds the rows at one of the
-    scenario's conversation ages that year (`_scheduled_rows`).  A
-    scenario that notifies no one has no `reduced` table and no schedule.
+    Row y, column i of `plain` is agent i's ensemble score at the age it
+    reaches on year boundary y (entry age + y + 1) with its original
+    factors.  `reduced` holds the same scores after `_apply_reduction_rows`,
+    for the reducible rows only (`_reducible_rows`): agent i's column is
+    `slot[i]`, and `slot` is -1 for an agent whose factors no replication
+    of the scenario can reduce.  `scheduled[y]` holds the rows at one of
+    the scenario's conversation ages that year (`_scheduled_rows`).  A
+    scenario that notifies no one has no `reduced` table, no `slot` and no
+    schedule.
     """
 
     plain: np.ndarray
     reduced: Optional[np.ndarray] = None
+    slot: Optional[np.ndarray] = None
     scheduled: tuple[np.ndarray, ...] = ()
 
 
 def _score_by_year(ens: EnsembleRiskModel, X: np.ndarray, entry_age: np.ndarray,
-                   years: int, weights: WeightTable) -> np.ndarray:
-    """Score `X` at each year's age; overwrites its age column."""
-    out = np.empty((years, len(entry_age)))
+                   years: int, weights: WeightTable,
+                   rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """Scores of `rows` of `X` at each year's age: row y is
+    `five_year_matrix` of `X` with its age column at entry age + y + 1
+    (which this overwrites), at `rows`, bit for bit.
+
+    When no member has an age coefficient the age column adds a zero to
+    every linear predictor whatever it holds, so the member probabilities
+    are the same in every year: they are computed once, and each year only
+    gathers its weights and mixes them.
+    """
+    age_free = not any(m.coefficients.get("age") for m in ens.models)
+    entry = entry_age[rows]
+    out = np.empty((years, entry.size))
     for year in range(years):
-        age = entry_age + (year + 1)
-        X[:, _COL["age"]] = age
-        out[year] = five_year_matrix(ens, X, age, weights)
+        if year == 0 or not age_free:
+            X[:, _COL["age"]] = entry_age + (year + 1)
+            probs = member_probabilities(ens, X, rows)
+        out[year] = ensemble_mix(probs, weights.at(entry + (year + 1)))
     return out
+
+
+def _reducible_rows(arrays: PopulationArrays, plain: np.ndarray,
+                    scheduled: tuple[np.ndarray, ...], threshold: float) -> np.ndarray:
+    """The rows whose factors a replication may reduce, ascending: every
+    member of each household holding a row i with `plain[y, i] >
+    threshold` for some year y where i is in `scheduled[y]`.
+
+    Call these households H.  No row outside them is ever reduced, by
+    induction over the reductions in the order they happen.  A row j is
+    reduced either because it is notified while not reduced, or because
+    a member i of its household is notified (spillover).  Notification
+    in year y needs the row in `scheduled[y]` and its current risk above
+    the threshold; a row not yet reduced reads `plain[y]`.  So in the
+    first case j itself puts its household in H.  In the second, i was
+    either not reduced, and then i puts the household in H the same way,
+    or reduced earlier, and then its household is in H by induction.
+    """
+    flagged = np.zeros(arrays.member_start.size - 1, dtype=bool)
+    for year, rows in enumerate(scheduled):
+        flagged[arrays.household[rows[plain[year, rows] > threshold]]] = True
+    return np.flatnonzero(flagged[arrays.household])
 
 
 def build_risk_tables(
@@ -678,30 +726,38 @@ def build_risk_tables(
 
     Every table covers the longest horizon among `scenarios`, and every
     score reads one `WeightTable` over the ages agents reach in it.
-    `plain` is built once and shared; one `reduced` table is built per
-    distinct pair of reduction fractions and one schedule per distinct
-    list of conversation ages, and baseline gets neither.
+    `plain` is built once and shared, and one schedule is built per
+    distinct list of conversation ages.  One `reduced` table is built per
+    distinct reduction fractions, conversation ages and threshold, which
+    fix its reducible rows (`_reducible_rows`); only those rows are
+    reduced and scored.  Baseline gets no `reduced` table and no schedule.
     """
     years = max(year_count(s) for s in scenarios)
     weights = WeightTable.spanning(ens, [arrays.age.min() + 1, arrays.age.max() + years])
     scratch = replace(arrays, features=arrays.features.copy())  # every table scores this
     plain = _score_by_year(ens, scratch.features, arrays.age, years, weights)
-    reduced: dict[tuple[float, float], np.ndarray] = {}
+    reduced: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     schedules: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
     tables = {}
     for s in scenarios:
         if s.scenario is Scenario.BASELINE:
             tables[s.scenario] = RiskTables(plain)
             continue
-        key = (s.bmi_reduction_sd_fraction, s.bp_reduction_sd_fraction)
-        if key not in reduced:
-            scratch.features[:] = arrays.features
-            _apply_reduction_rows(scratch, np.arange(len(arrays.age)), s)
-            reduced[key] = _score_by_year(ens, scratch.features, arrays.age, years, weights)
         if s.conversation_ages not in schedules:
             schedules[s.conversation_ages] = _scheduled_rows(
                 arrays.age, s.conversation_ages, years)
-        tables[s.scenario] = RiskTables(plain, reduced[key], schedules[s.conversation_ages])
+        scheduled = schedules[s.conversation_ages]
+        key = (s.bmi_reduction_sd_fraction, s.bp_reduction_sd_fraction,
+               s.conversation_ages, s.high_risk_threshold)
+        if key not in reduced:
+            rows = _reducible_rows(arrays, plain, scheduled, s.high_risk_threshold)
+            slot = np.full(len(arrays.age), -1, dtype=np.int64)
+            slot[rows] = np.arange(rows.size)
+            scratch.features[:] = arrays.features
+            _apply_reduction_rows(scratch, rows, s)
+            reduced[key] = (_score_by_year(ens, scratch.features, arrays.age, years,
+                                           weights, rows), slot)
+        tables[s.scenario] = RiskTables(plain, *reduced[key], scheduled)
     return tables
 
 
@@ -709,13 +765,28 @@ def _current_risk(
     tables: RiskTables, year: int, rows: np.ndarray, reduced: np.ndarray
 ) -> np.ndarray:
     """Five-year risk of `rows` in `year`: the `reduced` table's score for
-    the rows whose factors are `reduced`, the `plain` one for the rest.
-    Tables with no `reduced` table (baseline) read `plain` only."""
+    the rows whose factors are `reduced`, read at their `slot`, the `plain`
+    one for the rest.  Tables with no `reduced` table (baseline) read
+    `plain` only."""
     risk = tables.plain[year].take(rows)
     if tables.reduced is not None:
         lowered = reduced[rows]
-        risk[lowered] = tables.reduced[year].take(rows[lowered])
+        risk[lowered] = tables.reduced[year].take(tables.slot[rows[lowered]])
     return risk
+
+
+def _mark_reduced(tables: RiskTables, reduced: np.ndarray, rows: np.ndarray) -> None:
+    """Record that `rows` have their factors reduced.  Each needs a column
+    in `tables.reduced`: a row without one means the tables were built for
+    another threshold or other conversation ages, and its `slot` of -1
+    would read another agent's score."""
+    missing = rows[tables.slot[rows] < 0]
+    if missing.size:
+        raise ConfigurationError(
+            f"risk tables have no reduced-factor column for agent row {missing[0]}: "
+            "they were built for another threshold or other conversation ages"
+        )
+    reduced[rows] = True
 
 
 def run_replication(
@@ -740,10 +811,11 @@ def run_replication(
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
     n = len(arrays.age)
     years = year_count(scenario)
-    needed = [tables.plain] + ([tables.reduced] if interventions_on else [])
-    fits = all(t is not None and t.shape[0] >= years and t.shape[1] == n for t in needed)
+    fits = tables.plain.shape[0] >= years and tables.plain.shape[1] == n
     if interventions_on:
-        fits = fits and len(tables.scheduled) >= years
+        fits = (fits and tables.reduced is not None and tables.reduced.shape[0] >= years
+                and tables.slot is not None and tables.slot.shape == (n,)
+                and len(tables.scheduled) >= years)
     if not fits or residual.shape != (n,):
         raise ConfigurationError(
             f"risk tables or residuals do not cover {years} years of {n} agents "
@@ -770,11 +842,11 @@ def run_replication(
             conversations += talk.size
 
             own = talk[~reduced[talk]]
-            reduced[own] = True
+            _mark_reduced(tables, reduced, own)
             risk_reductions += own.size
             if spillover_on:
                 spill = _spillover_rows(arrays, talk, stroke_day, reduced)
-                reduced[spill] = True
+                _mark_reduced(tables, reduced, spill)
                 family_reductions += spill.size
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)

@@ -492,6 +492,20 @@ def _bad_cell(row: list[str]) -> str:
     return "unparseable row"
 
 
+def _not_utf8(path) -> ConfigurationError:
+    """The error for a population CSV that is not UTF-8, naming the line of
+    its first undecodable byte.  No UTF-8 sequence holds a newline byte, so
+    each line decodes on its own."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ConfigurationError(f"population csv {path}, line {number}: "
+                                          f"byte {raw[exc.start]:#04x} is not UTF-8")
+    return ConfigurationError(f"population csv {path}: not UTF-8")
+
+
 def read_population_csv(path) -> Population:
     """Rebuild a Population from `write_population_csv` output.
 
@@ -500,54 +514,58 @@ def read_population_csv(path) -> Population:
     non-numeric number cell, a flag other than 0/1, a repeated id, an
     unknown household type, a household whose rows name different types and
     a household with more members than its type holds raise
-    ConfigurationError, naming the line and the field.
+    ConfigurationError, naming the line and the field; so does a byte that
+    is not UTF-8, naming its line.
     """
     agents: list[Agent] = []
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
     line_of: dict[int, int] = {}  # agent id -> its line
     flag = _FLAGS.__getitem__
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
 
-        def error(message: str) -> ConfigurationError:
-            return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
+            def error(message: str) -> ConfigurationError:
+                return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
 
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ConfigurationError(f"population csv {path}: unexpected header {header}")
-        for row in reader:
-            if not row:  # blank line
-                continue
-            if len(row) != len(CSV_COLUMNS):
-                raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
-            (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
-             smoker, cigs, five_year) = row
-            try:
-                agent = Agent(
-                    id=int(aid), age=int(age), sex=sex, region=region,
-                    household_id=int(hid), employment=employment,
-                    sbp=float(sbp), dbp=float(dbp), bmi=float(bmi),
-                    diabetes=flag(diabetes), afib=flag(afib), smoker=flag(smoker),
-                    cigs_per_day=int(cigs), five_year_risk=float(five_year),
-                )
-            except (ValueError, KeyError):
-                raise error(_bad_cell(row)) from None
-            if agent.id in line_of:
-                raise error(f"id = {aid!r} repeats line {line_of[agent.id]}")
-            size = HOUSEHOLD_SIZES.get(htype)
-            if size is None:
-                raise error(f"household_type = {htype!r}, expected one of "
-                            f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
-            members = households.setdefault(agent.household_id, [])
-            if members and household_types[agent.household_id] != htype:
-                raise error(f"household_type = {htype!r}, but household_id {hid} is "
-                            f"{household_types[agent.household_id]!r} on an earlier line")
-            if len(members) == size:
-                raise error(f"household_id = {hid!r} has more members than a {htype!r} "
-                            f"household holds ({size})")
-            line_of[agent.id] = reader.line_num
-            agents.append(agent)
-            members.append(agent.id)
-            household_types[agent.household_id] = htype
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise ConfigurationError(f"population csv {path}: unexpected header {header}")
+            for row in reader:
+                if not row:  # blank line
+                    continue
+                if len(row) != len(CSV_COLUMNS):
+                    raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
+                (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
+                 smoker, cigs, five_year) = row
+                try:
+                    agent = Agent(
+                        id=int(aid), age=int(age), sex=sex, region=region,
+                        household_id=int(hid), employment=employment,
+                        sbp=float(sbp), dbp=float(dbp), bmi=float(bmi),
+                        diabetes=flag(diabetes), afib=flag(afib), smoker=flag(smoker),
+                        cigs_per_day=int(cigs), five_year_risk=float(five_year),
+                    )
+                except (ValueError, KeyError):
+                    raise error(_bad_cell(row)) from None
+                if agent.id in line_of:
+                    raise error(f"id = {aid!r} repeats line {line_of[agent.id]}")
+                size = HOUSEHOLD_SIZES.get(htype)
+                if size is None:
+                    raise error(f"household_type = {htype!r}, expected one of "
+                                f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
+                members = households.setdefault(agent.household_id, [])
+                if members and household_types[agent.household_id] != htype:
+                    raise error(f"household_type = {htype!r}, but household_id {hid} is "
+                                f"{household_types[agent.household_id]!r} on an earlier line")
+                if len(members) == size:
+                    raise error(f"household_id = {hid!r} has more members than a {htype!r} "
+                                f"household holds ({size})")
+                line_of[agent.id] = reader.line_num
+                agents.append(agent)
+                members.append(agent.id)
+                household_types[agent.household_id] = htype
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return Population(agents=agents, households=households, household_types=household_types)

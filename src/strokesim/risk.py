@@ -8,9 +8,12 @@ ages.  A single additive calibration offset, shared by every member
 intercept, is tuned by `calibrate_intercepts` so the population-level
 expected stroke count matches a target incidence.
 
-Every score comes from one scorer, `_scorer`, which works member by
-member over rows of features, and `calibrate_intercepts` bisects on the
-expectation `expected_stroke_count` reports, `_expectation`.
+Every score comes from one kernel that works member by member over rows
+of features: the linear predictors (`_linear_predictors`), each member's
+sigmoid (`member_probabilities` at the model's calibration offset) and
+their weighted sum in member order (`ensemble_mix`).  `_scorer` composes
+them as a function of the offset, and `calibrate_intercepts` bisects on
+the expectation `expected_stroke_count` reports, `_expectation`.
 Daily risk is the five-year probability spread over the 1826 days in five years.
 """
 
@@ -244,6 +247,42 @@ def coefficient_matrix(ensemble: EnsembleRiskModel) -> tuple[np.ndarray, np.ndar
     return coefs, intercepts
 
 
+def _linear_predictors(
+    ensemble: EnsembleRiskModel, features: np.ndarray, rows: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """(n_models, n_rows) member linear predictors `coefs @ features.T +
+    intercepts` of `rows` of `features` (every row by default), without the
+    calibration offset.
+
+    The product always runs over every row of `features` and the rows are
+    picked from it: a product over fewer rows may take another BLAS path and
+    round differently.
+    """
+    coefs, intercepts = coefficient_matrix(ensemble)
+    lps = (coefs @ features.T)[:, rows]
+    lps += intercepts[:, None]
+    return lps
+
+
+def member_probabilities(
+    ensemble: EnsembleRiskModel, features: np.ndarray, rows: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """(n_models, n_rows) five-year probability of each member for `rows`
+    of `features`, at the model's calibration offset; `ensemble_mix`
+    weighs them into scores."""
+    return _sigmoid(_linear_predictors(ensemble, features, rows) + ensemble.calibration_offset)
+
+
+def ensemble_mix(probs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Ensemble scores from member probabilities and member weights, both
+    (n_models, n_rows): each member's probability times its weight, added
+    in member order."""
+    total = probs[0] * w[0]
+    for p, weight in zip(probs[1:], w[1:]):
+        total += p * weight
+    return total
+
+
 def _scorer(
     ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray,
     weights: Optional[WeightTable] = None,
@@ -251,24 +290,16 @@ def _scorer(
     """Five-year ensemble scores of the rows of `features` as a function of
     the calibration offset.
 
-    Member by member: the linear predictors `coefs @ features.T +
-    intercepts` and the member weights at `ages` (from `weights`, a table
-    spanning them, or one built here) are computed once, so each further
-    offset costs one sigmoid, one product and a sum over the members in
-    member order.
+    Member by member: the linear predictors (`_linear_predictors`) and the
+    member weights at `ages` (from `weights`, a table spanning them, or one
+    built here) are computed once, so each further offset costs one
+    sigmoid and one `ensemble_mix`.
     """
-    coefs, intercepts = coefficient_matrix(ensemble)
-    lps = coefs @ features.T
-    lps += intercepts[:, None]
+    lps = _linear_predictors(ensemble, features)
     w = (weights or WeightTable.spanning(ensemble, ages)).at(ages)
 
     def five_year(offset: float) -> np.ndarray:
-        terms = _sigmoid(lps + offset)
-        terms *= w
-        total = terms[0].copy()
-        for term in terms[1:]:
-            total += term
-        return total
+        return ensemble_mix(_sigmoid(lps + offset), w)
     return five_year
 
 
@@ -278,9 +309,9 @@ def five_year_matrix(
 ) -> np.ndarray:
     """Vectorized ensemble score for many agents at once.
 
-    Equivalent to `ensemble_score` per row; the engine builds its per-year
-    risk tables (`engine.build_risk_tables`) with it, passing one
-    `WeightTable` over every age its agents reach.
+    Equivalent to `ensemble_score` per row, and the reference that the
+    engine's per-year risk tables (`engine.build_risk_tables`) are tested
+    against.
     """
     return _scorer(ensemble, features, ages, weights)(ensemble.calibration_offset)
 

@@ -60,7 +60,7 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
 )
-from test_year_loop_oracle import reference_replication
+from test_year_loop_oracle import full_width_tables, reference_replication
 
 
 def agent(age=60, sex="male", household_id=0, **kwargs):
@@ -859,12 +859,23 @@ def age_graded_ens():
     return ens
 
 
+def mixed_ens():
+    """The age-graded model with the age term of its first and last members
+    removed: one member's probabilities move with age, two do not."""
+    ens = age_graded_ens()
+    for member in ens.models[::2]:
+        del member.coefficients["age"]
+    ens.validate()
+    return ens
+
+
 # each model, and whether its scores move with age
 SCORING_MODELS = {
     "bundled": (lambda: load_experiment_file().ensemble, False),
     "age_graded": (age_graded_ens, True),
     "one_member": (lambda: strong_ens(), False),
     "zero_weight_band": (aging_ens, True),  # the second member weighs nothing below 57
+    "mixed": (mixed_ens, True),
 }
 
 
@@ -873,37 +884,68 @@ def test_risk_tables_match_scoring_at_each_years_age():
         check_risk_tables_at_each_years_age(*SCORING_MODELS[model])
 
 
+def reducible_by_definition(pop, plain, scenario):
+    """Every member of each household holding an agent at a conversation age
+    in some year whose plain risk that year is above the threshold."""
+    seeds = {a.household_id for i, a in enumerate(pop.agents) for year in range(len(plain))
+             if a.age + year + 1 in scenario.conversation_ages
+             and plain[year, i] > scenario.high_risk_threshold}
+    return np.array([i for i, a in enumerate(pop.agents) if a.household_id in seeds],
+                    dtype=np.int64)
+
+
 def check_risk_tables_at_each_years_age(make, ages_move):
     pop = small_pop(n=30, seed=4)
     ens = make()
-    scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365) for kind in Scenario]
     arrays = PopulationArrays.from_population(pop)
-    tables = build_risk_tables(arrays, ens, scenarios)
-
-    plain = tables[Scenario.BASELINE].plain
-    reduced = tables[Scenario.CONVERSATIONS].reduced
-    assert tables[Scenario.BASELINE].reduced is None
-    assert all(t.plain is plain for t in tables.values())
-    assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].reduced is reduced
-    assert plain.shape == reduced.shape == (8, 30)
-    assert (np.diff(plain, axis=0) != 0).all() == ages_move
-    assert (reduced < plain).any()
-
-    # the scoring kernel on every agent at that year's age: bit for bit;
-    # each agent scored alone agrees to rounding (a one-row product may take
-    # another BLAS path)
     lowered = PopulationArrays.from_population(pop)
-    _apply_reduction_rows(lowered, np.arange(30), scenarios[1])
-    age_col = FEATURE_NAMES.index("age")
+    _apply_reduction_rows(lowered, np.arange(30), ScenarioConfig())
+
+    # the scoring kernel on every agent at each year's age, original and
+    # reduced factors; each agent scored alone agrees to rounding (a one-row
+    # product may take another BLAS path)
+    want = {"plain": np.empty((8, 30)), "reduced": np.empty((8, 30))}
     for year in range(8):
         ages = np.array([a.age + year + 1 for a in pop.agents])
-        for table, features in ((plain, feature_matrix(pop.agents)), (reduced, lowered.features)):
+        for name, features in (("plain", feature_matrix(pop.agents)),
+                               ("reduced", lowered.features)):
             X = features.copy()
-            X[:, age_col] = ages
-            assert np.array_equal(table[year], five_year_matrix(ens, X, ages)), year
+            X[:, FEATURE_NAMES.index("age")] = ages
+            want[name][year] = five_year_matrix(ens, X, ages)
             for i in range(30):
                 alone = five_year_matrix(ens, X[i:i + 1], ages[i:i + 1])[0]
-                assert table[year, i] == pytest.approx(alone, rel=1e-14, abs=0.0)
+                assert want[name][year, i] == pytest.approx(alone, rel=1e-14, abs=0.0)
+    assert (np.diff(want["plain"], axis=0) != 0).all() == ages_move
+
+    # the default threshold, then the median risk of the agents at a
+    # conversation age: it leaves some households out, so the reduced table
+    # is narrower than the population but not empty
+    at_conversation = [want["plain"][year, i] for i, a in enumerate(pop.agents)
+                       for year in range(8)
+                       if a.age + year + 1 in ScenarioConfig().conversation_ages]
+    for threshold in (0.1, np.median(at_conversation)):
+        scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365,
+                                    high_risk_threshold=threshold) for kind in Scenario]
+        tables = build_risk_tables(arrays, ens, scenarios)
+        plain = tables[Scenario.BASELINE].plain
+        reduced, slot = tables[Scenario.CONVERSATIONS].reduced, tables[Scenario.CONVERSATIONS].slot
+        assert tables[Scenario.BASELINE].reduced is tables[Scenario.BASELINE].slot is None
+        assert all(t.plain is plain for t in tables.values())
+        assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].reduced is reduced
+        assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].slot is slot
+
+        # the reducible rows have one column each, in row order; the rest none
+        rows = reducible_by_definition(pop, want["plain"], scenarios[1])
+        assert slot.shape == (30,) and reduced.shape == (8, rows.size)
+        assert np.flatnonzero(slot >= 0).tolist() == rows.tolist()
+        assert slot[rows].tolist() == list(range(rows.size))
+        assert (slot[slot < 0] == -1).all()
+        if threshold != 0.1:
+            assert 0 < rows.size < 30
+        # bit for bit
+        assert np.array_equal(plain, want["plain"])
+        assert np.array_equal(reduced, want["reduced"][:, rows])
+        assert (reduced < plain[:, rows]).any() or rows.size == 0
 
 
 def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
@@ -918,7 +960,11 @@ def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
     tables = build_risk_tables(arrays, strong_ens(), scenarios)
     conv = tables[Scenario.CONVERSATIONS]
     family = tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
-    assert conv.plain.shape == conv.reduced.shape == family.reduced.shape == (4, 10)
+    # one threshold and one list of conversation ages: the same reducible rows
+    rows = np.flatnonzero(conv.slot >= 0)
+    assert np.array_equal(family.slot, conv.slot) and rows.size > 0
+    assert conv.plain.shape == (4, 10)
+    assert conv.reduced.shape == family.reduced.shape == (4, rows.size)
     assert family.reduced is not conv.reduced
     assert (family.reduced <= conv.reduced).all()  # the larger bp reduction
     assert (family.reduced < conv.reduced).any()
@@ -928,7 +974,23 @@ def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
         _apply_reduction_rows(lowered, np.arange(10), cfg)
         lowered.features[:, FEATURE_NAMES.index("age")] = lowered.age + 1
         assert np.array_equal(table[0], five_year_matrix(strong_ens(), lowered.features,
-                                                         lowered.age + 1))
+                                                         lowered.age + 1)[rows])
+
+
+def test_risk_tables_share_a_reduced_table_only_for_one_threshold_and_schedule():
+    arrays = PopulationArrays.from_population(small_pop(n=40))
+    conv = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=4 * 365)
+    for family in (replace(conv, high_risk_threshold=0.2),
+                   replace(conv, conversation_ages=(55, 65, 75))):
+        family = replace(family, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)
+        tables = build_risk_tables(arrays, strong_ens(), [conv, family])
+        a, b = tables[Scenario.CONVERSATIONS], tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
+        assert a.reduced is not b.reduced
+        assert not np.array_equal(a.slot, b.slot)
+        # a row reducible under both has the same scores in both
+        both = (a.slot >= 0) & (b.slot >= 0)
+        assert both.any()
+        assert np.array_equal(a.reduced[:, a.slot[both]], b.reduced[:, b.slot[both]])
 
 
 def test_current_risk_reads_each_row_from_its_table():
@@ -937,13 +999,17 @@ def test_current_risk_reads_each_row_from_its_table():
     lowered = plain * rng.uniform(0.2, 0.9, (3, 8))  # never equal to plain
     reduced = np.array([False, True, True, False, False, True, False, True])
     rows = np.array([5, 0, 1, 3, 7, 1])  # unsorted, a repeat, reduced and not mixed
-    tables = RiskTables(plain, lowered, ())
-    before = plain.copy(), lowered.copy()
+    # columns for the reduced rows and row 3, which is not reduced
+    reducible = np.array([1, 2, 3, 5, 7])
+    slot = np.full(8, -1)
+    slot[reducible] = np.arange(5)
+    tables = RiskTables(plain, lowered[:, reducible], slot, ())
+    before = plain.copy(), tables.reduced.copy()
     for year in range(3):
         got = _current_risk(tables, year, rows, reduced)
         want = [(lowered if reduced[i] else plain)[year, i] for i in rows]
         assert got.tolist() == want, year
-    assert np.array_equal(plain, before[0]) and np.array_equal(lowered, before[1])
+    assert np.array_equal(plain, before[0]) and np.array_equal(tables.reduced, before[1])
     # no reduced table (baseline): every row reads plain, whatever `reduced` says
     everyone = np.ones(8, dtype=bool)
     assert _current_risk(RiskTables(plain), 2, rows, everyone).tolist() == plain[2, rows].tolist()
@@ -972,6 +1038,32 @@ def test_run_replication_rejects_tables_that_do_not_fit():
     args[4] = args[4][:5]
     with pytest.raises(ConfigurationError, match="residuals do not cover 2 years of 6 agents"):
         run_replication(*args, rng=0)
+    # a reduced table one year short, and a slot of another population
+    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
+    tables = args[1]
+    for bad in (replace(tables, reduced=tables.reduced[:1]), replace(tables, slot=tables.slot[:5]),
+                replace(tables, slot=None)):
+        args[1] = bad
+        with pytest.raises(ConfigurationError, match="do not cover 2 years of 6 agents"):
+            run_replication(*args, rng=0)
+
+
+def test_run_replication_rejects_a_reduction_without_a_column():
+    # tables built for a higher threshold, or for other conversation ages,
+    # have no column for some row the scenario reduces: reading its slot of
+    # -1 would give it the last reducible agent's score
+    pop = small_pop(n=40)
+    scenario = ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=3650)
+    arrays, fitting, _, *rest = run_args(pop, strong_ens(), scenario.scenario, horizon=3650)
+    assert run_replication(arrays, fitting, scenario, *rest, rng=0).risk_reductions > 0
+    higher = replace(scenario, high_risk_threshold=0.3)
+    other_ages = replace(scenario, conversation_ages=(55, 65, 75))
+    for built_for in (higher, other_ages):
+        tables = build_risk_tables(arrays, strong_ens(), [built_for])[scenario.scenario]
+        assert ((tables.slot < 0) & (fitting.slot >= 0)).any()
+        mismatched = replace(tables, scheduled=fitting.scheduled)
+        with pytest.raises(ConfigurationError, match="no reduced-factor column for agent row"):
+            run_replication(arrays, mismatched, scenario, *rest, rng=0)
 
 
 # --- full replications ---
@@ -1010,6 +1102,13 @@ def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, models=Non
             LIFE.residual_array(arrays.male, arrays.age))
 
 
+def oracle_args(args, ens):
+    """`run_args` with the risk tables the oracle reads in place of the
+    replication's (`full_width_tables`)."""
+    arrays, _, scenario, *rest = args
+    return (arrays, full_width_tables(arrays, ens, scenario), scenario, *rest)
+
+
 def assert_same_result(a, b):
     """Field by field, arrays element by element."""
     assert vars(a).keys() == vars(b).keys()
@@ -1042,6 +1141,7 @@ def test_run_replication_does_not_mutate_inputs():
     arrays, tables, residual = args[0], args[1], args[4]
     features_before, age_before = arrays.features.copy(), arrays.age.copy()
     plain_before, reduced_before = tables.plain.copy(), tables.reduced.copy()
+    slot_before = tables.slot.copy()
     residual_before = residual.copy()
     result = run_replication(*args, rng=7)
     assert result.risk_reductions > 0
@@ -1051,6 +1151,7 @@ def test_run_replication_does_not_mutate_inputs():
     assert (arrays.age == age_before).all()
     assert (tables.plain == plain_before).all()
     assert (tables.reduced == reduced_before).all()
+    assert (tables.slot == slot_before).all()
 
 
 def test_zero_risk_population_has_no_strokes():
@@ -1103,12 +1204,13 @@ def test_naive_and_skip_paths_agree_on_average():
     # the naive path is the oracle's one uniform per stroke-free agent per day
     pop = small_pop(n=200, seed=8)
     ens = strong_ens()
+    args = run_args(pop, ens, horizon=365)
+    oracle = oracle_args(args, ens)
     skip_totals, naive_totals = [], []
     for s in range(30):
-        skip_totals.append(run_replication(
-            *run_args(pop, ens, horizon=365), rng=s).total_strokes)
+        skip_totals.append(run_replication(*args, rng=s).total_strokes)
         naive_totals.append(reference_replication(
-            *run_args(pop, ens, horizon=365), s, use_skip_sampling=False)[0].total_strokes)
+            *oracle, s, use_skip_sampling=False)[0].total_strokes)
     m_skip, m_naive = np.mean(skip_totals), np.mean(naive_totals)
     spread = math.sqrt((np.var(skip_totals) + np.var(naive_totals)) / 30)
     assert abs(m_skip - m_naive) < 4 * max(spread, 0.5)
@@ -1127,9 +1229,10 @@ def test_naive_and_skip_paths_agree_over_whole_runs():
     ens = strong_ens()
     for kind in Scenario:
         args = run_args(pop, ens, kind)
+        oracle = oracle_args(args, ens)
         totals, per_year = [], []
         for results in ([run_replication(*args, rng=s) for s in SKIP_SEEDS],
-                        [reference_replication(*args, s, use_skip_sampling=False)[0]
+                        [reference_replication(*oracle, s, use_skip_sampling=False)[0]
                          for s in NAIVE_SEEDS]):
             totals.append([r.total_strokes for r in results])
             days = np.concatenate([r.stroke_day for r in results])

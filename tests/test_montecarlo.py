@@ -263,15 +263,15 @@ def test_common_random_numbers_compare_with_the_paired_test():
 
 
 def counting_scores(monkeypatch):
-    """Record the rows of every five_year_matrix call the engine makes."""
+    """Record the years of every table the engine scores."""
     calls = []
-    original = engine.five_year_matrix
+    original = engine._score_by_year
 
     def counted(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append(args[3])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "five_year_matrix", counted)
+    monkeypatch.setattr(engine, "_score_by_year", counted)
     return calls
 
 
@@ -292,8 +292,8 @@ def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios, r
         counts.append(len(calls))
     years = year_count(scenarios[0])
     assert years == 3
-    assert counts == [years * (1 + reduced_tables)] * 2
-    assert set(calls) == {len(tiny_population().agents)}
+    assert counts == [1 + reduced_tables] * 2
+    assert set(calls) == {years}
 
 
 def test_outcome_table_and_residuals_are_per_experiment(monkeypatch):

@@ -409,6 +409,23 @@ def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value,
         read_population_csv(path)
 
 
+@pytest.mark.parametrize("line", [2, 400])
+def test_csv_rejects_text_that_is_not_utf8_naming_file_and_line(tmp_path, line):
+    # a latin-1 region cell; line 400 lies beyond the first block a text
+    # reader decodes, so its number is not the reader's
+    pop = build(total=500)
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    rows = path.read_bytes().split(b"\n")
+    cells = rows[line - 1].split(b",")
+    cells[CSV_COLUMNS.index("region")] = "Dún".encode("latin-1")
+    rows[line - 1] = b",".join(cells)
+    path.write_bytes(b"\n".join(rows))
+    where = re.escape(f"population csv {path}, line {line}: byte 0xfa is not UTF-8")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
 def test_csv_rejects_inconsistent_households(tmp_path):
     # agents 2 and 5 (lines 4 and 7) share a couple; agent 0 (line 2) lives alone
     pop = build(total=6)

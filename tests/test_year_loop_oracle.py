@@ -3,18 +3,21 @@
 `reference_replication` is that earlier loop, kept as the oracle: a
 full-population conversation mask from an age lookup, both risk tables
 gathered for every agent with `np.where`, spillover from every household
-ever notified, and arrival offsets over every stroke-free row.  With
+ever notified, and arrival offsets over every stroke-free row.  It reads
+its own risk tables, scored for every agent by `full_width_tables`, not
+the compact ones `build_risk_tables` gives a replication.  With
 `use_skip_sampling=False` it draws one uniform per stroke-free agent per
 day instead: the naive path that test_engine checks skip sampling against
 in distribution.  `run_replication` tests only the
 scheduled rows, reduces and spreads from that year's notified agents
 only, and gives only the rows under the arrival bound the closed form;
-on the same tables and seed every field of the result must be the same,
+on the same seed every field of the result must be the same,
 `total_dalys` to the last bit.
 """
 
 import importlib.resources
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,23 +29,43 @@ from strokesim.engine import (
     PopulationArrays,
     RunResult,
     Scenario,
+    _apply_reduction_rows,
     _first_success_offsets,
     _stroke_dalys,
     build_risk_tables,
     run_replication,
     year_count,
 )
-from strokesim.risk import DAYS_PER_FIVE_YEARS
+from strokesim.risk import DAYS_PER_FIVE_YEARS, FEATURE_NAMES, five_year_matrix
 from test_cli import age_graded_experiment
 
 # Fixed when the test was written.
 SEEDS = (5, 23, 101)
 
 
-def reference_replication(arrays, tables, scenario, outcome_table, residual, seed,
+def full_width_tables(arrays, ens, scenario):
+    """Every agent's five-year risk in each of the scenario's years, with its
+    original factors and with `_apply_reduction_rows` applied to every row:
+    `five_year_matrix` at each year's age."""
+    years, n = year_count(scenario), len(arrays.age)
+    lowered = replace(arrays, features=arrays.features.copy())
+    _apply_reduction_rows(lowered, np.arange(n), scenario)
+    plain, reduced = np.empty((years, n)), np.empty((years, n))
+    for year in range(years):
+        age = arrays.age + (year + 1)
+        for table, features in ((plain, arrays.features), (reduced, lowered.features)):
+            X = features.copy()
+            X[:, FEATURE_NAMES.index("age")] = age
+            table[year] = five_year_matrix(ens, X, age)
+    return plain, reduced
+
+
+def reference_replication(arrays, full_tables, scenario, outcome_table, residual, seed,
                           use_skip_sampling=True):
-    """The earlier year loop, with how often it re-notified an agent and
-    notified two members of one household in one year."""
+    """The earlier year loop on `full_width_tables`, with how often it
+    re-notified an agent and notified two members of one household in one
+    year, and whose factors it reduced."""
+    plain, lowered = full_tables
     rng = np.random.default_rng(seed)
     interventions_on = scenario.scenario is not Scenario.BASELINE
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
@@ -65,9 +88,9 @@ def reference_replication(arrays, tables, scenario, outcome_table, residual, see
     for year in range(years):
         day = year * scenario.days_per_year
         active = stroke_day < 0
-        five_year = tables.plain[year]
+        five_year = plain[year]
         if interventions_on:
-            five_year = np.where(reduced, tables.reduced[year], five_year)
+            five_year = np.where(reduced, lowered[year], five_year)
             talk = (active & schedule.take(arrays.age + (year + 1) - age_lo + 1, mode="clip")
                     & (five_year > scenario.high_risk_threshold))
             conversations += int(talk.sum())
@@ -84,7 +107,7 @@ def reference_replication(arrays, tables, scenario, outcome_table, residual, see
                 spill = active & ~reduced & flagged[arrays.household]
                 reduced |= spill
                 family_reductions += int(spill.sum())
-            five_year = np.where(reduced, tables.reduced[year], tables.plain[year])
+            five_year = np.where(reduced, lowered[year], plain[year])
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
         act_rows = np.flatnonzero(active)
@@ -113,7 +136,7 @@ def reference_replication(arrays, tables, scenario, outcome_table, residual, see
         conversations=conversations, risk_reductions=risk_reductions,
         family_reductions=family_reductions, stroke_day=stroke_day, severity=severity,
     )
-    return result, renotified, shared
+    return result, renotified, shared, reduced
 
 
 def biennial_experiment(root):
@@ -142,7 +165,9 @@ def experiment(request, tmp_path_factory):
     pop = _build_population(cfg, cfg.experiment.base_seed)
     arrays = PopulationArrays.from_population(pop)
     scenarios = cfg.experiment.scenarios
-    return request.param, cfg, pop, arrays, build_risk_tables(arrays, cfg.ensemble, scenarios)
+    full = {s.scenario: full_width_tables(arrays, cfg.ensemble, s) for s in scenarios}
+    return (request.param, cfg, pop, arrays, build_risk_tables(arrays, cfg.ensemble, scenarios),
+            full)
 
 
 def assert_same_result(a, b):
@@ -158,17 +183,39 @@ def assert_same_result(a, b):
 
 
 def test_replication_matches_the_earlier_year_loop(experiment):
-    name, cfg, _, arrays, tables = experiment
+    name, cfg, _, arrays, tables, full = experiment
     outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
     residual = cfg.life_table.residual_array(arrays.male, arrays.age)
     renotified = shared = 0
     for scenario in cfg.experiment.scenarios:
-        args = (arrays, tables[scenario.scenario], scenario, outcome_table, residual)
+        args = (scenario, outcome_table, residual)
         for seed in SEEDS:
-            want, again, both = reference_replication(*args, seed)
-            assert_same_result(run_replication(*args, seed), want)
+            want, again, both, _ = reference_replication(
+                arrays, full[scenario.scenario], *args, seed)
+            assert_same_result(run_replication(arrays, tables[scenario.scenario], *args, seed),
+                               want)
             assert want.total_strokes > 0
             renotified += again
             shared += both
     if name == "biennial":
         assert renotified > 0 and shared > 0
+
+
+def test_every_row_a_replication_reduces_has_a_column(experiment):
+    # the oracle reduces from the full-width tables and never reads `slot`;
+    # each row it reduces must have a column in the compact table
+    name, cfg, _, arrays, tables, full = experiment
+    outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
+    residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+    for scenario in cfg.experiment.scenarios:
+        if scenario.scenario is Scenario.BASELINE:
+            continue
+        slot = tables[scenario.scenario].slot
+        ever = np.zeros(len(arrays.age), dtype=bool)
+        for seed in range(10):
+            ever |= reference_replication(arrays, full[scenario.scenario], scenario,
+                                          outcome_table, residual, seed)[3]
+        assert ever.any()
+        assert (slot[ever] >= 0).all(), (name, scenario.scenario.value)
+        # the table is narrower than the population
+        assert (slot < 0).any(), (name, scenario.scenario.value)
