@@ -5,10 +5,10 @@ birthdays, stroke draws (skip-sampled, so quiet stretches cost nothing),
 treatment delay and severity.  It returns each agent's stroke day and
 severity, and the DALYs of those strokes: a death loses the agent's
 residual life years, a survivor lives them with a disability weight.
-Nothing model-wide is recomputed inside it: every agent is scored once
-per simulated year beforehand, into risk tables that all replications of
-a scenario share, and the outcome model and the residual life
-expectancies are tabulated once too.
+Nothing model-wide is recomputed inside it: `prepare` scores every agent
+once per simulated year beforehand, into risk tables that all
+replications of a scenario share, and tabulates the outcome model and
+the residual life expectancies once too.
 """
 
 import numpy as np
@@ -17,10 +17,9 @@ from strokesim.config import load_experiment_file
 from strokesim.engine import (
     DALY_WEIGHTS,
     SEVERITY_ORDER,
-    OutcomeTable,
     PopulationArrays,
     Scenario,
-    build_risk_tables,
+    prepare,
     run_replication,
 )
 from strokesim.population import assign_risk_factors, build_population
@@ -32,22 +31,17 @@ pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
 # The engine runs on a column copy of the population, built once.
 arrays = PopulationArrays.from_population(pop)
-scenarios = {s.scenario: s for s in cfg.experiment.scenarios}
-# Each agent's five-year risk at every year's age, with and without the
-# intervention's factor reduction; run_experiment builds these itself.
-tables = build_risk_tables(arrays, cfg.ensemble, cfg.experiment.scenarios)
-print(f"risk tables: {tables[Scenario.BASELINE].plain.shape[0]} years "
-      f"x {tables[Scenario.BASELINE].plain.shape[1]} agents")
-# The delay and severity models as lookups, and each agent's residual life
-# expectancy at entry; run_experiment builds these once, too.
-outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
-residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+# Everything a replication reads, built once for the three scenarios (as
+# run_experiment does): each agent's five-year risk at every year's age,
+# with and without the intervention's factor reduction, the delay and
+# severity models as lookups, and each agent's residual life expectancy.
+model = prepare(arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
+                cfg.life_table, cfg.experiment.scenarios)
+plain = model.tables[Scenario.BASELINE].plain
+print(f"risk tables: {plain.shape[0]} years x {plain.shape[1]} agents")
 
 seed = 7
-result = run_replication(
-    arrays, tables[Scenario.BASELINE], scenarios[Scenario.BASELINE],
-    outcome_table, residual, rng=seed,
-)
+result = run_replication(model, seed, model.scenarios[Scenario.BASELINE])
 
 print(f"baseline replication, seed {seed}:")
 print(f"  strokes: {result.total_strokes}")
@@ -63,7 +57,7 @@ struck = np.flatnonzero(day >= 0)
 struck = struck[np.argsort(day[struck], kind="stable")]
 print("first five strokes:")
 for i in struck[:5]:
-    years_left = max(residual[i] - (day[i] // 365 + 1), 0.0)
+    years_left = max(model.residual[i] - (day[i] // 365 + 1), 0.0)
     k = result.severity[i]
     print(f"  agent {pop.agents[i].id:>5}  day {day[i]:>4}  "
           f"{SEVERITY_ORDER[k].value:<16} residual {years_left:>5.2f} y  "
@@ -77,10 +71,7 @@ print("strokes per simulated year:", " ".join(str(n) for n in per_year))
 # sampling noise and can even point the wrong way; the roughly 2 percent
 # true effect only separates from noise across many replications, which
 # is what 05_experiment.py is for.
-treated = run_replication(
-    arrays, tables[Scenario.CONVERSATIONS], scenarios[Scenario.CONVERSATIONS],
-    outcome_table, residual, rng=7,
-)
+treated = run_replication(model, seed, model.scenarios[Scenario.CONVERSATIONS])
 print(f"conversations scenario, same seed: {treated.total_strokes} strokes, "
       f"{treated.conversations} conversations, "
       f"{treated.risk_reductions} risk reductions")

@@ -15,6 +15,7 @@ from .engine import (
     LifeTable,
     OddsRatioTable,
     PopulationArrays,
+    PreparedModel,
     RiskTables,
     RunResult,
     Scenario,
@@ -23,6 +24,7 @@ from .engine import (
     SeverityDistribution,
     StrokeOutcome,
     build_risk_tables,
+    prepare,
     run_replication,
 )
 from .errors import CalibrationError, ConfigurationError
@@ -71,6 +73,7 @@ __all__ = [
     "OddsRatioTable",
     "Population",
     "PopulationArrays",
+    "PreparedModel",
     "RiskFactorTables",
     "RiskTables",
     "RunResult",
@@ -91,6 +94,7 @@ __all__ = [
     "paired_t_test",
     "percent_difference",
     "population_stats",
+    "prepare",
     "read_population_csv",
     "regularized_incomplete_beta",
     "run_experiment",

@@ -32,21 +32,21 @@ Each model rule is implemented once, as the kernel the replication or the
 table build calls: `_current_risk` (an agent's risk this year),
 `_scheduled_rows` and `_conversation_rows` (notification: the rows at a
 conversation age each year, listed once per experiment, then the
-threshold on those rows only), `_apply_reduction_rows` (risk reduction;
-`_mark_reduced` records it and refuses a row the tables have no column
-for), `_spillover_rows` (family spillover, gathered from the notified
+threshold on those rows only), `_apply_reduction_rows` (risk reduction),
+`_spillover_rows` (family spillover, gathered from the notified
 households' members), `_year_arrivals` (arrival sampling: a bound that no
 year's hit exceeds picks the candidates, and `_first_success_offsets`
 runs on those only), `OutcomeTable.draw` (a stroke's delay and severity)
 and `_stroke_dalys` (DALY accounting).  The tests exercise these kernels
 directly and check the whole loop against a one-uniform-per-day oracle.
 
-The experiment builds an `OutcomeTable` from the delay, severity and
-odds-ratio models, and each agent's residual life expectancy at entry,
-once.  A stroke then makes only its three draws (a band uniform, a
-normal for the hours, a severity uniform), the values the scalar path
-`sample_delay`, `adjust_severity`, `sample_severity` draws, in its
-order, and looks the rest up.  Those scalar functions, with
+`prepare` builds, once per experiment, the `PreparedModel` that
+`run_replication` reads: the risk tables, an `OutcomeTable` of the delay,
+severity and odds-ratio models, and each agent's residual life
+expectancy at entry.  A stroke then makes only its three draws (a band
+uniform, a normal for the hours, a severity uniform), the values the
+scalar path `sample_delay`, `adjust_severity`, `sample_severity` draws,
+in its order, and looks the rest up.  Those scalar functions, with
 `compute_outcome` and `first_success_offset`, are the references the
 kernels are tested against; no replication calls them.
 """
@@ -775,52 +775,55 @@ def _current_risk(
     return risk
 
 
-def _mark_reduced(tables: RiskTables, reduced: np.ndarray, rows: np.ndarray) -> None:
-    """Record that `rows` have their factors reduced.  Each needs a column
-    in `tables.reduced`: a row without one means the tables were built for
-    another threshold or other conversation ages, and its `slot` of -1
-    would read another agent's score."""
-    missing = rows[tables.slot[rows] < 0]
-    if missing.size:
-        raise ConfigurationError(
-            f"risk tables have no reduced-factor column for agent row {missing[0]}: "
-            "they were built for another threshold or other conversation ages"
-        )
-    reduced[rows] = True
+@dataclass(frozen=True)
+class PreparedModel:
+    """What every replication of an experiment reads, built once by
+    `prepare`: each scenario's config and `RiskTables`, by `Scenario`, the
+    `OutcomeTable` and each agent's residual life expectancy at entry."""
+
+    arrays: PopulationArrays
+    scenarios: dict[Scenario, ScenarioConfig]
+    tables: dict[Scenario, RiskTables]
+    outcomes: OutcomeTable
+    residual: np.ndarray
+
+
+def prepare(arrays: PopulationArrays, ens: EnsembleRiskModel, delay: DelayModel,
+            sev: SeverityDistribution, ors: OddsRatioTable, life: LifeTable,
+            scenarios: list[ScenarioConfig]) -> PreparedModel:
+    """Validate the models and `scenarios` once, then build every table.
+    The model keeps a copy of each config: one changed later is refused."""
+    for part in (delay, sev, ors, life, *scenarios):
+        part.validate()
+    return PreparedModel(
+        arrays=arrays,
+        scenarios={s.scenario: replace(s) for s in scenarios},
+        tables=build_risk_tables(arrays, ens, scenarios),
+        outcomes=OutcomeTable.build(delay, sev, ors),
+        residual=life.residual_array(arrays.male, arrays.age),
+    )
 
 
 def run_replication(
-    arrays: PopulationArrays,
-    tables: RiskTables,
-    scenario: ScenarioConfig,
-    outcome_table: OutcomeTable,
-    residual: np.ndarray,
-    rng: np.random.Generator | int,
+    model: PreparedModel, rng: np.random.Generator | int, scenario: ScenarioConfig
 ) -> RunResult:
-    """Run one full replication; no input is mutated.
+    """Run one replication of `scenario` on `model`; nothing is mutated.
 
-    `tables` are the scenario's risk tables from `build_risk_tables` for
-    these `arrays`, `outcome_table` is `OutcomeTable.build` of validated
-    models, `residual` is `LifeTable.residual_array(arrays.male,
-    arrays.age)` and `rng` is a seed or a Generator (`default_rng` takes
-    either).  Identical inputs give an identical result.
+    `scenario` must equal the config `model` was prepared for, else
+    `ConfigurationError`: tables built for another threshold, other
+    conversation ages or another horizon would run on their own schedule.
+    `rng` is a seed or a Generator (`default_rng` takes either).
+    Identical inputs give an identical result.
     """
-    scenario.validate()
-
+    if model.scenarios.get(scenario.scenario) != scenario:
+        raise ConfigurationError(
+            f"scenario {scenario.scenario.value}: the model was prepared for another config"
+        )
+    arrays, tables, residual = model.arrays, model.tables[scenario.scenario], model.residual
     interventions_on = scenario.scenario is not Scenario.BASELINE
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
     n = len(arrays.age)
     years = year_count(scenario)
-    fits = tables.plain.shape[0] >= years and tables.plain.shape[1] == n
-    if interventions_on:
-        fits = (fits and tables.reduced is not None and tables.reduced.shape[0] >= years
-                and tables.slot is not None and tables.slot.shape == (n,)
-                and len(tables.scheduled) >= years)
-    if not fits or residual.shape != (n,):
-        raise ConfigurationError(
-            f"risk tables or residuals do not cover {years} years of {n} agents "
-            f"in scenario {scenario.scenario.value}"
-        )
 
     rng = np.random.default_rng(rng)
     stroke_day = np.full(n, -1, dtype=np.int64)
@@ -842,11 +845,11 @@ def run_replication(
             conversations += talk.size
 
             own = talk[~reduced[talk]]
-            _mark_reduced(tables, reduced, own)
+            reduced[own] = True
             risk_reductions += own.size
             if spillover_on:
                 spill = _spillover_rows(arrays, talk, stroke_day, reduced)
-                _mark_reduced(tables, reduced, spill)
+                reduced[spill] = True
                 family_reductions += spill.size
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
@@ -857,7 +860,7 @@ def run_replication(
         stroke_day[hit] = days
         # one outcome draw per stroke, in the order they happen: by day, then row
         severity[hit[np.lexsort((hit, days))]] = [
-            outcome_table.draw(rng)[1] for _ in range(hit.size)]
+            model.outcomes.draw(rng)[1] for _ in range(hit.size)]
         free = np.delete(free, at)
 
     # added one by one in the order the strokes happened (by day, then

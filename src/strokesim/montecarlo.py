@@ -3,13 +3,12 @@
 Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
 on how runs are ordered or spread across worker processes.  Each
-experiment scores its population into per-year risk tables
-(`engine.build_risk_tables`), and tabulates the outcome model and each
-agent's residual life expectancy, once, before any replication runs.
-Replications run in a process pool (the population arrays and tables
-are shipped to each worker once) and are merged by index before any
-aggregation; the first failed replication cancels the rest and stops
-the experiment.
+experiment prepares its model once, before any replication runs
+(`engine.prepare`: the population's per-year risk tables, the outcome
+table and each agent's residual life expectancy).  Replications run in a
+process pool (the prepared model is shipped to each worker once) and are
+merged by index before any aggregation; the first failed replication
+cancels the rest and stops the experiment.
 
 With common random numbers every scenario's run i uses the same seed, so
 runs pair up by index and comparisons use the paired t-test; otherwise
@@ -32,13 +31,13 @@ from .engine import (
     DelayModel,
     LifeTable,
     OddsRatioTable,
-    OutcomeTable,
     PopulationArrays,
+    PreparedModel,
     RunResult,
     Scenario,
     ScenarioConfig,
     SeverityDistribution,
-    build_risk_tables,
+    prepare,
     run_replication,
 )
 from .errors import ConfigurationError
@@ -82,6 +81,9 @@ class ExperimentConfig:
             raise ConfigurationError("significance_level must be in (0, 1)")
         for s in self.scenarios:
             s.validate()
+        for name in ("horizon_days", "days_per_year"):  # the summary compares one grid
+            if len({getattr(s, name) for s in self.scenarios}) > 1:
+                raise ConfigurationError(f"experiment: scenarios differ in {name}")
 
 
 @dataclass
@@ -168,31 +170,31 @@ def percent_difference(scenario_mean: float, baseline_mean: float) -> float:
 
 def worker_count(requested: Optional[int], n_tasks: int) -> int:
     """Processes to run `n_tasks` replications on: the request (one per
-    core when None), capped at the core count and at the task count, and
-    never below 1 (so 0 or a negative request runs serially)."""
-    cores = os.cpu_count() or 1
+    usable core when None), capped at the usable cores and at the task
+    count, and never below 1 (so 0 or a negative request runs serially).
+    The usable cores are the CPU affinity mask (`taskset` narrows it)
+    where the OS has one, else the core count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
     wanted = cores if requested is None else requested
     return max(1, min(wanted, cores, n_tasks))
 
 
-# Worker-process state, installed once per worker by the pool initializer.
-_STATE: Optional[dict] = None
+# The prepared model, installed once per worker by the pool initializer.
+_STATE: Optional[PreparedModel] = None
 
 
-def _init_worker(state: dict) -> None:
+def _init_worker(model: PreparedModel) -> None:
     global _STATE
-    _STATE = state
+    _STATE = model
 
 
-def _run_task(task: tuple[str, int, int], state: Optional[dict] = None) -> RunMetrics:
+def _run_task(task: tuple[str, int, int], state: Optional[PreparedModel] = None) -> RunMetrics:
     scenario_value, run_idx, seed = task
-    st = state if state is not None else _STATE
-    assert st is not None
+    model = state if state is not None else _STATE
+    assert model is not None
     try:
-        res = run_replication(
-            st["arrays"], st["tables"][scenario_value], st["scenarios"][scenario_value],
-            st["outcome_table"], st["residual"], seed,
-        )
+        res = run_replication(model, seed, model.scenarios[Scenario(scenario_value)])
     except Exception as exc:
         raise RuntimeError(
             f"replication failed: scenario={scenario_value} run={run_idx} seed={seed}"
@@ -211,26 +213,16 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run every configured scenario n_runs times and summarize.
 
-    The models are validated and every table is built here, once,
-    before the pool starts, so every replication and every worker reads
-    the same tables.  Results are keyed by (scenario, run index) and
-    merged in index order, so the summary is identical however many
-    workers execute the runs.
+    `engine.prepare` validates the models and builds every table here,
+    once, before the pool starts, so every worker reads the same tables.
+    Results are keyed by (scenario, run index) and merged in index order,
+    so the summary is identical however many workers execute the runs.
     The first failing replication aborts the experiment, cancelling the
     replications still queued; the error names the scenario, run and
     seed that failed.
     """
     cfg.validate()
-    for model in (delay, sev, ors, life):
-        model.validate()
-    tables = build_risk_tables(arrays, ens, cfg.scenarios)
-    state = {
-        "arrays": arrays,
-        "tables": {kind.value: t for kind, t in tables.items()},
-        "scenarios": {s.scenario.value: s for s in cfg.scenarios},
-        "outcome_table": OutcomeTable.build(delay, sev, ors),
-        "residual": life.residual_array(arrays.male, arrays.age),
-    }
+    model = prepare(arrays, ens, delay, sev, ors, life, cfg.scenarios)
 
     tasks: list[tuple[str, int, int]] = []
     for sc in cfg.scenarios:
@@ -246,11 +238,11 @@ def run_experiment(
     collected: dict[tuple[str, int], RunMetrics] = {}
     if workers == 1:
         for task in tasks:
-            m = _run_task(task, state)
+            m = _run_task(task, model)
             collected[(m.scenario, m.run)] = m
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(state,)
+            max_workers=workers, initializer=_init_worker, initargs=(model,)
         ) as pool:
             futures = [pool.submit(_run_task, task) for task in tasks]
             try:

@@ -298,6 +298,7 @@ def test_run_flags_override_config(config_path, tmp_path):
 def test_run_manifest_records_workers_used(config_path, tmp_path, monkeypatch):
     # on one core the request is capped at 1, so this starts no process
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     out = tmp_path / "out"
     assert main(["run", "--config", config_path, "--out", str(out), "--runs", "2",
                  "--scenario", "baseline", "--workers", "64"]) == 0

@@ -43,6 +43,7 @@ from strokesim.engine import (
     _stroke_dalys,
     _year_arrivals,
     build_risk_tables,
+    prepare,
     run_replication,
     year_count,
     sample_delay,
@@ -266,7 +267,7 @@ def test_skip_sample_consumes_one_uniform_even_at_zero_risk():
     # the risk, so the stream layout does not depend on the scores
     pop = small_pop(n=5)
     rng = np.random.default_rng(5)
-    result = run_replication(*run_args(pop, one_member(-60.0), horizon=3 * 365), rng=rng)
+    result = run_replication(**run_args(pop, one_member(-60.0), horizon=3 * 365), rng=rng)
     assert result.total_strokes == 0
     ref = np.random.default_rng(5)
     ref.random(3 * 5)
@@ -605,10 +606,10 @@ def test_replication_matches_the_scalar_oracles_stroke_for_stroke(monkeypatch):
         hours, severity = scalar_outcome(delay, sev, ors, rng)
         return hours, SEVERITY_ORDER.index(severity)
 
-    fast = run_replication(*args, rng=17)
+    fast = run_replication(**args, rng=17)
     with monkeypatch.context() as patch:
         patch.setattr(OutcomeTable, "draw", scalar_draw)
-        slow = run_replication(*args, rng=17)
+        slow = run_replication(**args, rng=17)
     assert fast.total_strokes > 20
     assert_same_result(fast, slow)
 
@@ -627,7 +628,7 @@ def test_replication_calls_no_scalar_reference(monkeypatch):
         monkeypatch.setattr(engine, name, refuse)
     monkeypatch.setattr(StrokeOutcome, "__init__", refuse)
     for kind in Scenario:
-        result = run_replication(*args[kind], rng=3)
+        result = run_replication(**args[kind], rng=3)
         assert result.total_strokes > 0
         assert result.total_dalys > 0.0
 
@@ -1018,52 +1019,61 @@ def test_current_risk_reads_each_row_from_its_table():
         assert empty.shape == (0,) and empty.dtype == np.float64
 
 
+def refused(scenario):
+    """The error `run_replication` raises for a scenario its model was not
+    prepared for."""
+    return pytest.raises(ConfigurationError, match=(
+        rf"^scenario {scenario.scenario.value}: the model was prepared for another config$"))
+
+
 def test_run_replication_rejects_tables_that_do_not_fit():
+    # a model's tables cover the years and scenarios it was prepared for
+    # only: a longer horizon would read past them, a scenario it has no
+    # tables for would read none
     pop = small_pop(n=6)
-    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
-    short = args[1]
-    args[2] = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=1095)
-    with pytest.raises(ConfigurationError, match="3 years of 6 agents"):
-        run_replication(*args, rng=0)
-    args[1] = build_risk_tables(args[0], strong_ens(), [ScenarioConfig()])[Scenario.BASELINE]
-    args[2] = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=730)
-    with pytest.raises(ConfigurationError, match="scenario conversations"):
-        run_replication(*args, rng=0)
-    args[0] = PopulationArrays.from_population(small_pop(n=5))
-    args[1] = short
-    with pytest.raises(ConfigurationError, match="of 5 agents"):
-        run_replication(*args, rng=0)
-    # residuals of another population
-    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
-    args[4] = args[4][:5]
-    with pytest.raises(ConfigurationError, match="residuals do not cover 2 years of 6 agents"):
-        run_replication(*args, rng=0)
-    # a reduced table one year short, and a slot of another population
-    args = list(run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730))
-    tables = args[1]
-    for bad in (replace(tables, reduced=tables.reduced[:1]), replace(tables, slot=tables.slot[:5]),
-                replace(tables, slot=None)):
-        args[1] = bad
-        with pytest.raises(ConfigurationError, match="do not cover 2 years of 6 agents"):
-            run_replication(*args, rng=0)
+    args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730)
+    model, scenario = args["model"], args["scenario"]
+    assert model.tables[Scenario.CONVERSATIONS].plain.shape == (2, 6)
+    assert run_replication(**args, rng=0).total_strokes >= 0
+    for other in (replace(scenario, horizon_days=1095), replace(scenario, days_per_year=300),
+                  replace(scenario, scenario=Scenario.BASELINE),
+                  replace(scenario, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)):
+        with refused(other):
+            run_replication(model, 0, other)
+    # the model keeps its own copy of each config: the caller's, changed
+    # after the model was prepared, no longer matches the tables
+    scenario.horizon_days = 1095
+    with refused(scenario):
+        run_replication(model, 0, scenario)
+    # every table covers the longest horizon among the scenarios
+    mixed = prepare(model.arrays, strong_ens(), DelayModel.default(),
+                    SeverityDistribution.default(), OddsRatioTable.default(), LIFE,
+                    [ScenarioConfig(horizon_days=365), replace(scenario, horizon_days=1095)])
+    assert all(t.plain.shape == (3, 6) for t in mixed.tables.values())
+    assert mixed.tables[Scenario.CONVERSATIONS].reduced.shape[0] == 3
+    assert mixed.residual.shape == (6,)
 
 
 def test_run_replication_rejects_a_reduction_without_a_column():
-    # tables built for a higher threshold, or for other conversation ages,
-    # have no column for some row the scenario reduces: reading its slot of
-    # -1 would give it the last reducible agent's score
+    # a model prepared for a higher threshold, or for other conversation
+    # ages, has no column for some row the scenario reduces: reading its
+    # slot of -1 would give it the last reducible agent's score.  Such a
+    # model refuses the scenario; so does one with another reduction.
     pop = small_pop(n=40)
-    scenario = ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=3650)
-    arrays, fitting, _, *rest = run_args(pop, strong_ens(), scenario.scenario, horizon=3650)
-    assert run_replication(arrays, fitting, scenario, *rest, rng=0).risk_reductions > 0
-    higher = replace(scenario, high_risk_threshold=0.3)
-    other_ages = replace(scenario, conversation_ages=(55, 65, 75))
-    for built_for in (higher, other_ages):
-        tables = build_risk_tables(arrays, strong_ens(), [built_for])[scenario.scenario]
-        assert ((tables.slot < 0) & (fitting.slot >= 0)).any()
-        mismatched = replace(tables, scheduled=fitting.scheduled)
-        with pytest.raises(ConfigurationError, match="no reduced-factor column for agent row"):
-            run_replication(arrays, mismatched, scenario, *rest, rng=0)
+    args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY, horizon=3650)
+    fitting, scenario = args["model"].tables[Scenario.CONVERSATIONS_PLUS_FAMILY], args["scenario"]
+    assert run_replication(**args, rng=0).risk_reductions > 0
+    for change in ({"high_risk_threshold": 0.3}, {"conversation_ages": (55, 65, 75)},
+                   {"bmi_reduction_sd_fraction": 0.25}):
+        other = run_args(pop, strong_ens(), scenario.scenario, horizon=3650, **change)
+        assert run_replication(**other, rng=0).total_strokes > 0
+        if "bmi_reduction_sd_fraction" not in change:
+            slot = other["model"].tables[scenario.scenario].slot
+            assert ((slot < 0) & (fitting.slot >= 0)).any()
+        with refused(scenario):
+            run_replication(other["model"], 0, scenario)
+        with refused(other["scenario"]):
+            run_replication(args["model"], 0, other["scenario"])
 
 
 # --- full replications ---
@@ -1091,22 +1101,23 @@ LIFE = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 
 def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, models=None,
              **cfg_kwargs):
-    """run_replication's arguments before the generator, as run_experiment
-    builds them; `models` are (delay, sev, ors), the defaults when None."""
+    """run_replication's arguments but the generator, by name: the model
+    `prepare` builds for one scenario, as run_experiment does, and that
+    scenario; `models` are (delay, sev, ors), the defaults when None."""
     scenario = ScenarioConfig(scenario=scenario_kind, horizon_days=horizon, **cfg_kwargs)
-    arrays = PopulationArrays.from_population(pop)
-    tables = build_risk_tables(arrays, ens, [scenario])[scenario_kind]
     delay, sev, ors = models or (
         DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default())
-    return (arrays, tables, scenario, OutcomeTable.build(delay, sev, ors),
-            LIFE.residual_array(arrays.male, arrays.age))
+    model = prepare(PopulationArrays.from_population(pop), ens, delay, sev, ors, LIFE,
+                    [scenario])
+    return {"model": model, "scenario": scenario}
 
 
 def oracle_args(args, ens):
-    """`run_args` with the risk tables the oracle reads in place of the
-    replication's (`full_width_tables`)."""
-    arrays, _, scenario, *rest = args
-    return (arrays, full_width_tables(arrays, ens, scenario), scenario, *rest)
+    """`reference_replication`'s arguments before the seed: the prepared
+    model, the risk tables the oracle reads in place of the replication's
+    (`full_width_tables`), and the scenario."""
+    model, scenario = args["model"], args["scenario"]
+    return model, full_width_tables(model.arrays, ens, scenario), scenario
 
 
 def assert_same_result(a, b):
@@ -1127,26 +1138,27 @@ def strong_ens():
 def test_run_replication_deterministic_and_seed_recorded():
     pop = small_pop()
     args = run_args(pop, strong_ens())
-    first = run_replication(*args, rng=1234)
-    second = run_replication(*args, rng=1234)
+    first = run_replication(**args, rng=1234)
+    second = run_replication(**args, rng=1234)
     assert first.total_strokes > 0
     assert_same_result(first, second)
 
-    via_generator = run_replication(*args, rng=np.random.default_rng(1234))
+    via_generator = run_replication(**args, rng=np.random.default_rng(1234))
     assert_same_result(via_generator, first)
 
 
 def test_run_replication_does_not_mutate_inputs():
     args = run_args(small_pop(), strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY)
-    arrays, tables, residual = args[0], args[1], args[4]
+    model = args["model"]
+    arrays, tables = model.arrays, model.tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
     features_before, age_before = arrays.features.copy(), arrays.age.copy()
     plain_before, reduced_before = tables.plain.copy(), tables.reduced.copy()
     slot_before = tables.slot.copy()
-    residual_before = residual.copy()
-    result = run_replication(*args, rng=7)
+    residual_before = model.residual.copy()
+    result = run_replication(**args, rng=7)
     assert result.risk_reductions > 0
     assert result.total_strokes > 0
-    assert (residual == residual_before).all()
+    assert (model.residual == residual_before).all()
     assert (arrays.features == features_before).all()
     assert (arrays.age == age_before).all()
     assert (tables.plain == plain_before).all()
@@ -1156,7 +1168,7 @@ def test_run_replication_does_not_mutate_inputs():
 
 def test_zero_risk_population_has_no_strokes():
     pop = small_pop()
-    result = run_replication(*run_args(pop, one_member(-60.0)), rng=9)
+    result = run_replication(**run_args(pop, one_member(-60.0)), rng=9)
     assert result.total_strokes == 0
     assert result.total_dalys == 0.0
     assert result.stroke_day.tolist() == result.severity.tolist() == [-1] * len(pop.agents)
@@ -1165,7 +1177,7 @@ def test_zero_risk_population_has_no_strokes():
 
 def test_run_result_bookkeeping_consistent():
     pop = small_pop()
-    result = run_replication(*run_args(pop, strong_ens()), rng=31)
+    result = run_replication(**run_args(pop, strong_ens()), rng=31)
     assert result.stroke_day.shape == result.severity.shape == (len(pop.agents),)
     struck = result.stroke_day >= 0
     assert result.total_strokes == int(struck.sum()) > 0
@@ -1187,7 +1199,7 @@ def test_run_replication_daly_residuals_from_entry_age():
     # and then agent, and equal to the last bit.
     pop = small_pop(n=60)
     for kind in Scenario:
-        result = run_replication(*run_args(pop, strong_ens(), kind), rng=2024)
+        result = run_replication(**run_args(pop, strong_ens(), kind), rng=2024)
         assert result.total_strokes > 0
         days = result.stroke_day.tolist()
         total = 0.0
@@ -1208,7 +1220,7 @@ def test_naive_and_skip_paths_agree_on_average():
     oracle = oracle_args(args, ens)
     skip_totals, naive_totals = [], []
     for s in range(30):
-        skip_totals.append(run_replication(*args, rng=s).total_strokes)
+        skip_totals.append(run_replication(**args, rng=s).total_strokes)
         naive_totals.append(reference_replication(
             *oracle, s, use_skip_sampling=False)[0].total_strokes)
     m_skip, m_naive = np.mean(skip_totals), np.mean(naive_totals)
@@ -1231,7 +1243,7 @@ def test_naive_and_skip_paths_agree_over_whole_runs():
         args = run_args(pop, ens, kind)
         oracle = oracle_args(args, ens)
         totals, per_year = [], []
-        for results in ([run_replication(*args, rng=s) for s in SKIP_SEEDS],
+        for results in ([run_replication(**args, rng=s) for s in SKIP_SEEDS],
                         [reference_replication(*oracle, s, use_skip_sampling=False)[0]
                          for s in NAIVE_SEEDS]):
             totals.append([r.total_strokes for r in results])
@@ -1244,7 +1256,7 @@ def test_naive_and_skip_paths_agree_over_whole_runs():
 
 def test_baseline_scenario_never_intervenes():
     pop = small_pop()
-    result = run_replication(*run_args(pop, strong_ens(), Scenario.BASELINE), rng=44)
+    result = run_replication(**run_args(pop, strong_ens(), Scenario.BASELINE), rng=44)
     assert result.conversations == 0
     assert result.risk_reductions == 0
     assert result.family_reductions == 0
@@ -1269,7 +1281,7 @@ def afib_ens():
 def find_quiet_seed(scenario_kind):
     pop = couple_pop()
     for s in range(60):
-        result = run_replication(*run_args(pop, afib_ens(), scenario_kind),
+        result = run_replication(**run_args(pop, afib_ens(), scenario_kind),
                                  rng=s)
         if result.total_strokes == 0:
             return s, result
@@ -1288,8 +1300,8 @@ def test_repeat_conversation_age_renotifies_but_reduces_once():
     pop = couple_pop()
     for s in range(60):
         result = run_replication(
-            *run_args(pop, afib_ens(), Scenario.CONVERSATIONS,
-                      conversation_ages=(50, 55)), rng=s)
+            **run_args(pop, afib_ens(), Scenario.CONVERSATIONS,
+                       conversation_ages=(50, 55)), rng=s)
         if result.total_strokes == 0:
             assert result.conversations == 2
             assert result.risk_reductions == 1
@@ -1310,10 +1322,10 @@ def test_reductions_lower_risk_for_smokers():
     pop = small_pop(n=300, seed=12)
     ens = strong_ens()
     base_mean = np.mean([
-        run_replication(*run_args(pop, ens, Scenario.BASELINE), rng=s).total_strokes
+        run_replication(**run_args(pop, ens, Scenario.BASELINE), rng=s).total_strokes
         for s in range(20)])
     conv_mean = np.mean([
-        run_replication(*run_args(pop, ens, Scenario.CONVERSATIONS), rng=s).total_strokes
+        run_replication(**run_args(pop, ens, Scenario.CONVERSATIONS), rng=s).total_strokes
         for s in range(20)])
     assert conv_mean < base_mean
 
@@ -1330,9 +1342,9 @@ def test_reduction_takes_effect_in_the_year_it_happens():
             agents.append(a)
     pop = population_of(agents)
     ens = one_member(-60.0, {"smoker": 62.0})
-    base = run_replication(*run_args(pop, ens, Scenario.BASELINE, horizon=365), rng=5)
+    base = run_replication(**run_args(pop, ens, Scenario.BASELINE, horizon=365), rng=5)
     assert base.total_strokes > 10
-    result = run_replication(*run_args(pop, ens, Scenario.CONVERSATIONS_PLUS_FAMILY,
+    result = run_replication(**run_args(pop, ens, Scenario.CONVERSATIONS_PLUS_FAMILY,
                                        horizon=365, conversation_ages=(61,)), rng=5)
     assert (result.conversations, result.risk_reductions, result.family_reductions) == \
         (100, 100, 100)
@@ -1350,8 +1362,8 @@ def test_replication_imports_no_module():
 import sys
 import numpy as np
 from strokesim.engine import (
-    DelayModel, LifeTable, OddsRatioTable, OutcomeTable, PopulationArrays, Scenario,
-    ScenarioConfig, SeverityDistribution, build_risk_tables, run_replication)
+    DelayModel, LifeTable, OddsRatioTable, PopulationArrays, Scenario, ScenarioConfig,
+    SeverityDistribution, prepare, run_replication)
 from strokesim.population import Agent, Population
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
 agents = [Agent(id=i, age=60, sex="male", region="r", household_id=i // 2,
@@ -1360,14 +1372,12 @@ arrays = PopulationArrays.from_population(Population(agents, {}, {}))
 life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
 scenarios = [ScenarioConfig(scenario=kind, conversation_ages=(61, 63)) for kind in Scenario]
-tables = build_risk_tables(arrays, ens, scenarios)
-outcome = OutcomeTable.build(DelayModel.default(), SeverityDistribution.default(),
-                             OddsRatioTable.default())
-residual = life.residual_array(arrays.male, arrays.age)
+model = prepare(arrays, ens, DelayModel.default(), SeverityDistribution.default(),
+                OddsRatioTable.default(), life, scenarios)
 np.random.default_rng(0)  # the process that forks the workers has drawn its population
 before = set(sys.modules)
 for s in scenarios:
-    result = run_replication(arrays, tables[s.scenario], s, outcome, residual, 3)
+    result = run_replication(model, 3, s)
     assert result.total_strokes > 0 and (s.scenario is Scenario.BASELINE or result.conversations)
 print(sorted(set(sys.modules) - before))
 """
@@ -1382,7 +1392,7 @@ def test_counter_invariants_across_seeds():
     ens = strong_ens()
     for s in range(12):
         for kind in Scenario:
-            result = run_replication(*run_args(pop, ens, kind), rng=s)
+            result = run_replication(**run_args(pop, ens, kind), rng=s)
             assert 0 <= result.total_strokes <= len(pop.agents)
             assert result.total_dalys >= 0.0
             assert result.risk_reductions <= result.conversations
@@ -1393,8 +1403,19 @@ def test_counter_invariants_across_seeds():
 
 
 def test_run_replication_validates_configs():
+    # `prepare` validates every scenario and model once; a replication
+    # refuses a config the model was not prepared for, an invalid one too
     pop = small_pop(n=4)
-    args = list(run_args(pop, strong_ens()))
-    args[2] = ScenarioConfig(high_risk_threshold=2.0)
-    with pytest.raises(ConfigurationError):
-        run_replication(*args, rng=0)
+    args = run_args(pop, strong_ens())
+    bad = ScenarioConfig(high_risk_threshold=2.0)
+    models = [DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default(), LIFE]
+    with pytest.raises(ConfigurationError, match="high_risk_threshold = 2.0"):
+        prepare(args["model"].arrays, strong_ens(), *models, [bad])
+    for i, broken in enumerate((DelayModel([]), SeverityDistribution(0.5, 0.5, 0.5, 0.0),
+                                OddsRatioTable([]),
+                                LifeTable(ages=[50, 50], female=[1.0, 1.0], male=[1.0, 1.0]))):
+        with pytest.raises(ConfigurationError):
+            prepare(args["model"].arrays, strong_ens(),
+                    *models[:i], broken, *models[i + 1:], [ScenarioConfig()])
+    with refused(bad):
+        run_replication(args["model"], 0, bad)

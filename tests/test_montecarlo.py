@@ -5,6 +5,7 @@ import json
 import os
 import signal
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from strokesim.engine import (
     Scenario,
     ScenarioConfig,
     SeverityDistribution,
-    build_risk_tables,
+    prepare,
     run_replication,
     year_count,
 )
@@ -120,6 +121,15 @@ def test_experiment_config_validate():
                          significance_level=1.0).validate()
 
 
+@pytest.mark.parametrize("field, value", [("horizon_days", 3650), ("days_per_year", 360)])
+def test_experiment_config_rejects_scenarios_on_different_time_grids(field, value):
+    # the summary's tests compare scenarios run over one horizon and year
+    scenarios = scenario_list()
+    scenarios[1] = replace(scenarios[1], **{field: value})
+    with pytest.raises(ConfigurationError, match=f"scenarios differ in {field}$"):
+        ExperimentConfig(base_seed=1, scenarios=scenarios).validate()
+
+
 # --- a small experiment everything below shares ---
 
 
@@ -185,18 +195,13 @@ def test_runs_shape_and_order(experiment):
 
 def test_every_run_reproducible_in_isolation(experiment):
     """Each row of runs must be replayable from its recorded seed alone."""
-    arrays = PopulationArrays.from_population(tiny_population())
-    tables = build_risk_tables(arrays, tiny_ens(), scenario_list())
-    outcome_table = OutcomeTable.build(
-        DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default())
-    residual = tiny_life().residual_array(arrays.male, arrays.age)
-    by_kind = {s.scenario.value: s for s in scenario_list()}
+    model = prepare(PopulationArrays.from_population(tiny_population()), tiny_ens(),
+                    DelayModel.default(), SeverityDistribution.default(),
+                    OddsRatioTable.default(), tiny_life(), scenario_list())
     for name, metrics in experiment.runs.items():
         for m in metrics[:3]:
             assert m.seed == derive_seed(99, SCENARIO_SEED_INDEX[Scenario(name)], m.run)
-            direct = run_replication(
-                arrays, tables[Scenario(name)], by_kind[name], outcome_table, residual,
-                rng=m.seed)
+            direct = run_replication(model, m.seed, model.scenarios[Scenario(name)])
             assert direct.total_strokes == m.strokes
             assert direct.total_dalys == m.dalys
             assert direct.conversations == m.conversations
@@ -217,8 +222,15 @@ def test_parallel_equals_serial(experiment):
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
 
 
+def usable_cores(monkeypatch, n):
+    """Make `n` cores usable: the core count and, where the OS has one, the
+    affinity mask."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_worker_count_bounds(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    usable_cores(monkeypatch, 4)
     assert worker_count(None, 3000) == 4      # default: one per core
     assert worker_count(2, 3000) == 2
     assert worker_count(500, 3000) == 4       # capped at the core count
@@ -227,9 +239,20 @@ def test_worker_count_bounds(monkeypatch):
     assert worker_count(0, 3000) == 1         # never below one
     assert worker_count(-3, 3000) == 1
     assert worker_count(None, 0) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # core count unknown
+    # no affinity mask (not Linux): the core count, 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(None, 3000) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(None, 3000) == 1
     assert worker_count(8, 3000) == 1
+
+
+def test_worker_count_caps_at_the_affinity_mask(monkeypatch):
+    # `taskset -c 0` on a many-core machine: one core is usable
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(None, 100) == 1
+    assert worker_count(8, 100) == 1
 
 
 def test_scenario_subset_reuses_seeds(experiment):
@@ -381,7 +404,7 @@ def failing_replication(monkeypatch, seed):
     original = montecarlo.run_replication
 
     def replication(*args, **kwargs):
-        if args[5] == seed:
+        if args[1] == seed:
             raise ValueError("replication broke")
         return original(*args, **kwargs)
 
@@ -410,7 +433,7 @@ def test_invalid_model_rejected_before_the_pool_starts(monkeypatch, name):
         raise AssertionError("a pool was created")
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cores(monkeypatch, 2)
     model, message = BAD_MODELS[name]
     with pytest.raises(ConfigurationError, match=message):
         run_tiny(make_config(workers=2), **{name: model})
@@ -457,7 +480,7 @@ def test_pool_stops_at_first_failed_replication(monkeypatch):
         raise TimeoutError("the experiment waited on the queued replications")
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    usable_cores(monkeypatch, 2)
     seed = derive_seed(99, SCENARIO_SEED_INDEX[Scenario.BASELINE], 0)
     failing_replication(monkeypatch, seed)
     previous = signal.signal(signal.SIGALRM, waited)

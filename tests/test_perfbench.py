@@ -5,7 +5,9 @@ lands within its tolerance, the simulated baseline lies within 3 SE of the
 closed form, passes and worker counts give identical outputs, and every
 layer reports.  A change that breaks one of them makes the benchmark
 report incorrect outputs, so the test suite runs one short traced pass of it.
-This only reads ``perfbench/``.
+perfbench also wraps library names from outside, so a second test installs
+its tracer in-process and checks the spans it records.  This only reads
+``perfbench/``.
 """
 
 import json
@@ -31,3 +33,45 @@ def test_perfbench_checks_pass():
     assert not failed
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_tracer_spans_each_replication_by_scenario(monkeypatch):
+    # perfbench wraps library names from outside: `run_replication`'s
+    # third positional argument must be the scenario it tags each span
+    # with, and `_run_task(task, state)` must still be the serial path
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from strokesim import cli, engine, montecarlo, risk
+    from test_montecarlo import make_config, tiny_ens, tiny_life, tiny_population
+
+    owners = (cli, engine, montecarlo, risk, engine.PopulationArrays)
+    before = [dict(vars(owner)) for owner in owners]
+
+    def run():
+        return cli.run_experiment(
+            make_config(n_runs=3), engine.PopulationArrays.from_population(tiny_population()),
+            tiny_ens(), engine.DelayModel.default(), engine.SeverityDistribution.default(),
+            engine.OddsRatioTable.default(), tiny_life())
+
+    tracer = tracing.Tracer()
+    tracer.install("layer")
+    try:
+        assert montecarlo.run_replication is not before[2]["run_replication"]
+        traced = run()
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        assert vars(owner).keys() == names.keys()
+        assert all(vars(owner)[k] is v for k, v in names.items()), owner
+
+    scenarios = [s.scenario.value for s in make_config().scenarios]
+    reps = [s for s in tracer.spans if s.name == "engine.replication"]
+    assert len(reps) == 3 * len(scenarios)
+    assert sorted(s.tag for s in reps) == sorted(scenarios * 3)
+    for s in reps:  # inside its task's span, which names the same scenario
+        task = tracer.spans[s.parent]
+        assert task.name == "montecarlo.task" and task.tag.split("/")[0] == s.tag
+    # tracing changes no result
+    untraced = run()
+    assert {k: [vars(m) for m in v] for k, v in traced.runs.items()} == \
+           {k: [vars(m) for m in v] for k, v in untraced.runs.items()}

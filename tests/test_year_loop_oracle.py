@@ -5,7 +5,7 @@ full-population conversation mask from an age lookup, both risk tables
 gathered for every agent with `np.where`, spillover from every household
 ever notified, and arrival offsets over every stroke-free row.  It reads
 its own risk tables, scored for every agent by `full_width_tables`, not
-the compact ones `build_risk_tables` gives a replication.  With
+the compact ones `prepare` builds for a replication.  With
 `use_skip_sampling=False` it draws one uniform per stroke-free agent per
 day instead: the naive path that test_engine checks skip sampling against
 in distribution.  `run_replication` tests only the
@@ -25,14 +25,13 @@ import pytest
 from strokesim.cli import _build_population
 from strokesim.config import load_experiment_file
 from strokesim.engine import (
-    OutcomeTable,
     PopulationArrays,
     RunResult,
     Scenario,
     _apply_reduction_rows,
     _first_success_offsets,
     _stroke_dalys,
-    build_risk_tables,
+    prepare,
     run_replication,
     year_count,
 )
@@ -60,11 +59,12 @@ def full_width_tables(arrays, ens, scenario):
     return plain, reduced
 
 
-def reference_replication(arrays, full_tables, scenario, outcome_table, residual, seed,
-                          use_skip_sampling=True):
-    """The earlier year loop on `full_width_tables`, with how often it
-    re-notified an agent and notified two members of one household in one
-    year, and whose factors it reduced."""
+def reference_replication(model, full_tables, scenario, seed, use_skip_sampling=True):
+    """The earlier year loop on `full_width_tables`, with `model`'s arrays,
+    outcome table and residuals, and with how often it re-notified an
+    agent and notified two members of one household in one year, and
+    whose factors it reduced."""
+    arrays, outcome_table, residual = model.arrays, model.outcomes, model.residual
     plain, lowered = full_tables
     rng = np.random.default_rng(seed)
     interventions_on = scenario.scenario is not Scenario.BASELINE
@@ -166,8 +166,9 @@ def experiment(request, tmp_path_factory):
     arrays = PopulationArrays.from_population(pop)
     scenarios = cfg.experiment.scenarios
     full = {s.scenario: full_width_tables(arrays, cfg.ensemble, s) for s in scenarios}
-    return (request.param, cfg, pop, arrays, build_risk_tables(arrays, cfg.ensemble, scenarios),
-            full)
+    model = prepare(arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
+                    cfg.life_table, scenarios)
+    return request.param, cfg, model, full
 
 
 def assert_same_result(a, b):
@@ -183,17 +184,13 @@ def assert_same_result(a, b):
 
 
 def test_replication_matches_the_earlier_year_loop(experiment):
-    name, cfg, _, arrays, tables, full = experiment
-    outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
-    residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+    name, cfg, model, full = experiment
     renotified = shared = 0
     for scenario in cfg.experiment.scenarios:
-        args = (scenario, outcome_table, residual)
         for seed in SEEDS:
             want, again, both, _ = reference_replication(
-                arrays, full[scenario.scenario], *args, seed)
-            assert_same_result(run_replication(arrays, tables[scenario.scenario], *args, seed),
-                               want)
+                model, full[scenario.scenario], scenario, seed)
+            assert_same_result(run_replication(model, seed, scenario), want)
             assert want.total_strokes > 0
             renotified += again
             shared += both
@@ -204,17 +201,14 @@ def test_replication_matches_the_earlier_year_loop(experiment):
 def test_every_row_a_replication_reduces_has_a_column(experiment):
     # the oracle reduces from the full-width tables and never reads `slot`;
     # each row it reduces must have a column in the compact table
-    name, cfg, _, arrays, tables, full = experiment
-    outcome_table = OutcomeTable.build(cfg.delay, cfg.severity, cfg.odds_ratios)
-    residual = cfg.life_table.residual_array(arrays.male, arrays.age)
+    name, cfg, model, full = experiment
     for scenario in cfg.experiment.scenarios:
         if scenario.scenario is Scenario.BASELINE:
             continue
-        slot = tables[scenario.scenario].slot
-        ever = np.zeros(len(arrays.age), dtype=bool)
+        slot = model.tables[scenario.scenario].slot
+        ever = np.zeros(len(model.arrays.age), dtype=bool)
         for seed in range(10):
-            ever |= reference_replication(arrays, full[scenario.scenario], scenario,
-                                          outcome_table, residual, seed)[3]
+            ever |= reference_replication(model, full[scenario.scenario], scenario, seed)[3]
         assert ever.any()
         assert (slot[ever] >= 0).all(), (name, scenario.scenario.value)
         # the table is narrower than the population
