@@ -6,9 +6,10 @@ treatment delay and severity.  It returns each agent's stroke day and
 severity, and the DALYs of those strokes: a death loses the agent's
 residual life years, a survivor lives them with a disability weight.
 Nothing model-wide is recomputed inside it: `prepare` scores every agent
-once per simulated year beforehand, into risk tables that all
-replications of a scenario share, and tabulates the outcome model and
-the residual life expectancies once too.
+once per simulated year beforehand, into one set of risk tables that
+every replication of every scenario reads (the scenarios differ only in
+their kind), and tabulates the outcome model and the residual life
+expectancies once too.
 """
 
 import numpy as np
@@ -33,12 +34,14 @@ assign_risk_factors(pop, cfg.risk_tables, rng)
 arrays = PopulationArrays.from_population(pop)
 # Everything a replication reads, built once for the three scenarios (as
 # run_experiment does): each agent's five-year risk at every year's age,
-# with and without the intervention's factor reduction, the delay and
-# severity models as lookups, and each agent's residual life expectancy.
+# with its original factors and, for the agents a conversation can reach,
+# with the intervention's factor reduction; the delay and severity models
+# as lookups; and each agent's residual life expectancy.
 model = prepare(arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
                 cfg.life_table, cfg.experiment.scenarios)
-plain = model.tables[Scenario.BASELINE].plain
-print(f"risk tables: {plain.shape[0]} years x {plain.shape[1]} agents")
+plain, reduced = model.tables.plain, model.tables.reduced
+print(f"risk tables: {plain.shape[0]} years x {plain.shape[1]} agents, "
+      f"{reduced.shape[1]} of them reducible")
 
 seed = 7
 result = run_replication(model, seed, model.scenarios[Scenario.BASELINE])

@@ -68,6 +68,18 @@ def _score(pop: Population, features: np.ndarray, ensemble: EnsembleRiskModel) -
         agent.five_year_risk = risk
 
 
+def _out_path(value: str, directory: bool = False) -> Path:
+    """`--out`, checked before any work: a file goes into an existing
+    directory and is not one; a directory (made when written) is not, and
+    is not under, a file."""
+    out = Path(value)
+    base = next(p for p in (out, *out.parents) if p.exists()) if directory else out.parent
+    if not base.is_dir() or (not directory and out.is_dir()):
+        kind = "directory" if directory else "file"
+        raise ConfigurationError(f"--out {value}: cannot write an output {kind} there")
+    return out
+
+
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -114,6 +126,7 @@ def _utc_now() -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     phases: dict[str, float] = {}
     with _phase(phases, "load"):
         cfg = load_experiment_file(args.config)
@@ -121,7 +134,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with _phase(phases, "synthesis"):
         pop = _build_population(cfg, base_seed)
         _score(pop, feature_matrix(pop.agents), cfg.ensemble)
-    out = Path(args.out)
     with _phase(phases, "write"):
         write_population_csv(pop, out)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
@@ -140,6 +152,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    out = _out_path(args.out)
     phases: dict[str, float] = {}
     with _phase(phases, "load"):
         cfg = load_experiment_file(args.config)
@@ -158,7 +171,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             horizon_days=cfg.horizon_days, days_per_year=cfg.days_per_year, tol=tol,
         )
         expected = expected_stroke_count(calibrated, pop, cfg.horizon_days)
-    out = Path(args.out)
     with _phase(phases, "write"):
         dump_risk_model(calibrated, out)
     years = cfg.horizon_days / cfg.days_per_year
@@ -208,6 +220,7 @@ def format_summary_table(result: ExperimentResult) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    out = _out_path(args.out, directory=True)
     phases: dict[str, float] = {}
     with _phase(phases, "load"):
         cfg = load_experiment_file(args.config)
@@ -233,7 +246,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             cfg.life_table,
         )
 
-    out = Path(args.out)
     with _phase(phases, "write"):
         out.mkdir(parents=True, exist_ok=True)
         write_runs_csv(result, out / "runs.csv")

@@ -370,7 +370,7 @@ class AppConfig:
     delay: DelayModel
     severity: SeverityDistribution
     odds_ratios: OddsRatioTable
-    experiment: ExperimentConfig  # every scenario, sharing one time grid
+    experiment: ExperimentConfig  # every scenario, from one `simulation` block
     calibration_target: float
     calibration_tol: float
 

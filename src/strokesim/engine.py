@@ -13,7 +13,8 @@ An agent's five-year risk in year y depends only on its age then (entry
 age + y + 1) and on whether its factors have been reduced, a one-off
 change fixed by its original factors and the frozen baseline stats.  So
 `build_risk_tables` scores every agent at every year's age once per
-experiment and lists the rows at a conversation age in each year.  It
+experiment, into the one set of tables its scenarios all read, and lists
+the rows at a conversation age in each year.  It
 scores the reduced factors only for the rows a replication can reduce:
 the members of households where some agent at a conversation age is
 above the threshold with its original factors (`_reducible_rows` proves
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -654,18 +655,17 @@ def year_count(cfg: ScenarioConfig) -> int:
 
 @dataclass(frozen=True)
 class RiskTables:
-    """A scenario's five-year risks and conversation schedule, per
-    simulated year.
+    """The five-year risks and conversation schedule, per simulated year,
+    that every scenario of an experiment reads.
 
     Row y, column i of `plain` is agent i's ensemble score at the age it
     reaches on year boundary y (entry age + y + 1) with its original
     factors.  `reduced` holds the same scores after `_apply_reduction_rows`,
     for the reducible rows only (`_reducible_rows`): agent i's column is
     `slot[i]`, and `slot` is -1 for an agent whose factors no replication
-    of the scenario can reduce.  `scheduled[y]` holds the rows at one of
-    the scenario's conversation ages that year (`_scheduled_rows`).  A
-    scenario that notifies no one has no `reduced` table, no `slot` and no
-    schedule.
+    can reduce.  `scheduled[y]` holds the rows at a conversation age that
+    year (`_scheduled_rows`).  An experiment with no intervention scenario
+    has no `reduced` table, no `slot` and no schedule.
     """
 
     plain: np.ndarray
@@ -721,55 +721,43 @@ def _reducible_rows(arrays: PopulationArrays, plain: np.ndarray,
 
 def build_risk_tables(
     arrays: PopulationArrays, ens: EnsembleRiskModel, scenarios: list[ScenarioConfig]
-) -> dict[Scenario, RiskTables]:
-    """The risk tables of each scenario, scored once for all its replications.
-
-    Every table covers the longest horizon among `scenarios`, and every
-    score reads one `WeightTable` over the ages agents reach in it.
-    `plain` is built once and shared, and one schedule is built per
-    distinct list of conversation ages.  One `reduced` table is built per
-    distinct reduction fractions, conversation ages and threshold, which
-    fix its reducible rows (`_reducible_rows`); only those rows are
-    reduced and scored.  Baseline gets no `reduced` table and no schedule.
-    """
-    years = max(year_count(s) for s in scenarios)
+) -> RiskTables:
+    """The one set of risk tables all of an experiment's `scenarios` read,
+    scored once.  They may differ in `scenario` only, else
+    `ConfigurationError` names the first other field that differs; the
+    config they share is validated once.  `plain` covers its horizon, and
+    every score reads one `WeightTable` over the ages agents reach.  When a
+    scenario notifies, the schedule and the `reduced` table of the
+    reducible rows (`_reducible_rows`, reduced from their original factors)
+    are built too."""
+    cfg = scenarios[0]
+    cfg.validate()
+    for name in (f.name for f in fields(ScenarioConfig) if f.name != "scenario"):
+        if any(getattr(s, name) != getattr(cfg, name) for s in scenarios):
+            raise ConfigurationError(f"experiment: scenarios differ in {name}")
+    years = year_count(cfg)
     weights = WeightTable.spanning(ens, [arrays.age.min() + 1, arrays.age.max() + years])
-    scratch = replace(arrays, features=arrays.features.copy())  # every table scores this
+    scratch = replace(arrays, features=arrays.features.copy())  # both tables score this
     plain = _score_by_year(ens, scratch.features, arrays.age, years, weights)
-    reduced: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-    schedules: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
-    tables = {}
-    for s in scenarios:
-        if s.scenario is Scenario.BASELINE:
-            tables[s.scenario] = RiskTables(plain)
-            continue
-        if s.conversation_ages not in schedules:
-            schedules[s.conversation_ages] = _scheduled_rows(
-                arrays.age, s.conversation_ages, years)
-        scheduled = schedules[s.conversation_ages]
-        key = (s.bmi_reduction_sd_fraction, s.bp_reduction_sd_fraction,
-               s.conversation_ages, s.high_risk_threshold)
-        if key not in reduced:
-            rows = _reducible_rows(arrays, plain, scheduled, s.high_risk_threshold)
-            slot = np.full(len(arrays.age), -1, dtype=np.int64)
-            slot[rows] = np.arange(rows.size)
-            scratch.features[:] = arrays.features
-            _apply_reduction_rows(scratch, rows, s)
-            reduced[key] = (_score_by_year(ens, scratch.features, arrays.age, years,
-                                           weights, rows), slot)
-        tables[s.scenario] = RiskTables(plain, *reduced[key], scheduled)
-    return tables
+    if all(s.scenario is Scenario.BASELINE for s in scenarios):
+        return RiskTables(plain)
+    scheduled = _scheduled_rows(arrays.age, cfg.conversation_ages, years)
+    rows = _reducible_rows(arrays, plain, scheduled, cfg.high_risk_threshold)
+    slot = np.full(len(arrays.age), -1, dtype=np.int64)
+    slot[rows] = np.arange(rows.size)
+    _apply_reduction_rows(scratch, rows, cfg)
+    reduced = _score_by_year(ens, scratch.features, arrays.age, years, weights, rows)
+    return RiskTables(plain, reduced, slot, scheduled)
 
 
 def _current_risk(
-    tables: RiskTables, year: int, rows: np.ndarray, reduced: np.ndarray
+    tables: RiskTables, year: int, rows: np.ndarray, reduced: Optional[np.ndarray]
 ) -> np.ndarray:
     """Five-year risk of `rows` in `year`: the `reduced` table's score for
     the rows whose factors are `reduced`, read at their `slot`, the `plain`
-    one for the rest.  Tables with no `reduced` table (baseline) read
-    `plain` only."""
+    one for the rest, and for every row when `reduced` is None (baseline)."""
     risk = tables.plain[year].take(rows)
-    if tables.reduced is not None:
+    if reduced is not None:
         lowered = reduced[rows]
         risk[lowered] = tables.reduced[year].take(tables.slot[rows[lowered]])
     return risk
@@ -778,12 +766,12 @@ def _current_risk(
 @dataclass(frozen=True)
 class PreparedModel:
     """What every replication of an experiment reads, built once by
-    `prepare`: each scenario's config and `RiskTables`, by `Scenario`, the
-    `OutcomeTable` and each agent's residual life expectancy at entry."""
+    `prepare`: each scenario's config, by `Scenario`, the one `RiskTables`,
+    the `OutcomeTable` and each agent's residual life expectancy at entry."""
 
     arrays: PopulationArrays
     scenarios: dict[Scenario, ScenarioConfig]
-    tables: dict[Scenario, RiskTables]
+    tables: RiskTables
     outcomes: OutcomeTable
     residual: np.ndarray
 
@@ -791,9 +779,10 @@ class PreparedModel:
 def prepare(arrays: PopulationArrays, ens: EnsembleRiskModel, delay: DelayModel,
             sev: SeverityDistribution, ors: OddsRatioTable, life: LifeTable,
             scenarios: list[ScenarioConfig]) -> PreparedModel:
-    """Validate the models and `scenarios` once, then build every table.
-    The model keeps a copy of each config: one changed later is refused."""
-    for part in (delay, sev, ors, life, *scenarios):
+    """Validate the models, then build every table: `build_risk_tables`
+    refuses `scenarios` that differ in more than `scenario`.  The model
+    keeps a copy of each config: one changed later is refused."""
+    for part in (delay, sev, ors, life):
         part.validate()
     return PreparedModel(
         arrays=arrays,
@@ -819,7 +808,7 @@ def run_replication(
         raise ConfigurationError(
             f"scenario {scenario.scenario.value}: the model was prepared for another config"
         )
-    arrays, tables, residual = model.arrays, model.tables[scenario.scenario], model.residual
+    arrays, tables, residual = model.arrays, model.tables, model.residual
     interventions_on = scenario.scenario is not Scenario.BASELINE
     spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
     n = len(arrays.age)
@@ -829,6 +818,7 @@ def run_replication(
     stroke_day = np.full(n, -1, dtype=np.int64)
     severity = np.full(n, -1, dtype=np.int64)
     reduced = np.zeros(n, dtype=bool)
+    lowered = reduced if interventions_on else None  # baseline reads `plain` only
     free = np.arange(n)  # the stroke-free rows, ascending
     conversations = risk_reductions = family_reductions = 0
 
@@ -853,7 +843,7 @@ def run_replication(
                 family_reductions += spill.size
 
         window = min(scenario.days_per_year, scenario.horizon_days - day)
-        at, offsets = _year_arrivals(_current_risk(tables, year, free, reduced),
+        at, offsets = _year_arrivals(_current_risk(tables, year, free, lowered),
                                      rng.random(free.size), window)
         hit = free[at]
         days = day + offsets.astype(np.int64)

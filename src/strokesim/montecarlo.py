@@ -4,11 +4,11 @@ Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
 on how runs are ordered or spread across worker processes.  Each
 experiment prepares its model once, before any replication runs
-(`engine.prepare`: the population's per-year risk tables, the outcome
-table and each agent's residual life expectancy).  Replications run in a
-process pool (the prepared model is shipped to each worker once) and are
-merged by index before any aggregation; the first failed replication
-cancels the rest and stops the experiment.
+(`engine.prepare`: the per-year risk tables every scenario reads, the
+outcome table and each agent's residual life expectancy).  Replications
+run in a process pool (the prepared model is shipped to each worker
+once) and are merged by index before any aggregation; the first failed
+replication cancels the rest and stops the experiment.
 
 With common random numbers every scenario's run i uses the same seed, so
 runs pair up by index and comparisons use the paired t-test; otherwise
@@ -81,9 +81,6 @@ class ExperimentConfig:
             raise ConfigurationError("significance_level must be in (0, 1)")
         for s in self.scenarios:
             s.validate()
-        for name in ("horizon_days", "days_per_year"):  # the summary compares one grid
-            if len({getattr(s, name) for s in self.scenarios}) > 1:
-                raise ConfigurationError(f"experiment: scenarios differ in {name}")
 
 
 @dataclass

@@ -370,10 +370,10 @@ def calibrate_intercepts(
     is outside the bracket's reach.
     """
     ensemble.validate()
-    if target_annual_risk <= 0 or target_annual_risk > 0.05:
-        raise ConfigurationError(
-            f"target_annual_risk = {target_annual_risk} outside (0, 0.05]"
-        )
+    if not 0 < target_annual_risk <= 0.05:  # NaN too
+        raise ConfigurationError(f"target_annual_risk = {target_annual_risk} outside (0, 0.05]")
+    if not 0 <= tol < math.inf:
+        raise ConfigurationError(f"tol = {tol}: must be finite and >= 0")
     expected = _expectation(ensemble, pop, horizon_days)
     years = horizon_days / days_per_year
     target_count = target_annual_risk * len(pop.agents) * years

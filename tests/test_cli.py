@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import strokesim.cli as cli
 from strokesim.cli import format_summary_table, main
 from strokesim.config import load_experiment_file, load_risk_model
 from strokesim.population import CSV_COLUMNS, read_population_csv
@@ -209,13 +210,19 @@ def test_calibrate_uses_config_target_by_default(config_path, tmp_path, capsys):
     assert "(target 4.000000e-03)" in capsys.readouterr().out
 
 
-def test_calibrate_rejects_out_of_range_target(config_path, tmp_path, capsys):
-    code = main(["calibrate", "--config", config_path,
-                 "--out", str(tmp_path / "m.json"), "--target", "0.2"])
+@pytest.mark.parametrize("flags, field", [
+    (["--target", "0.2"], "target_annual_risk"),
+    (["--target", "nan"], "target_annual_risk"),
+    (["--target", "0.003", "--tol", "nan"], "tol"),
+    (["--target", "0.003", "--tol", "inf"], "tol"),
+    (["--target", "0.003", "--tol", "-1"], "tol"),
+], ids=["target-0.2", "target-nan", "tol-nan", "tol-inf", "tol-negative"])
+def test_calibrate_rejects_out_of_range_target(config_path, tmp_path, capsys, flags, field):
+    out = tmp_path / "m.json"
+    code = main(["calibrate", "--config", config_path, "--out", str(out), *flags])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "target" in err
+    assert capsys.readouterr().err.startswith(f"error: {field} = ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_calibrate_unreachable_target_reports_closest(config_dir, tmp_path, capsys):
@@ -224,6 +231,28 @@ def test_calibrate_unreachable_target_reports_closest(config_dir, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert "closest achievable:" in err
+
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "file"), ("run", "file/out"),
+    ("generate", "missing/pop.csv"), ("generate", "dir"),
+    ("calibrate", "missing/model.json"), ("calibrate", "dir"),
+])
+def test_unusable_out_is_refused_before_loading(config_path, tmp_path, capsys, monkeypatch,
+                                                command, out):
+    # a run writes into a directory it makes; generate and calibrate write a
+    # file into a directory that must exist.  A path they cannot write is
+    # refused before the config is even loaded, and nothing is written.
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli, "load_experiment_file", lambda *args: pytest.fail("loaded"))
+    kind = "directory" if command == "run" else "file"
+    assert main([command, "--config", config_path, "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {tmp_path / out}: cannot write an output {kind} there\n")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 # --- run ---

@@ -928,12 +928,12 @@ def check_risk_tables_at_each_years_age(make, ages_move):
         scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365,
                                     high_risk_threshold=threshold) for kind in Scenario]
         tables = build_risk_tables(arrays, ens, scenarios)
-        plain = tables[Scenario.BASELINE].plain
-        reduced, slot = tables[Scenario.CONVERSATIONS].reduced, tables[Scenario.CONVERSATIONS].slot
-        assert tables[Scenario.BASELINE].reduced is tables[Scenario.BASELINE].slot is None
-        assert all(t.plain is plain for t in tables.values())
-        assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].reduced is reduced
-        assert tables[Scenario.CONVERSATIONS_PLUS_FAMILY].slot is slot
+        plain, reduced, slot = tables.plain, tables.reduced, tables.slot
+        assert len(tables.scheduled) == 8
+        # baseline alone notifies no one: the same plain table, and no other
+        alone = build_risk_tables(arrays, ens, scenarios[:1])
+        assert alone.reduced is alone.slot is None and alone.scheduled == ()
+        assert np.array_equal(alone.plain, plain)
 
         # the reducible rows have one column each, in row order; the rest none
         rows = reducible_by_definition(pop, want["plain"], scenarios[1])
@@ -950,43 +950,50 @@ def check_risk_tables_at_each_years_age(make, ages_move):
 
 
 def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
+    # an experiment has one horizon and one reduction, which every scenario
+    # shares: a list that mixes horizons or reductions is refused
     arrays = PopulationArrays.from_population(small_pop(n=10))
-    scenarios = [
-        ScenarioConfig(horizon_days=2 * 365),
-        ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=3 * 365 + 1),
-        ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=365,
-                       bp_reduction_sd_fraction=0.3),
-    ]
-    assert [year_count(s) for s in scenarios] == [2, 4, 1]
-    tables = build_risk_tables(arrays, strong_ens(), scenarios)
-    conv = tables[Scenario.CONVERSATIONS]
-    family = tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
-    # one threshold and one list of conversation ages: the same reducible rows
-    rows = np.flatnonzero(conv.slot >= 0)
-    assert np.array_equal(family.slot, conv.slot) and rows.size > 0
-    assert conv.plain.shape == (4, 10)
-    assert conv.reduced.shape == family.reduced.shape == (4, rows.size)
-    assert family.reduced is not conv.reduced
-    assert (family.reduced <= conv.reduced).all()  # the larger bp reduction
-    assert (family.reduced < conv.reduced).any()
-    # each reduced table starts from the original factors, not from another's
-    for table, cfg in ((conv.reduced, scenarios[1]), (family.reduced, scenarios[2])):
+    conv = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=3 * 365 + 1)
+    family = replace(conv, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)
+    assert year_count(conv) == 4
+    for change in ({"horizon_days": 365}, {"bp_reduction_sd_fraction": 0.3}):
+        with pytest.raises(ConfigurationError, match=f"differ in {next(iter(change))}$"):
+            build_risk_tables(arrays, strong_ens(), [conv, replace(family, **change)])
+    per_reduction = {}
+    for bp in (0.1, 0.3):
+        cfg = replace(conv, bp_reduction_sd_fraction=bp)
+        tables = build_risk_tables(arrays, strong_ens(),
+                                   [replace(cfg, scenario=kind) for kind in Scenario])
+        # one threshold and one list of conversation ages: the same reducible rows
+        rows = np.flatnonzero(tables.slot >= 0)
+        assert rows.size > 0
+        assert tables.plain.shape == (4, 10)
+        assert tables.reduced.shape == (4, rows.size)
+        # the reduced table starts from the original factors
         lowered = PopulationArrays.from_population(small_pop(n=10))
         _apply_reduction_rows(lowered, np.arange(10), cfg)
         lowered.features[:, FEATURE_NAMES.index("age")] = lowered.age + 1
-        assert np.array_equal(table[0], five_year_matrix(strong_ens(), lowered.features,
-                                                         lowered.age + 1)[rows])
+        assert np.array_equal(tables.reduced[0], five_year_matrix(
+            strong_ens(), lowered.features, lowered.age + 1)[rows])
+        per_reduction[bp] = tables
+    weak, strong = per_reduction[0.1], per_reduction[0.3]
+    assert np.array_equal(weak.slot, strong.slot)
+    assert (strong.reduced <= weak.reduced).all()  # the larger bp reduction
+    assert (strong.reduced < weak.reduced).any()
 
 
 def test_risk_tables_share_a_reduced_table_only_for_one_threshold_and_schedule():
+    # the scenarios of one experiment share one threshold and one schedule,
+    # so they read one reduced table: a list that mixes either is refused.
+    # Two experiments that differ in either reduce other rows.
     arrays = PopulationArrays.from_population(small_pop(n=40))
     conv = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=4 * 365)
-    for family in (replace(conv, high_risk_threshold=0.2),
-                   replace(conv, conversation_ages=(55, 65, 75))):
-        family = replace(family, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)
-        tables = build_risk_tables(arrays, strong_ens(), [conv, family])
-        a, b = tables[Scenario.CONVERSATIONS], tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
-        assert a.reduced is not b.reduced
+    a = build_risk_tables(arrays, strong_ens(), [conv])
+    for change in ({"high_risk_threshold": 0.2}, {"conversation_ages": (55, 65, 75)}):
+        family = replace(conv, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, **change)
+        with pytest.raises(ConfigurationError, match=f"differ in {next(iter(change))}$"):
+            build_risk_tables(arrays, strong_ens(), [conv, family])
+        b = build_risk_tables(arrays, strong_ens(), [family])
         assert not np.array_equal(a.slot, b.slot)
         # a row reducible under both has the same scores in both
         both = (a.slot >= 0) & (b.slot >= 0)
@@ -1011,11 +1018,12 @@ def test_current_risk_reads_each_row_from_its_table():
         want = [(lowered if reduced[i] else plain)[year, i] for i in rows]
         assert got.tolist() == want, year
     assert np.array_equal(plain, before[0]) and np.array_equal(tables.reduced, before[1])
-    # no reduced table (baseline): every row reads plain, whatever `reduced` says
-    everyone = np.ones(8, dtype=bool)
-    assert _current_risk(RiskTables(plain), 2, rows, everyone).tolist() == plain[2, rows].tolist()
+    # no `reduced` array (baseline): every row reads plain, whatever the
+    # tables hold
     for t in (tables, RiskTables(plain)):
-        empty = _current_risk(t, 0, np.empty(0, dtype=np.int64), reduced)
+        assert _current_risk(t, 2, rows, None).tolist() == plain[2, rows].tolist()
+    for t, flags in ((tables, reduced), (tables, None), (RiskTables(plain), None)):
+        empty = _current_risk(t, 0, np.empty(0, dtype=np.int64), flags)
         assert empty.shape == (0,) and empty.dtype == np.float64
 
 
@@ -1033,7 +1041,8 @@ def test_run_replication_rejects_tables_that_do_not_fit():
     pop = small_pop(n=6)
     args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730)
     model, scenario = args["model"], args["scenario"]
-    assert model.tables[Scenario.CONVERSATIONS].plain.shape == (2, 6)
+    assert model.tables.plain.shape == (2, 6)
+    assert model.residual.shape == (6,)
     assert run_replication(**args, rng=0).total_strokes >= 0
     for other in (replace(scenario, horizon_days=1095), replace(scenario, days_per_year=300),
                   replace(scenario, scenario=Scenario.BASELINE),
@@ -1045,13 +1054,6 @@ def test_run_replication_rejects_tables_that_do_not_fit():
     scenario.horizon_days = 1095
     with refused(scenario):
         run_replication(model, 0, scenario)
-    # every table covers the longest horizon among the scenarios
-    mixed = prepare(model.arrays, strong_ens(), DelayModel.default(),
-                    SeverityDistribution.default(), OddsRatioTable.default(), LIFE,
-                    [ScenarioConfig(horizon_days=365), replace(scenario, horizon_days=1095)])
-    assert all(t.plain.shape == (3, 6) for t in mixed.tables.values())
-    assert mixed.tables[Scenario.CONVERSATIONS].reduced.shape[0] == 3
-    assert mixed.residual.shape == (6,)
 
 
 def test_run_replication_rejects_a_reduction_without_a_column():
@@ -1061,14 +1063,14 @@ def test_run_replication_rejects_a_reduction_without_a_column():
     # model refuses the scenario; so does one with another reduction.
     pop = small_pop(n=40)
     args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY, horizon=3650)
-    fitting, scenario = args["model"].tables[Scenario.CONVERSATIONS_PLUS_FAMILY], args["scenario"]
+    fitting, scenario = args["model"].tables, args["scenario"]
     assert run_replication(**args, rng=0).risk_reductions > 0
     for change in ({"high_risk_threshold": 0.3}, {"conversation_ages": (55, 65, 75)},
                    {"bmi_reduction_sd_fraction": 0.25}):
         other = run_args(pop, strong_ens(), scenario.scenario, horizon=3650, **change)
         assert run_replication(**other, rng=0).total_strokes > 0
         if "bmi_reduction_sd_fraction" not in change:
-            slot = other["model"].tables[scenario.scenario].slot
+            slot = other["model"].tables.slot
             assert ((slot < 0) & (fitting.slot >= 0)).any()
         with refused(scenario):
             run_replication(other["model"], 0, scenario)
@@ -1147,10 +1149,26 @@ def test_run_replication_deterministic_and_seed_recorded():
     assert_same_result(via_generator, first)
 
 
+def test_baseline_replication_reads_plain_only():
+    # every scenario of a model reads one set of tables; baseline reduces no
+    # one, so it reads `plain` alone and never gathers from `reduced`
+    pop = small_pop()
+    model = prepare(PopulationArrays.from_population(pop), strong_ens(), DelayModel.default(),
+                    SeverityDistribution.default(), OddsRatioTable.default(), LIFE,
+                    [ScenarioConfig(scenario=kind) for kind in Scenario])
+    assert model.tables.reduced is not None
+    plain_only = replace(model, tables=RiskTables(model.tables.plain))
+    baseline = model.scenarios[Scenario.BASELINE]
+    for seed in (3, 4):
+        want = run_replication(model, seed, baseline)
+        assert want.total_strokes > 0
+        assert_same_result(run_replication(plain_only, seed, baseline), want)
+
+
 def test_run_replication_does_not_mutate_inputs():
     args = run_args(small_pop(), strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY)
     model = args["model"]
-    arrays, tables = model.arrays, model.tables[Scenario.CONVERSATIONS_PLUS_FAMILY]
+    arrays, tables = model.arrays, model.tables
     features_before, age_before = arrays.features.copy(), arrays.age.copy()
     plain_before, reduced_before = tables.plain.copy(), tables.reduced.copy()
     slot_before = tables.slot.copy()

@@ -5,7 +5,7 @@ import json
 import os
 import signal
 from concurrent.futures import Future
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -121,13 +121,36 @@ def test_experiment_config_validate():
                          significance_level=1.0).validate()
 
 
-@pytest.mark.parametrize("field, value", [("horizon_days", 3650), ("days_per_year", 360)])
-def test_experiment_config_rejects_scenarios_on_different_time_grids(field, value):
-    # the summary's tests compare scenarios run over one horizon and year
+# a value other than the default of each ScenarioConfig field but `scenario`
+OTHER_VALUES = [
+    ("horizon_days", 3650), ("days_per_year", 360), ("high_risk_threshold", 0.2),
+    ("conversation_ages", (55, 65, 75)), ("bmi_reduction_sd_fraction", 0.25),
+    ("bp_reduction_sd_fraction", 0.3),
+]
+
+
+@pytest.mark.parametrize("field, value", OTHER_VALUES, ids=str)
+def test_experiment_config_rejects_scenarios_on_different_time_grids(monkeypatch, field, value):
+    # the scenarios of an experiment differ in their kind only: they share
+    # the time grid the summary's tests compare over, and the schedule,
+    # threshold and reduction of the one set of risk tables they all read.
+    # `prepare` refuses any other list before it scores a table, and
+    # `run_experiment` before any replication runs.
+    assert {f for f, _ in OTHER_VALUES} == {f.name for f in fields(ScenarioConfig)} - {"scenario"}
     scenarios = scenario_list()
     scenarios[1] = replace(scenarios[1], **{field: value})
-    with pytest.raises(ConfigurationError, match=f"scenarios differ in {field}$"):
-        ExperimentConfig(base_seed=1, scenarios=scenarios).validate()
+    scored = counting_scores(monkeypatch)
+    replications = []
+    monkeypatch.setattr(montecarlo, "run_replication",
+                        lambda *args: replications.append(args))
+    differ = f"^experiment: scenarios differ in {field}$"
+    with pytest.raises(ConfigurationError, match=differ):
+        prepare(PopulationArrays.from_population(tiny_population()), tiny_ens(),
+                DelayModel.default(), SeverityDistribution.default(),
+                OddsRatioTable.default(), tiny_life(), scenarios)
+    with pytest.raises(ConfigurationError, match=differ):
+        run_tiny(make_config(scenarios=scenarios))
+    assert scored == [] and replications == []
 
 
 # --- a small experiment everything below shares ---
@@ -301,12 +324,18 @@ def counting_scores(monkeypatch):
 @pytest.mark.parametrize("scenarios, reduced_tables", [
     (scenario_list(horizon=1095), 1),     # both intervention scenarios share one
     (scenario_list(horizon=1095)[:1], 0),  # baseline alone reduces no one
+    # scenarios with two reductions are refused before anything is scored
     (scenario_list(horizon=1095)[:2] + [ScenarioConfig(
         scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=1095,
-        bmi_reduction_sd_fraction=0.25)], 2),
+        bmi_reduction_sd_fraction=0.25)], None),
 ], ids=["shared_reduction", "baseline_only", "two_reductions"])
 def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios, reduced_tables):
     calls = counting_scores(monkeypatch)
+    if reduced_tables is None:
+        with pytest.raises(ConfigurationError, match="differ in bmi_reduction_sd_fraction$"):
+            run_tiny(make_config(scenarios=scenarios))
+        assert calls == []
+        return
     counts = []
     for n_runs in (2, 5):
         calls.clear()
