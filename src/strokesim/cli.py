@@ -29,7 +29,7 @@ from .files import atomic_open
 from .montecarlo import (
     ExperimentResult,
     run_experiment,
-    vs_baseline,
+    summary_rows,
     worker_count,
     write_runs_csv,
     write_summary_csv,
@@ -40,6 +40,7 @@ from .risk import (
     FEATURE_NAMES,
     EnsembleRiskModel,
     calibrate_intercepts,
+    check_calibration_request,
     expected_stroke_count,
     feature_matrix,
     five_year_matrix,
@@ -161,10 +162,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "no calibration target: pass --target or set calibration.target_annual_risk"
         )
+    tol = args.tol if args.tol is not None else cfg.calibration_tol
+    check_calibration_request(target, tol)
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     with _phase(phases, "synthesis"):
         pop = _build_population(cfg, base_seed)
-    tol = args.tol if args.tol is not None else cfg.calibration_tol
     with _phase(phases, "calibration"):
         calibrated = calibrate_intercepts(
             cfg.ensemble, pop, target,
@@ -201,18 +203,17 @@ def format_summary_table(result: ExperimentResult) -> str:
     """Plain-text table: per scenario, mean strokes/DALYs and the change
     against baseline, starred when significant."""
     summary = result.summary
-    vs_base = vs_baseline(summary)
+    widths = {"strokes": 10, "dalys": 12}
+    rows: dict[str, list[str]] = {}
+    for scenario, metric, value, _sd, c in summary_rows(summary):
+        cells = rows.setdefault(scenario, [f"{scenario:<28}"])
+        cells.append(f"{value:>{widths[metric]}.2f}")
+        cells.append(f"{'-':>9}" if c is None else
+                     f"{c.percent_difference:>8.2f}%" + ("*" if c.significant else " "))
     lines = [
-        f"{'scenario':<28} {'strokes':>10} {'diff':>9} {'dalys':>12} {'diff':>9}"
+        f"{'scenario':<28} {'strokes':>10} {'diff':>9} {'dalys':>12} {'diff':>9}",
+        *(" ".join(cells) for cells in rows.values()),
     ]
-    for s in summary.scenarios:
-        cells = [f"{s.scenario:<28}"]
-        for metric, value, width in (("strokes", s.strokes_mean, 10), ("dalys", s.dalys_mean, 12)):
-            c = vs_base.get((s.scenario, metric))
-            cells.append(f"{value:>{width}.2f}")
-            cells.append(f"{'-':>9}" if c is None else
-                         f"{c.percent_difference:>8.2f}%" + ("*" if c.significant else " "))
-        lines.append(" ".join(cells))
     lines.append("(* significant at the "
                  f"{100 * (1 - summary.significance_level):.0f}% level, "
                  f"n={summary.n_runs} runs per scenario)")

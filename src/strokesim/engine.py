@@ -730,6 +730,8 @@ def build_risk_tables(
     scenario notifies, the schedule and the `reduced` table of the
     reducible rows (`_reducible_rows`, reduced from their original factors)
     are built too."""
+    if not scenarios:
+        raise ConfigurationError("experiment: no scenarios configured")
     cfg = scenarios[0]
     cfg.validate()
     for name in (f.name for f in fields(ScenarioConfig) if f.name != "scenario"):

@@ -7,8 +7,8 @@ experiment prepares its model once, before any replication runs
 (`engine.prepare`: the per-year risk tables every scenario reads, the
 outcome table and each agent's residual life expectancy).  Replications
 run in a process pool (the prepared model is shipped to each worker
-once) and are merged by index before any aggregation; the first failed
-replication cancels the rest and stops the experiment.
+once) and are collected in task order, so the first failed replication
+in that order stops the experiment and cancels those still queued.
 
 With common random numbers every scenario's run i uses the same seed, so
 runs pair up by index and comparisons use the paired t-test; otherwise
@@ -23,8 +23,9 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Optional
 
 from .engine import (
@@ -212,11 +213,11 @@ def run_experiment(
 
     `engine.prepare` validates the models and builds every table here,
     once, before the pool starts, so every worker reads the same tables.
-    Results are keyed by (scenario, run index) and merged in index order,
+    Results come back in task order (scenario by scenario, run by run),
     so the summary is identical however many workers execute the runs.
-    The first failing replication aborts the experiment, cancelling the
-    replications still queued; the error names the scenario, run and
-    seed that failed.
+    The first failing replication in that order aborts the experiment,
+    cancelling the replications still queued; the error names the
+    scenario, run and seed that failed.
     """
     cfg.validate()
     model = prepare(arrays, ens, delay, sev, ors, life, cfg.scenarios)
@@ -232,28 +233,17 @@ def run_experiment(
             tasks.append((sc.scenario.value, run, seed))
 
     workers = worker_count(cfg.workers, len(tasks))
-    collected: dict[tuple[str, int], RunMetrics] = {}
     if workers == 1:
-        for task in tasks:
-            m = _run_task(task, model)
-            collected[(m.scenario, m.run)] = m
+        metrics = [_run_task(task, model) for task in tasks]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(model,)
         ) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            try:
-                for fut in as_completed(futures):
-                    m = fut.result()
-                    collected[(m.scenario, m.run)] = m
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            metrics = list(pool.map(_run_task, tasks))
 
-    runs = {
-        sc.scenario.value: [collected[(sc.scenario.value, r)] for r in range(cfg.n_runs)]
-        for sc in cfg.scenarios
-    }
+    runs: dict[str, list[RunMetrics]] = {sc.scenario.value: [] for sc in cfg.scenarios}
+    for m in metrics:
+        runs[m.scenario].append(m)
     return ExperimentResult(summary=_summarize(cfg, runs), runs=runs)
 
 
@@ -308,68 +298,48 @@ def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> Expe
 
 # --- output files ---
 
-RUNS_CSV_COLUMNS = [
-    "scenario", "run", "seed", "strokes", "dalys",
-    "no_disability", "mild", "moderate_severe", "death",
-    "conversations", "risk_reductions", "family_reductions",
-]
-
 
 def write_runs_csv(result: ExperimentResult, path) -> None:
+    """One row per replication: `RunMetrics`' fields, floats by repr.
+    (`attrgetter`, not `astuple`, which deep-copies every value.)"""
+    names = [f.name for f in fields(RunMetrics)]
     with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(RUNS_CSV_COLUMNS)
-        for name in result.runs:
-            for m in result.runs[name]:
-                writer.writerow([
-                    m.scenario, m.run, m.seed, m.strokes, repr(m.dalys),
-                    m.no_disability, m.mild, m.moderate_severe, m.death,
-                    m.conversations, m.risk_reductions, m.family_reductions,
-                ])
-
-
-def summary_to_dict(summary: ExperimentSummary) -> dict:
-    return {
-        "n_runs": summary.n_runs,
-        "base_seed": summary.base_seed,
-        "significance_level": summary.significance_level,
-        "common_random_numbers": summary.common_random_numbers,
-        "welch": summary.welch,
-        "scenarios": [vars(s).copy() for s in summary.scenarios],
-        "comparisons": [vars(c).copy() for c in summary.comparisons],
-    }
+        writer.writerow(names)
+        for metrics in result.runs.values():
+            writer.writerows(map(attrgetter(*names), metrics))
 
 
 def write_summary_json(summary: ExperimentSummary, path) -> None:
     with atomic_open(path) as handle:
-        json.dump(summary_to_dict(summary), handle, indent=2)
+        json.dump(asdict(summary), handle, indent=2)
         handle.write("\n")
 
 
-def vs_baseline(summary: ExperimentSummary) -> dict[tuple[str, str], Comparison]:
-    """The comparisons against baseline, by (scenario, metric)."""
-    return {
-        (c.scenario, c.metric): c
-        for c in summary.comparisons
-        if c.reference == Scenario.BASELINE.value
-    }
+def summary_rows(
+    summary: ExperimentSummary,
+) -> list[tuple[str, str, float, float, Optional[Comparison]]]:
+    """Each scenario's (scenario, metric, mean, sd, comparison against
+    baseline) per metric, the comparison None for baseline itself: the
+    rows of summary.csv and of the printed table."""
+    tests = {(c.scenario, c.metric): c for c in summary.comparisons
+             if c.reference == Scenario.BASELINE.value}
+    return [
+        (s.scenario, metric, getattr(s, f"{metric}_mean"), getattr(s, f"{metric}_sd"),
+         tests.get((s.scenario, metric)))
+        for s in summary.scenarios for metric in METRICS
+    ]
 
 
 def write_summary_csv(summary: ExperimentSummary, path) -> None:
     """One row per scenario x metric, with the vs-baseline test inline."""
-    by_key = vs_baseline(summary)
     with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([
             "scenario", "metric", "mean", "sd",
             "percent_diff_vs_baseline", "t", "df", "p", "significant",
         ])
-        for s in summary.scenarios:
-            for metric in METRICS:
-                m = (s.strokes_mean, s.strokes_sd) if metric == "strokes" else (s.dalys_mean, s.dalys_sd)
-                c = by_key.get((s.scenario, metric))
-                test = [""] * 5 if c is None else [
-                    repr(c.percent_difference), repr(c.t), repr(c.df), repr(c.p),
-                    int(c.significant),
-                ]
-                writer.writerow([s.scenario, metric, repr(m[0]), repr(m[1]), *test])
+        for scenario, metric, mean_, sd, c in summary_rows(summary):
+            test = [""] * 5 if c is None else [
+                c.percent_difference, c.t, c.df, c.p, int(c.significant)]
+            writer.writerow([scenario, metric, mean_, sd, *test])

@@ -350,6 +350,15 @@ def expected_stroke_count(ensemble: EnsembleRiskModel, pop: Population, horizon_
     return _expectation(ensemble, pop, horizon_days)(ensemble.calibration_offset)
 
 
+def check_calibration_request(target_annual_risk: float, tol: float) -> None:
+    """Refuse a target annual risk outside (0, 0.05] or a tolerance that is
+    negative or not finite, NaN included for both."""
+    if not 0 < target_annual_risk <= 0.05:
+        raise ConfigurationError(f"target_annual_risk = {target_annual_risk} outside (0, 0.05]")
+    if not 0 <= tol < math.inf:
+        raise ConfigurationError(f"tol = {tol}: must be finite and >= 0")
+
+
 def calibrate_intercepts(
     ensemble: EnsembleRiskModel,
     pop: Population,
@@ -370,10 +379,7 @@ def calibrate_intercepts(
     is outside the bracket's reach.
     """
     ensemble.validate()
-    if not 0 < target_annual_risk <= 0.05:  # NaN too
-        raise ConfigurationError(f"target_annual_risk = {target_annual_risk} outside (0, 0.05]")
-    if not 0 <= tol < math.inf:
-        raise ConfigurationError(f"tol = {tol}: must be finite and >= 0")
+    check_calibration_request(target_annual_risk, tol)
     expected = _expectation(ensemble, pop, horizon_days)
     years = horizon_days / days_per_year
     target_count = target_annual_risk * len(pop.agents) * years

@@ -20,6 +20,7 @@ from strokesim.config import load_experiment_file, load_risk_model
 from strokesim.population import CSV_COLUMNS, read_population_csv
 from strokesim.risk import expected_stroke_count
 from strokesim.seeds import derive_seed
+from test_montecarlo import usable_cores
 
 SMALL_POP = {
     "demographics": {
@@ -217,7 +218,10 @@ def test_calibrate_uses_config_target_by_default(config_path, tmp_path, capsys):
     (["--target", "0.003", "--tol", "inf"], "tol"),
     (["--target", "0.003", "--tol", "-1"], "tol"),
 ], ids=["target-0.2", "target-nan", "tol-nan", "tol-inf", "tol-negative"])
-def test_calibrate_rejects_out_of_range_target(config_path, tmp_path, capsys, flags, field):
+def test_calibrate_rejects_out_of_range_target(config_path, tmp_path, capsys, monkeypatch,
+                                              flags, field):
+    # refused before the population is synthesized
+    monkeypatch.setattr(cli, "build_population", lambda *args: pytest.fail("synthesized"))
     out = tmp_path / "m.json"
     code = main(["calibrate", "--config", config_path, "--out", str(out), *flags])
     assert code == 2
@@ -346,18 +350,25 @@ def test_run_subset_scenarios_share_baseline_rows(config_path, tmp_path):
     assert subset_rows == full_rows
 
 
-# Output digests of `strokesim run --runs 4 --workers 1` on the bundled
-# config.  A change that claims to keep the model and its random stream
-# must leave these alone; one that changes them re-pins them and says why.
+# Output digests of `strokesim run --runs 4` on the bundled config, the
+# same at any worker count.  A change that claims to keep the model and its
+# random stream must leave these alone; one that changes them re-pins them
+# and says why.
 GOLDEN_DIGESTS = {
     "runs.csv": "5a75af4394bec24f1a310125261f5e6fd7e96c289794c833cc95c5fad1dc2943",
     "summary.json": "6ebd060fdd294d803c53f978d613211652bb320f020186ab3e2e87ae5aad2505",
+    "summary.csv": "247a1986905c14ce61fd94e2d8aeb0eea18b290c85c716fee68e40e6148c7ddb",
 }
 
+# both the serial path and the pool, on a one-core runner too
+WORKERS = pytest.mark.parametrize("workers", ["1", "2"], ids=["workers-1", "workers-2"])
 
-def test_run_bundled_config_matches_golden_digest(tmp_path):
+
+@WORKERS
+def test_run_bundled_config_matches_golden_digest(tmp_path, monkeypatch, workers):
+    usable_cores(monkeypatch, 2)
     out = tmp_path / "golden"
-    assert main(["run", "--runs", "4", "--workers", "1", "--out", str(out)]) == 0
+    assert main(["run", "--runs", "4", "--workers", workers, "--out", str(out)]) == 0
     for name, digest in GOLDEN_DIGESTS.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -394,20 +405,23 @@ def age_graded_experiment(root):
     return str(root / "experiment.json")
 
 
-# Output digests of `strokesim run --runs 4 --workers 1` on
-# `age_graded_experiment`, pinned like GOLDEN_DIGESTS: they cover the age
-# term, crossfaded weights, paired (CRN) statistics and unreachable
-# conversation ages, none of which the bundled config reaches.
+# Output digests of `strokesim run --runs 4` on `age_graded_experiment`,
+# pinned like GOLDEN_DIGESTS: they cover the age term, crossfaded weights,
+# paired (CRN) statistics and unreachable conversation ages, none of which
+# the bundled config reaches.
 GOLDEN_AGE_GRADED_DIGESTS = {
     "runs.csv": "22f333053dee8728cac300adf3633cbb9ae494e135f38a722617814893da2e07",
     "summary.json": "a2a3284dd2a07281e7d24f0442b6c2bb2acfd2917a8f9b1c153331079c41c5d9",
+    "summary.csv": "ff1b556f279cf297887a91d02f8ec98397104108d5fdafe3df0a78593e365714",
 }
 
 
-def test_run_age_graded_config_matches_golden_digest(tmp_path):
+@WORKERS
+def test_run_age_graded_config_matches_golden_digest(tmp_path, monkeypatch, workers):
+    usable_cores(monkeypatch, 2)
     config = age_graded_experiment(tmp_path)
     out = tmp_path / "golden"
-    assert main(["run", "--config", config, "--runs", "4", "--workers", "1",
+    assert main(["run", "--config", config, "--runs", "4", "--workers", workers,
                  "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["common_random_numbers"] is True

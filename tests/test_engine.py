@@ -1429,6 +1429,8 @@ def test_run_replication_validates_configs():
     models = [DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default(), LIFE]
     with pytest.raises(ConfigurationError, match="high_risk_threshold = 2.0"):
         prepare(args["model"].arrays, strong_ens(), *models, [bad])
+    with pytest.raises(ConfigurationError, match="^experiment: no scenarios configured$"):
+        prepare(args["model"].arrays, strong_ens(), *models, [])
     for i, broken in enumerate((DelayModel([]), SeverityDistribution(0.5, 0.5, 0.5, 0.0),
                                 OddsRatioTable([]),
                                 LifeTable(ages=[50, 50], female=[1.0, 1.0], male=[1.0, 1.0]))):

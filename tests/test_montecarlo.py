@@ -4,8 +4,9 @@ import csv
 import json
 import os
 import signal
-from concurrent.futures import Future
-from dataclasses import fields, replace
+import time
+from concurrent.futures import Executor, Future
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -27,14 +28,12 @@ from strokesim.engine import (
 )
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import (
-    RUNS_CSV_COLUMNS,
     SCENARIO_SEED_INDEX,
     Comparison,
     ExperimentConfig,
     ExperimentResult,
     percent_difference,
     run_experiment,
-    summary_to_dict,
     write_runs_csv,
     write_summary_csv,
     write_summary_json,
@@ -233,14 +232,14 @@ def test_every_run_reproducible_in_isolation(experiment):
 
 def test_repeat_experiment_identical(experiment):
     again = run_tiny(make_config())
-    assert summary_to_dict(again.summary) == summary_to_dict(experiment.summary)
+    assert asdict(again.summary) == asdict(experiment.summary)
     assert {k: [vars(m) for m in v] for k, v in again.runs.items()} == \
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
 
 
 def test_parallel_equals_serial(experiment):
     parallel = run_tiny(make_config(workers=2))
-    assert summary_to_dict(parallel.summary) == summary_to_dict(experiment.summary)
+    assert asdict(parallel.summary) == asdict(experiment.summary)
     assert {k: [vars(m) for m in v] for k, v in parallel.runs.items()} == \
            {k: [vars(m) for m in v] for k, v in experiment.runs.items()}
 
@@ -428,12 +427,14 @@ def test_welch_flag_changes_degrees_of_freedom(experiment):
                     for m in welch.runs[c.reference]], welch=True).df)
 
 
-def failing_replication(monkeypatch, seed):
-    """Make the replication with `seed` raise; the others run as usual."""
+def failing_replication(monkeypatch, *seeds, delay=0.0):
+    """Make the replications with `seeds` raise, the first of them only
+    after `delay` seconds; the others run as usual."""
     original = montecarlo.run_replication
 
     def replication(*args, **kwargs):
-        if args[1] == seed:
+        if args[1] in seeds:
+            time.sleep(delay if args[1] == seeds[0] else 0.0)
             raise ValueError("replication broke")
         return original(*args, **kwargs)
 
@@ -468,19 +469,14 @@ def test_invalid_model_rejected_before_the_pool_starts(monkeypatch, name):
         run_tiny(make_config(workers=2), **{name: model})
 
 
-class FailFirstPool:
+class FailFirstPool(Executor):
     """ProcessPoolExecutor stand-in that starts no process: the first task
-    runs here, at submit, and every later one stays queued until cancelled."""
+    runs here, at submit, and every later one stays queued until cancelled.
+    `map` and the context manager are `Executor`'s."""
 
     def __init__(self, max_workers, initializer, initargs):
         self.max_workers, self.state = max_workers, initargs[0]
         self.futures = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
 
     def submit(self, fn, task):
         fut = Future()
@@ -491,11 +487,6 @@ class FailFirstPool:
                 fut.set_exception(exc)
         self.futures.append(fut)
         return fut
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        if cancel_futures:
-            for fut in self.futures:
-                fut.cancel()
 
 
 def test_pool_stops_at_first_failed_replication(monkeypatch):
@@ -526,6 +517,21 @@ def test_pool_stops_at_first_failed_replication(monkeypatch):
     assert all(fut.cancelled() for fut in pool.futures[1:])
 
 
+@pytest.mark.parametrize("runs", [(2,), (1, 3)], ids=["one-failure", "two-failures"])
+def test_real_pool_names_the_first_failed_replication_in_task_order(monkeypatch, runs):
+    # Two worker processes.  With two failures, run 1 fails a second after
+    # run 3 has, so the error names the first failure in task order, not
+    # in time.  The workers see the patched replication because they are
+    # forked (Linux's default start method through Python 3.13).
+    seeds = [derive_seed(99, SCENARIO_SEED_INDEX[Scenario.CONVERSATIONS], r) for r in runs]
+    failing_replication(monkeypatch, *seeds, delay=1.0)
+    usable_cores(monkeypatch, 2)
+    first = rf"scenario=conversations run={runs[0]} seed={seeds[0]}$"
+    with pytest.raises(RuntimeError, match=first) as err:
+        run_tiny(make_config(workers=2))
+    assert "replication broke" in str(err.value.__cause__)
+
+
 # --- output files ---
 
 
@@ -534,7 +540,11 @@ def test_runs_csv_layout(experiment, tmp_path):
     write_runs_csv(experiment, path)
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    assert rows[0] == RUNS_CSV_COLUMNS
+    assert rows[0] == [
+        "scenario", "run", "seed", "strokes", "dalys",
+        "no_disability", "mild", "moderate_severe", "death",
+        "conversations", "risk_reductions", "family_reductions",
+    ]
     assert len(rows) == 1 + 3 * 6
     first = dict(zip(rows[0], rows[1]))
     m = experiment.runs["baseline"][0]
@@ -560,7 +570,7 @@ def test_failed_write_leaves_previous_runs_csv(experiment, tmp_path):
 
 
 def test_failed_first_write_leaves_no_file(experiment, tmp_path):
-    with pytest.raises(AttributeError):
+    with pytest.raises(TypeError):
         write_summary_json(None, tmp_path / "summary.json")
     assert list(tmp_path.iterdir()) == []
 
@@ -578,19 +588,13 @@ def test_summary_json_round_trip(experiment, tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     data = json.loads(text)
-    assert data == summary_to_dict(experiment.summary)
+    assert data == asdict(experiment.summary)
     assert data["n_runs"] == 6
     assert data["base_seed"] == 99
     assert {s["scenario"] for s in data["scenarios"]} == set(experiment.runs)
     for c in data["comparisons"]:
         assert set(c) == {"reference", "scenario", "metric", "percent_difference",
                           "percent_defined", "t", "df", "p", "significant", "degenerate"}
-
-
-def test_summary_to_dict_detached_from_dataclasses(experiment):
-    data = summary_to_dict(experiment.summary)
-    data["scenarios"][0]["strokes_mean"] = -1.0
-    assert experiment.summary.scenarios[0].strokes_mean != -1.0
 
 
 def test_summary_csv_layout(experiment, tmp_path):
