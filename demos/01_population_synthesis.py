@@ -28,23 +28,26 @@ assign_risk_factors(pop, tables, rng)
 
 print(f"agents: {len(pop)} (1:{spec.scale_factor} scale, ages {spec.min_age}+)")
 
-by_region = collections.Counter(a.region for a in pop.agents)
+# The population is held as columns, one array per agent field.
+by_region = collections.Counter(pop.region.tolist())
 for name, count in sorted(by_region.items()):
     print(f"  {name:<22} {count:>6}  ({count / len(pop):.1%})")
 
-ages = np.array([a.age for a in pop.agents])
-print(f"age: min {ages.min()}, median {int(np.median(ages))}, max {ages.max()}")
+print(f"age: min {pop.age.min()}, median {int(np.median(pop.age))}, max {pop.age.max()}")
 
-females = sum(1 for a in pop.agents if a.sex == "female")
+females = int((pop.sex == "female").sum())
 print(f"sex: {females} female / {len(pop) - females} male")
 
 sizes = collections.Counter(len(m) for m in pop.households.values())
 print(f"households: {len(pop.households)} total, sizes {dict(sorted(sizes.items()))}")
 
-smokers = sum(1 for a in pop.agents if a.smoker)
-sbp = np.array([a.sbp for a in pop.agents])
-print(f"risk factors: {smokers / len(pop):.1%} smokers, "
-      f"SBP {sbp.mean():.1f} +- {sbp.std():.1f} mmHg")
+print(f"risk factors: {pop.smoker.mean():.1%} smokers, "
+      f"SBP {pop.sbp.mean():.1f} +- {pop.sbp.std():.1f} mmHg")
+
+# `pop.agents` builds one `Agent` row per agent from the columns when asked.
+first = pop.agents[0]
+print(f"agent {first.id}: {first.age}-year-old {first.sex} in {first.region}, "
+      f"household {first.household_id} ({pop.household_types[first.household_id]})")
 
 stats = population_stats(pop)
 print(f"frozen baseline stats: bmi {stats.bmi_mean:.2f} +- {stats.bmi_sd:.2f} "

@@ -52,7 +52,7 @@ assign_risk_factors(pop, tables, rng)
 
 expected = expected_stroke_count(ens, pop, 3650)
 print(f"expected strokes over 10 years: {expected:.1f} "
-      f"({expected / len(pop.agents) / 10 * 1000:.3f} per 1000 agent-years)")
+      f"({expected / len(pop) / 10 * 1000:.3f} per 1000 agent-years)")
 
 target = load_experiment_file().calibration_target
 calibrated = calibrate_intercepts(ens, pop, target_annual_risk=target)

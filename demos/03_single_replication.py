@@ -62,7 +62,7 @@ print("first five strokes:")
 for i in struck[:5]:
     years_left = max(model.residual[i] - (day[i] // 365 + 1), 0.0)
     k = result.severity[i]
-    print(f"  agent {pop.agents[i].id:>5}  day {day[i]:>4}  "
+    print(f"  agent {pop.id[i]:>5}  day {day[i]:>4}  "
           f"{SEVERITY_ORDER[k].value:<16} residual {years_left:>5.2f} y  "
           f"DALY {years_left * DALY_WEIGHTS[k]:>5.2f}")
 

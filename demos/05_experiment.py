@@ -38,7 +38,7 @@ result = run_experiment(
     cfg.severity, cfg.odds_ratios, cfg.life_table,
 )
 print(f"{exp.n_runs} runs x {len(exp.scenarios)} scenarios "
-      f"({len(pop.agents)} agents, 10 years) in "
+      f"({len(pop)} agents, 10 years) in "
       f"{time.perf_counter() - start:.1f} s\n")
 
 print(format_summary_table(result))

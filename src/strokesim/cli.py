@@ -37,13 +37,13 @@ from .montecarlo import (
 )
 from .population import Population, assign_risk_factors, build_population, write_population_csv
 from .risk import (
-    FEATURE_NAMES,
     EnsembleRiskModel,
     calibrate_intercepts,
     check_calibration_request,
     expected_stroke_count,
-    feature_matrix,
+    feature_matrix,  # not called here; perfbench/tracing.py patches it by name
     five_year_matrix,
+    population_features,
 )
 from .seeds import derive_seed
 
@@ -63,10 +63,8 @@ def _build_population(cfg: AppConfig, base_seed: int) -> Population:
 
 
 def _score(pop: Population, features: np.ndarray, ensemble: EnsembleRiskModel) -> None:
-    """Set each agent's five-year risk from its row of `features`."""
-    five_year = five_year_matrix(ensemble, features, features[:, FEATURE_NAMES.index("age")])
-    for agent, risk in zip(pop.agents, five_year.tolist()):
-        agent.five_year_risk = risk
+    """Set the five-year risk column from the rows of `features`."""
+    pop.five_year_risk = five_year_matrix(ensemble, features, pop.age)
 
 
 def _out_path(value: str, directory: bool = False) -> Path:
@@ -134,7 +132,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     base_seed = args.seed if args.seed is not None else cfg.experiment.base_seed
     with _phase(phases, "synthesis"):
         pop = _build_population(cfg, base_seed)
-        _score(pop, feature_matrix(pop.agents), cfg.ensemble)
+        _score(pop, population_features(pop), cfg.ensemble)
     with _phase(phases, "write"):
         write_population_csv(pop, out)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
@@ -144,11 +142,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "risk_model": cfg.risk_model_ref,
         "seed": base_seed,
         "population_seed": derive_seed(base_seed),
-        "agents": len(pop.agents),
+        "agents": len(pop),
         "calibration_offset": cfg.ensemble.calibration_offset,
         "created_utc": _utc_now(),
     }, phases)
-    print(f"wrote {len(pop.agents)} agents to {out}")
+    print(f"wrote {len(pop)} agents to {out}")
     return 0
 
 
@@ -176,7 +174,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     with _phase(phases, "write"):
         dump_risk_model(calibrated, out)
     years = cfg.horizon_days / cfg.days_per_year
-    achieved = expected / (len(pop.agents) * years)
+    achieved = expected / (len(pop) * years)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), {
         "command": "calibrate",
         "config": cfg.source,
@@ -184,7 +182,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "risk_model": cfg.risk_model_ref,
         "seed": base_seed,
         "population_seed": derive_seed(base_seed),
-        "agents": len(pop.agents),
+        "agents": len(pop),
         "target_annual_risk": target,
         "tol": tol,
         "achieved_annual_risk": achieved,

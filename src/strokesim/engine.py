@@ -69,7 +69,7 @@ from .population import (
     SBP_RANGE,
     BaselineStats,
     Population,
-    _stats,
+    population_stats,
 )
 from .risk import (
     DAYS_PER_FIVE_YEARS,
@@ -79,9 +79,9 @@ from .risk import (
     EnsembleRiskModel,
     WeightTable,
     ensemble_mix,
-    feature_matrix,
     five_year_matrix,  # not called here; perfbench/tracing.py patches it by name
     member_probabilities,
+    population_features,
 )
 
 
@@ -490,8 +490,8 @@ class PopulationArrays:
     """Column-oriented copy of a Population for the replication hot path.
 
     Row order is agent order; `features` columns follow FEATURE_NAMES and
-    `age` holds the entry ages.  `stats` are the baseline factor stats,
-    computed from the feature columns.  Replications only read it.
+    `age` holds the entry ages.  `stats` are the population's baseline
+    factor stats.  Replications only read it.
     """
 
     features: np.ndarray
@@ -505,19 +505,13 @@ class PopulationArrays:
 
     @staticmethod
     def from_population(pop: Population) -> "PopulationArrays":
-        if not pop.agents:
-            raise ConfigurationError("empty population")
-        features = feature_matrix(pop.agents)
-        age = features[:, _COL["age"]].astype(np.int64)
-        male = features[:, _COL["male"]].copy()
-        hh_raw = np.array([a.household_id for a in pop.agents], dtype=np.int64)
-        _, household = np.unique(hh_raw, return_inverse=True)
-        member_start = np.concatenate(([0], np.cumsum(np.bincount(household))))
-        stats = _stats(*(features[:, _COL[name]] for name in ("sbp", "dbp", "bmi")))
+        features = population_features(pop)
+        _, household = np.unique(pop.household_id, return_inverse=True)
         return PopulationArrays(
-            features=features, age=age, male=male, household=household,
-            members=np.argsort(household), member_start=member_start,
-            stats=stats,
+            features=features, age=pop.age.astype(np.int64),
+            male=features[:, _COL["male"]].copy(), household=household,
+            members=np.argsort(household), stats=population_stats(pop),
+            member_start=np.concatenate(([0], np.cumsum(np.bincount(household)))),
         )
 
 

@@ -7,8 +7,8 @@ experiment prepares its model once, before any replication runs
 (`engine.prepare`: the per-year risk tables every scenario reads, the
 outcome table and each agent's residual life expectancy).  Replications
 run in a process pool (the prepared model is shipped to each worker
-once) and are collected in task order, so the first failed replication
-in that order stops the experiment and cancels those still queued.
+once) and are collected in task order; the first to fail cancels those
+not yet started, and the first failure in task order is raised.
 
 With common random numbers every scenario's run i uses the same seed, so
 runs pair up by index and comparisons use the paired t-test; otherwise
@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import Optional
@@ -215,8 +215,8 @@ def run_experiment(
     once, before the pool starts, so every worker reads the same tables.
     Results come back in task order (scenario by scenario, run by run),
     so the summary is identical however many workers execute the runs.
-    The first failing replication in that order aborts the experiment,
-    cancelling the replications still queued; the error names the
+    The first replication to fail cancels those not yet started, and the
+    experiment raises the first failure in task order, naming the
     scenario, run and seed that failed.
     """
     cfg.validate()
@@ -239,7 +239,12 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(model,)
         ) as pool:
-            metrics = list(pool.map(_run_task, tasks))
+            futures = [pool.submit(_run_task, task) for task in tasks]
+            # tasks start in order: all before the first failure have started
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                future.cancel()
+            metrics = [future.result() for future in futures]
 
     runs: dict[str, list[RunMetrics]] = {sc.scenario.value: [] for sc in cfg.scenarios}
     for m in metrics:

@@ -15,14 +15,16 @@ each band's factors as columns) and consume exactly the stream that one
 draw per agent or household would: the tests keep that per-agent form as
 the reference the batched one must match, generator state included.
 
-Each fact is stored once: `Agent.daily_risk` is derived from the five-year
-risk, and the baseline factor stats are computed when needed.  `Agent` rows
-are slotted and built a region at a time by one `map` over its columns.
+A `Population` holds one array per `Agent` field, in agent order, and
+every stage reads and writes these columns; `Population.agents` builds
+`Agent` rows from them at each read.  Each fact is stored once:
+`Agent.daily_risk` is derived from the five-year risk, and the baseline
+factor stats are computed when needed.
 
-`write_population_csv` writes UTF-8, a column at a time: each field is read
-for all agents at once and formatted by `str` (ints, and flags as 0/1) or
-`repr` (floats), and each distinct text value is quoted once by
-`csv.writer`, so the bytes are the ones a row-by-row `csv.writer` writes.
+`write_population_csv` writes UTF-8, a column at a time: each column is
+formatted by `str` (ints, and flags as 0/1) or `repr` (floats), and each
+distinct text value is quoted once by `csv.writer`, so the bytes are the
+ones a row-by-row `csv.writer` writes.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -231,14 +231,48 @@ class BaselineStats:
     bmi_sd: float
 
 
-@dataclass
+# Each column's type, in `Agent` field order.  Text stays Python str in
+# object arrays: numpy's fixed-width str drops trailing NULs.
+COLUMN_TYPES = {
+    "id": np.int64, "age": np.int64, "sex": object, "region": object,
+    "household_id": np.int64, "employment": object, "sbp": float, "dbp": float,
+    "bmi": float, "diabetes": bool, "afib": bool, "smoker": bool,
+    "cigs_per_day": np.int64, "five_year_risk": float,
+}
+
+
+@dataclass(eq=False)
 class Population:
-    agents: list[Agent]
+    """The agents as columns, one array per `Agent` field (typed as in
+    `COLUMN_TYPES`) in agent order, with each household's member ids and type."""
+
+    id: np.ndarray
+    age: np.ndarray
+    sex: np.ndarray
+    region: np.ndarray
+    household_id: np.ndarray
+    employment: np.ndarray
+    sbp: np.ndarray
+    dbp: np.ndarray
+    bmi: np.ndarray
+    diabetes: np.ndarray
+    afib: np.ndarray
+    smoker: np.ndarray
+    cigs_per_day: np.ndarray
+    five_year_risk: np.ndarray
     households: dict[int, list[int]]
     household_types: dict[int, str]
 
     def __len__(self) -> int:
-        return len(self.agents)
+        return len(self.id)
+
+    @property
+    def agents(self) -> list[Agent]:
+        """The agents as `Agent` rows of Python scalars, built from the
+        columns at each read and not kept: changing a row changes no column."""
+        # a block of agents at a time, so no column is a whole list at once
+        return [agent for start in range(0, len(self), 4096) for agent in map(Agent, *(
+            getattr(self, name)[start:start + 4096].tolist() for name in COLUMN_TYPES))]
 
 
 def apportion(total: int, proportions: dict[str, float]) -> dict[str, int]:
@@ -304,9 +338,10 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
 
     region_counts = apportion(spec.total_agents, {r.name: r.share for r in spec.regions})
 
-    agents: list[Agent] = []
+    chunks: list[tuple[np.ndarray, ...]] = []
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
+    first_agent = 0
 
     for region in spec.regions:
         n = region_counts[region.name]
@@ -322,7 +357,7 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
         jitter = rng.uniform(0.0, 6.0, size=n)
         pool = np.argsort(ages + jitter, kind="stable")
         types, sizes = _draw_households(rng, region.households, n)
-        first_agent, first_household = len(agents), len(households)
+        first_household = len(households)
         hids = range(first_household, first_household + len(types))
         household_id = np.empty(n, dtype=np.int64)
         household_id[pool] = np.repeat(hids, sizes)
@@ -333,14 +368,19 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
             households[hid] = members[start:stop]
             household_types[hid] = type_labels[htype]
 
-        sex_labels, job_labels = list(region.sex), list(region.employment)
-        agents.extend(map(
-            Agent, range(first_agent, first_agent + n), ages.tolist(),
-            map(sex_labels.__getitem__, sexes.tolist()), repeat(region.name, n),
-            household_id.tolist(), map(job_labels.__getitem__, jobs.tolist()),
+        chunks.append((
+            ages, np.array(list(region.sex), dtype=object)[sexes],
+            np.array([region.name] * n, dtype=object), household_id,
+            np.array(list(region.employment), dtype=object)[jobs],
         ))
+        first_agent += n
 
-    return Population(agents=agents, households=households, household_types=household_types)
+    named = dict(zip(("age", "sex", "region", "household_id", "employment"),
+                     map(np.concatenate, zip(*chunks))), id=np.arange(first_agent))
+    # risk factors and scores are 0 until assigned
+    return Population(**named, **{name: np.zeros(first_agent, dtype) for name, dtype in
+                                  COLUMN_TYPES.items() if name not in named},
+                      households=households, household_types=household_types)
 
 
 def assign_risk_factors(
@@ -357,7 +397,7 @@ def assign_risk_factors(
     overlap, the later one's values stand.
     """
     tables.validate()
-    ages = np.array([a.age for a in pop.agents], dtype=np.int64)
+    ages = pop.age
     in_band = [(band.age_lo <= ages) & (ages <= band.age_hi) for band in tables.bands]
     covered = np.logical_or.reduce(in_band)
     if not covered.all():
@@ -389,29 +429,19 @@ def assign_risk_factors(
             flags["smoker"][members], max(1, round_half_up(band.cigs_per_day_mean)), 0
         )
 
-    for agent, s, d, b, diabetes, afib, smoker, c in zip(
-        pop.agents, sbp.tolist(), dbp.tolist(), bmi.tolist(), flags["diabetes"].tolist(),
-        flags["afib"].tolist(), flags["smoker"].tolist(), cigs.tolist(),
-    ):
-        agent.sbp, agent.dbp, agent.bmi = s, d, b
-        agent.diabetes, agent.afib, agent.smoker, agent.cigs_per_day = diabetes, afib, smoker, c
+    pop.sbp, pop.dbp, pop.bmi, pop.cigs_per_day = sbp, dbp, bmi, cigs
+    pop.diabetes, pop.afib, pop.smoker = flags.values()
     return pop
 
 
 def population_stats(pop: Population) -> BaselineStats:
     """Mean and population sd (divisor N) of sbp, dbp and bmi."""
-    return _stats(np.array([a.sbp for a in pop.agents]),
-                  np.array([a.dbp for a in pop.agents]),
-                  np.array([a.bmi for a in pop.agents]))
-
-
-def _stats(sbp: np.ndarray, dbp: np.ndarray, bmi: np.ndarray) -> BaselineStats:
-    if not len(sbp):
+    if not len(pop):
         raise ConfigurationError("population_stats: empty population")
     return BaselineStats(
-        sbp_mean=float(sbp.mean()), sbp_sd=float(sbp.std()),
-        dbp_mean=float(dbp.mean()), dbp_sd=float(dbp.std()),
-        bmi_mean=float(bmi.mean()), bmi_sd=float(bmi.std()),
+        sbp_mean=float(pop.sbp.mean()), sbp_sd=float(pop.sbp.std()),
+        dbp_mean=float(pop.dbp.mean()), dbp_sd=float(pop.dbp.std()),
+        bmi_mean=float(pop.bmi.mean()), bmi_sd=float(pop.bmi.std()),
     )
 
 
@@ -439,23 +469,20 @@ class _CsvText(dict):
         return text
 
 
-def _csv_block(agents: list[Agent], household_types: dict[int, str], text: _CsvText) -> str:
-    """The CSV lines of ``agents``, formatted a column at a time."""
+def _csv_block(pop: Population, rows: slice, text: _CsvText) -> str:
+    """The CSV lines of the agents in ``rows``, formatted a column at a time."""
     def column(name: str, fmt=str):
-        return map(fmt, map(attrgetter(name), agents))
+        return map(fmt, getattr(pop, name)[rows].tolist())
 
-    def flags(name: str):
-        return map(str, map(int, map(attrgetter(name), agents)))
-
-    hids = list(map(attrgetter("household_id"), agents))
-    quote = text.__getitem__
+    hids = pop.household_id[rows].tolist()
+    quote, flag = text.__getitem__, "01".__getitem__  # "01"[False] == "0"
     columns = (
         column("id"), column("age"), column("sex", quote), column("region", quote),
         column("employment", quote), map(str, hids),
-        map(quote, map(household_types.__getitem__, hids)),
+        map(quote, map(pop.household_types.__getitem__, hids)),
         column("sbp", repr), column("dbp", repr), column("bmi", repr),
-        flags("diabetes"), flags("afib"), flags("smoker"), column("cigs_per_day"),
-        column("five_year_risk", repr),
+        column("diabetes", flag), column("afib", flag), column("smoker", flag),
+        column("cigs_per_day"), column("five_year_risk", repr),
     )
     return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
 
@@ -464,11 +491,11 @@ def write_population_csv(pop: Population, path) -> None:
     """Dump one agent per row, in `CSV_COLUMNS` order, as UTF-8 with
     ``\\r\\n`` line ends.  Floats use repr so a round trip is exact.  A
     household without a type raises KeyError and leaves no file."""
-    agents, text = pop.agents, _CsvText()
+    text = _CsvText()
     with atomic_open(path, newline="") as handle:
         csv.writer(handle).writerow(CSV_COLUMNS)
-        for start in range(0, len(agents), _CSV_BLOCK):
-            handle.write(_csv_block(agents[start:start + _CSV_BLOCK], pop.household_types, text))
+        for start in range(0, len(pop), _CSV_BLOCK):
+            handle.write(_csv_block(pop, slice(start, start + _CSV_BLOCK), text))
 
 
 _FLAGS = {"0": False, "1": True}
@@ -515,13 +542,14 @@ def read_population_csv(path) -> Population:
     unknown household type, a household whose rows name different types and
     a household with more members than its type holds raise
     ConfigurationError, naming the line and the field; so does a byte that
-    is not UTF-8, naming its line.
+    is not UTF-8, naming its line, and an integer beyond 64 bits.
     """
-    agents: list[Agent] = []
+    cells: dict[str, list] = {name: [] for name in COLUMN_TYPES}
     households: dict[int, list[int]] = {}
     household_types: dict[int, str] = {}
     line_of: dict[int, int] = {}  # agent id -> its line
     flag = _FLAGS.__getitem__
+    shared = {}.setdefault  # one str per distinct text value, as synthesis stores them
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -539,33 +567,36 @@ def read_population_csv(path) -> Population:
                     raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
                 (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
                  smoker, cigs, five_year) = row
-                try:
-                    agent = Agent(
-                        id=int(aid), age=int(age), sex=sex, region=region,
-                        household_id=int(hid), employment=employment,
-                        sbp=float(sbp), dbp=float(dbp), bmi=float(bmi),
-                        diabetes=flag(diabetes), afib=flag(afib), smoker=flag(smoker),
-                        cigs_per_day=int(cigs), five_year_risk=float(five_year),
-                    )
+                try:  # in `COLUMN_TYPES` order
+                    values = (int(aid), int(age), shared(sex, sex), shared(region, region),
+                              int(hid), shared(employment, employment), float(sbp), float(dbp),
+                              float(bmi), flag(diabetes), flag(afib), flag(smoker), int(cigs),
+                              float(five_year))
                 except (ValueError, KeyError):
                     raise error(_bad_cell(row)) from None
-                if agent.id in line_of:
-                    raise error(f"id = {aid!r} repeats line {line_of[agent.id]}")
+                agent_id, household_id = values[0], values[4]
+                if agent_id in line_of:
+                    raise error(f"id = {aid!r} repeats line {line_of[agent_id]}")
                 size = HOUSEHOLD_SIZES.get(htype)
                 if size is None:
                     raise error(f"household_type = {htype!r}, expected one of "
                                 f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
-                members = households.setdefault(agent.household_id, [])
-                if members and household_types[agent.household_id] != htype:
+                members = households.setdefault(household_id, [])
+                if members and household_types[household_id] != htype:
                     raise error(f"household_type = {htype!r}, but household_id {hid} is "
-                                f"{household_types[agent.household_id]!r} on an earlier line")
+                                f"{household_types[household_id]!r} on an earlier line")
                 if len(members) == size:
                     raise error(f"household_id = {hid!r} has more members than a {htype!r} "
                                 f"household holds ({size})")
-                line_of[agent.id] = reader.line_num
-                agents.append(agent)
-                members.append(agent.id)
-                household_types[agent.household_id] = htype
+                line_of[agent_id] = reader.line_num
+                any(map(list.append, cells.values(), values))  # each cell onto its column
+                members.append(agent_id)
+                household_types[household_id] = shared(htype, htype)
+        # each list goes as soon as its column is made
+        return Population(**{name: np.array(cells.pop(name), dtype=dtype)
+                             for name, dtype in COLUMN_TYPES.items()},
+                          households=households, household_types=household_types)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    return Population(agents=agents, households=households, household_types=household_types)
+    except OverflowError:  # from an integer column
+        raise ConfigurationError(f"population csv {path}: an integer beyond 64 bits") from None

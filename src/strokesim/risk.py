@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,19 +70,15 @@ def agent_features(agent: Agent) -> tuple[float, ...]:
 
 
 def feature_matrix(agents: list[Agent]) -> np.ndarray:
-    """(n_agents, n_features) float matrix in agent order; row i equals
-    `agent_features(agents[i])`.  Filled a column at a time."""
-    features = np.empty((len(agents), len(FEATURE_NAMES)))
-    features[:, 0] = [a.age for a in agents]
-    features[:, 1] = np.array([a.sex == "male" for a in agents], dtype=bool)
-    features[:, 2] = [a.sbp for a in agents]
-    features[:, 3] = [a.dbp for a in agents]
-    features[:, 4] = [a.bmi for a in agents]
-    features[:, 5] = np.array([a.diabetes for a in agents], dtype=bool)
-    features[:, 6] = np.array([a.afib for a in agents], dtype=bool)
-    features[:, 7] = np.array([a.smoker for a in agents], dtype=bool)
-    features[:, 8] = [a.cigs_per_day for a in agents]
-    return features
+    """(n_agents, n_features) float matrix whose row i is `agent_features(agents[i])`."""
+    flat = np.fromiter(chain.from_iterable(map(agent_features, agents)), float)
+    return flat.reshape(len(agents), len(FEATURE_NAMES))
+
+
+def population_features(pop: Population) -> np.ndarray:
+    """`feature_matrix(pop.agents)`, from the population's columns."""
+    return np.column_stack((pop.age, pop.sex == "male", pop.sbp, pop.dbp, pop.bmi,
+                            pop.diabetes, pop.afib, pop.smoker, pop.cigs_per_day))
 
 
 @dataclass
@@ -336,7 +333,7 @@ def _expectation(
     its daily risk is 1 - (1 - daily)^horizon; summing over agents gives the
     expected count, with no simulation noise.
     """
-    score = _scorer(ensemble, feature_matrix(pop.agents), np.array([a.age for a in pop.agents]))
+    score = _scorer(ensemble, population_features(pop), pop.age)
 
     def expected(offset: float) -> float:
         daily = score(offset) / DAYS_PER_FIVE_YEARS
@@ -382,8 +379,8 @@ def calibrate_intercepts(
     check_calibration_request(target_annual_risk, tol)
     expected = _expectation(ensemble, pop, horizon_days)
     years = horizon_days / days_per_year
-    target_count = target_annual_risk * len(pop.agents) * years
-    tol_count = tol * len(pop.agents) * years
+    target_count = target_annual_risk * len(pop) * years
+    tol_count = tol * len(pop) * years
 
     lo, hi = -10.0, 10.0
     f_lo = expected(lo) - target_count
@@ -393,7 +390,7 @@ def calibrate_intercepts(
         raise CalibrationError(
             f"target {target_annual_risk} per agent-year is outside the "
             f"achievable range for this model and population",
-            achieved=nearest / (len(pop.agents) * years),
+            achieved=nearest / (len(pop) * years),
         )
     delta = 0.0
     for _ in range(max_iter):

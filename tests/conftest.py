@@ -1,11 +1,15 @@
-"""Shared acceptance reporting.
+"""Shared test support: acceptance reporting, and the one way tests build
+a `Population` from `Agent` rows (`population_from_agents`).
 
 The acceptance tests each announce their verdict through the `report`
 fixture; collected lines are replayed in the terminal summary so they
 are visible on a green run without -s.
 """
 
+import numpy as np
 import pytest
+
+from strokesim.population import COLUMN_TYPES, Population
 
 _acceptance_lines: list[str] = []
 
@@ -24,3 +28,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def population_from_agents(agents, households, household_types) -> Population:
+    """A `Population` whose columns hold the fields of `agents`, in order."""
+    return Population(**{name: np.array([getattr(a, name) for a in agents], dtype=dtype)
+                         for name, dtype in COLUMN_TYPES.items()},
+                      households=households, household_types=household_types)

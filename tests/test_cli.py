@@ -463,13 +463,13 @@ def test_each_command_builds_the_feature_matrix_as_often_as_it_needs(
     import strokesim.engine
     import strokesim.risk
     builds = []
-    original = strokesim.risk.feature_matrix
+    original = strokesim.risk.population_features
 
-    def counted(agents):
-        builds.append(len(agents))
-        return original(agents)
+    def counted(pop):
+        builds.append(len(pop))
+        return original(pop)
     for module in (strokesim.risk, strokesim.engine, strokesim.cli):
-        monkeypatch.setattr(module, "feature_matrix", counted)
+        monkeypatch.setattr(module, "population_features", counted)
     commands = {
         "generate": ["--out", str(tmp_path / "pop.csv")],
         "calibrate": ["--out", str(tmp_path / "model.json")],
@@ -497,9 +497,26 @@ def test_run_scores_the_population_it_builds(config_path, tmp_path, monkeypatch)
     assert run_cli(config_path, tmp_path / "run", "--runs", "2") == 0
     generated = tmp_path / "pop.csv"
     assert main(["generate", "--config", config_path, "--out", str(generated)]) == 0
-    scored = [a.five_year_risk for a in built[0].agents]
-    assert scored == [a.five_year_risk for a in read_population_csv(generated).agents]
-    assert all(a.daily_risk > 0.0 for a in built[0].agents)
+    pop = built[0]
+    assert (pop.five_year_risk > 0.0).all()
+    assert pop.five_year_risk.tolist() == read_population_csv(generated).five_year_risk.tolist()
+    assert [a.five_year_risk for a in pop.agents] == pop.five_year_risk.tolist()
+    assert all(a.daily_risk > 0.0 for a in pop.agents)
+
+
+def test_commands_build_no_agent_rows(config_path, tmp_path, monkeypatch):
+    # the commands read and write the population's columns; `Agent` rows are
+    # only for readers that ask for `Population.agents`
+    import strokesim.population
+
+    class NoRows:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("an Agent row was built")
+    monkeypatch.setattr(strokesim.population, "Agent", NoRows)
+    assert main(["generate", "--config", config_path, "--out", str(tmp_path / "pop.csv")]) == 0
+    assert main(["calibrate", "--config", config_path,
+                 "--out", str(tmp_path / "model.json")]) == 0
+    assert run_cli(config_path, tmp_path / "run", "--runs", "2") == 0
 
 
 # --- manifests: phase timings and environment ---

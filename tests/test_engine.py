@@ -51,7 +51,7 @@ from strokesim.engine import (
 )
 from strokesim.config import load_experiment_file
 from strokesim.errors import ConfigurationError
-from strokesim.population import Agent, BaselineStats, Population
+from strokesim.population import Agent, BaselineStats
 from strokesim.risk import (
     DAYS_PER_FIVE_YEARS,
     FEATURE_NAMES,
@@ -61,6 +61,7 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
 )
+from conftest import population_from_agents
 from test_year_loop_oracle import full_width_tables, reference_replication
 
 
@@ -88,7 +89,7 @@ def population_of(agents, household_types=None):
     types = household_types or {
         hid: "single" if len(m) == 1 else "couple" for hid, m in households.items()
     }
-    return Population(agents=agents, households=households, household_types=types)
+    return population_from_agents(agents, households, types)
 
 
 class StubRng:
@@ -822,7 +823,7 @@ def test_population_arrays_dense_households():
 
 def test_population_arrays_rejects_empty():
     with pytest.raises(ConfigurationError, match="empty"):
-        PopulationArrays.from_population(Population(agents=[], households={}, household_types={}))
+        PopulationArrays.from_population(population_from_agents([], {}, {}))
 
 
 # --- risk tables ---
@@ -1220,10 +1221,10 @@ def test_run_replication_daly_residuals_from_entry_age():
         result = run_replication(**run_args(pop, strong_ens(), kind), rng=2024)
         assert result.total_strokes > 0
         days = result.stroke_day.tolist()
-        total = 0.0
+        total, agents = 0.0, pop.agents
         for i in sorted((i for i, d in enumerate(days) if d >= 0),
                         key=lambda i: (days[i], i)):
-            a = pop.agents[i]
+            a = agents[i]
             residual = LIFE.residual(a.sex, a.age) - (days[i] // 365 + 1)
             severity = SEVERITY_ORDER[result.severity[i]]
             total += compute_outcome(a.id, days[i], 0.0, severity, residual).daly
@@ -1382,11 +1383,13 @@ import numpy as np
 from strokesim.engine import (
     DelayModel, LifeTable, OddsRatioTable, PopulationArrays, Scenario, ScenarioConfig,
     SeverityDistribution, prepare, run_replication)
-from strokesim.population import Agent, Population
+from strokesim.population import COLUMN_TYPES, Population
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
-agents = [Agent(id=i, age=60, sex="male", region="r", household_id=i // 2,
-                employment="employed", smoker=True, cigs_per_day=10) for i in range(40)]
-arrays = PopulationArrays.from_population(Population(agents, {}, {}))
+columns = {name: np.zeros(40, dtype=dtype) for name, dtype in COLUMN_TYPES.items()}
+columns.update(id=np.arange(40), age=np.full(40, 60), sex=np.array(["male"] * 40, dtype=object),
+               household_id=np.arange(40) // 2, smoker=np.ones(40, dtype=bool),
+               cigs_per_day=np.full(40, 10))
+arrays = PopulationArrays.from_population(Population(**columns, households={}, household_types={}))
 life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
 scenarios = [ScenarioConfig(scenario=kind, conversation_ages=(61, 63)) for kind in Scenario]

@@ -39,10 +39,12 @@ from strokesim.montecarlo import (
     write_summary_json,
     worker_count,
 )
-from strokesim.population import Agent, Population
+from strokesim.population import Agent
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
 from strokesim.seeds import derive_seed
 from strokesim.stats import mean, paired_t_test, t_test
+
+from conftest import population_from_agents
 
 
 # --- seed derivation ---
@@ -169,8 +171,7 @@ def tiny_population(n=50):
     households = {}
     for a in agents:
         households.setdefault(a.household_id, []).append(a.id)
-    return Population(agents=agents, households=households,
-                      household_types={h: "couple" for h in households})
+    return population_from_agents(agents, households, {h: "couple" for h in households})
 
 
 def tiny_ens():
@@ -530,6 +531,29 @@ def test_real_pool_names_the_first_failed_replication_in_task_order(monkeypatch,
     with pytest.raises(RuntimeError, match=first) as err:
         run_tiny(make_config(workers=2))
     assert "replication broke" in str(err.value.__cause__)
+
+
+def test_real_pool_starts_few_replications_after_a_failure(monkeypatch, tmp_path):
+    # Two worker processes: run 0 takes 2 s, run 1 fails at once, and the
+    # 28 runs after them take 0.1 s each.  Collecting in task order alone
+    # would wait on run 0 while the other worker starts about 20 more.
+    slow, failing = (derive_seed(99, SCENARIO_SEED_INDEX[Scenario.BASELINE], r) for r in (0, 1))
+    started = tmp_path / "started"
+    original = montecarlo.run_replication
+
+    def replication(*args):
+        with open(started, "a") as handle:  # workers are forked: the file counts for all
+            handle.write(".")
+        if args[1] == failing:
+            raise ValueError("replication broke")
+        time.sleep(2.0 if args[1] == slow else 0.1)
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, "run_replication", replication)
+    usable_cores(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=rf"scenario=baseline run=1 seed={failing}$"):
+        run_tiny(make_config(workers=2, n_runs=10))
+    assert len(started.read_text()) < 10
 
 
 # --- output files ---

@@ -2,9 +2,11 @@
 
 perfbench checks every pass it times: the CSV read-back is exact, calibration
 lands within its tolerance, the simulated baseline lies within 3 SE of the
-closed form, passes and worker counts give identical outputs, and every
-layer reports.  A change that breaks one of them makes the benchmark
-report incorrect outputs, so the test suite runs one short traced pass of it.
+closed form, passes and worker counts give identical outputs, spans nest and
+every layer reports.  A change that breaks one of them makes the benchmark
+report incorrect outputs, and one that keeps a check from being made leaves
+it silent, so the test suite runs one short traced pass of it and requires
+every check.
 perfbench also wraps library names from outside, so a second test installs
 its tracer in-process and checks the spans it records.  This only reads
 ``perfbench/``.
@@ -16,6 +18,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# every check a traced run makes; `run_pass` skips a check whose capture is
+# missing and stays correct, so each must be present as well as ok
+CHECKS = {"baseline_within_3se", "calibration_within_tol", "csv_read_back_exact",
+          "every_layer_reports", "passes_identical", "serial_pool_identical", "spans_nest"}
 
 
 def test_perfbench_checks_pass():
@@ -29,6 +36,7 @@ def test_perfbench_checks_pass():
     result = json.loads(result_line)
     report = json.loads(report_line)
     assert report["errors"] == []
+    assert CHECKS <= report["checks"].keys()
     failed = {name: check for name, check in report["checks"].items() if not check["ok"]}
     assert not failed
     assert result["correct"] is True

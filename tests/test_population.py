@@ -13,6 +13,7 @@ from strokesim.engine import PopulationArrays
 from strokesim.errors import ConfigurationError
 from strokesim.population import (
     BMI_RANGE,
+    COLUMN_TYPES,
     CSV_COLUMNS,
     DAYS_PER_FIVE_YEARS,
     DBP_RANGE,
@@ -33,7 +34,10 @@ from strokesim.population import (
     round_half_up,
     write_population_csv,
 )
+from strokesim.risk import feature_matrix, population_features
 from strokesim.seeds import derive_seed
+
+from conftest import population_from_agents
 
 
 def region(name="east", share=1.0, sex=None, age_bands=None, employment=None, households=None):
@@ -235,10 +239,8 @@ def test_band_assignment_uses_own_band_parameters():
 
 def test_stats_divisor_n():
     pop = build(total=10, households={"single": 1.0, "couple": 0.0, "with_children": 0.0})
-    for a in pop.agents:
-        a.bmi = 20.0
-    pop.agents[0].bmi = 30.0
-    pop.agents[1].bmi = 10.0
+    pop.bmi[:] = 20.0
+    pop.bmi[:2] = 30.0, 10.0
     stats = population_stats(pop)
     values = np.array([a.bmi for a in pop.agents])
     assert stats.bmi_mean == pytest.approx(values.mean(), abs=0)
@@ -248,8 +250,7 @@ def test_stats_divisor_n():
 
 def test_stats_two_agents_hand_values():
     pop = build(total=2, households={"single": 1.0, "couple": 0.0, "with_children": 0.0})
-    pop.agents[0].bmi = 20.0
-    pop.agents[1].bmi = 30.0
+    pop.bmi[:] = 20.0, 30.0
     stats = population_stats(pop)
     assert stats.bmi_mean == 25.0
     assert stats.bmi_sd == 5.0
@@ -257,8 +258,7 @@ def test_stats_two_agents_hand_values():
 
 def test_stats_identical_values_zero_sd():
     pop = build(total=5)
-    for a in pop.agents:
-        a.sbp = 120.0
+    pop.sbp[:] = 120.0
     stats = population_stats(pop)
     assert stats.sbp_sd == 0.0
 
@@ -298,6 +298,10 @@ def test_csv_round_trip_is_exact(tmp_path):
             b.diabetes, b.afib, b.smoker, b.cigs_per_day)
     # member lists come back in file order, so compare membership
     assert set(back.households) == set(pop.households)
+    # one str object per distinct text value, as synthesis stores them
+    for name in ("sex", "region", "employment"):
+        column = getattr(back, name).tolist()
+        assert len(set(map(id, column))) == len(set(column))
     for hid, members in pop.households.items():
         assert sorted(back.households[hid]) == sorted(members)
     assert back.household_types == pop.household_types
@@ -340,8 +344,9 @@ def test_agent_and_population_store_each_fact_once():
     assert [f.name for f in fields(Agent)] == [
         "id", "age", "sex", "region", "household_id", "employment", "sbp", "dbp", "bmi",
         "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
+    assert list(COLUMN_TYPES) == [f.name for f in fields(Agent)]
     assert [f.name for f in fields(Population)] == [
-        "agents", "households", "household_types"]
+        *COLUMN_TYPES, "households", "household_types"]
     assert CSV_COLUMNS == [
         "id", "age", "sex", "region", "employment", "household_id", "household_type",
         "sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
@@ -350,9 +355,7 @@ def test_agent_and_population_store_each_fact_once():
 def test_csv_daily_risk_is_derived_from_five_year_risk(tmp_path):
     pop = build(total=50)
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(3))
-    rng = np.random.default_rng(9)
-    for a in pop.agents:
-        a.five_year_risk = float(rng.uniform(0.0, 0.4))
+    pop.five_year_risk = np.random.default_rng(9).uniform(0.0, 0.4, len(pop))
     path = tmp_path / "pop.csv"
     write_population_csv(pop, path)
     back = read_population_csv(path)
@@ -405,6 +408,14 @@ def _corrupt_row(tmp_path, column, value):
 def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value, message):
     path = _corrupt_row(tmp_path, column, value)
     where = re.escape(f"population csv {path}, line 3: {message}")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
+def test_csv_rejects_an_integer_beyond_64_bits(tmp_path):
+    # the columns are int64; the cell parses, so the error names the file only
+    path = _corrupt_row(tmp_path, "household_id", str(2**63))
+    where = re.escape(f"population csv {path}: an integer beyond 64 bits")
     with pytest.raises(ConfigurationError, match=f"{where}$"):
         read_population_csv(path)
 
@@ -495,8 +506,10 @@ def assert_writes_like_the_row_writer(pop, tmp_path):
         assert back.household_types == pop.household_types
 
 
-# a comma, a double quote, a newline, a leading space, nothing, and non-ASCII text
-AWKWARD_TEXT = ["north,east", 'the "west"', "two\nlines", " leading", "", "Dún Laoghaire"]
+# a comma, a double quote, a newline, a leading space, nothing, non-ASCII text
+# and a trailing NUL (which numpy's fixed-width str would drop)
+AWKWARD_TEXT = ["north,east", 'the "west"', "two\nlines", " leading", "", "Dún Laoghaire",
+                "r\x00"]
 
 
 def test_column_writer_quotes_text_like_the_row_writer(tmp_path):
@@ -508,23 +521,20 @@ def test_column_writer_quotes_text_like_the_row_writer(tmp_path):
     rng = np.random.default_rng(11)
     pop = build_population(spec, rng)
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), rng)
-    for a, risk in zip(pop.agents, rng.uniform(0.0, 0.5, len(pop)).tolist()):
-        a.five_year_risk = risk
+    pop.five_year_risk = rng.uniform(0.0, 0.5, len(pop))
     assert {a.region for a in pop.agents} == set(AWKWARD_TEXT)
     assert {a.employment for a in pop.agents} == set(AWKWARD_TEXT)
     assert_writes_like_the_row_writer(pop, tmp_path)
 
 
 def test_column_writer_writes_an_empty_population_as_its_header(tmp_path):
-    assert_writes_like_the_row_writer(Population([], {}, {}), tmp_path)
+    assert_writes_like_the_row_writer(population_from_agents([], {}, {}), tmp_path)
 
 
 def test_column_writer_matches_the_row_writer_on_the_bundled_population(
         bundled_population, tmp_path):
     _, built = bundled_population
-    risks = np.random.default_rng(12).uniform(0.0, 0.5, len(built)).tolist()
-    pop = replace(built, agents=[replace(a, five_year_risk=risk)
-                                 for a, risk in zip(built.agents, risks)])
+    pop = replace(built, five_year_risk=np.random.default_rng(12).uniform(0.0, 0.5, len(built)))
     assert_writes_like_the_row_writer(pop, tmp_path)
 
 
@@ -535,6 +545,27 @@ def bundled_population():
     pop = build_population(spec, rng)
     assign_risk_factors(pop, tables, rng)
     return spec, pop
+
+
+@pytest.mark.parametrize("source", ["built", "read_back"])
+def test_agent_rows_are_a_view_of_the_columns(bundled_population, tmp_path, source):
+    _, built = bundled_population
+    pop = replace(built, five_year_risk=np.random.default_rng(5).uniform(0.0, 0.5, len(built)))
+    if source == "read_back":
+        write_population_csv(pop, tmp_path / "pop.csv")
+        pop = read_population_csv(tmp_path / "pop.csv")
+    rows = pop.agents
+    assert population_features(pop).tobytes() == feature_matrix(rows).tobytes()
+    python_type = {"int64": int, "float64": float, "bool": bool, "object": str}
+    for name, dtype in COLUMN_TYPES.items():
+        column, values = getattr(pop, name), [getattr(a, name) for a in rows]
+        assert column.dtype == dtype
+        assert values == column.tolist()
+        assert {type(v) for v in values} == {python_type[column.dtype.name]}
+    assert [a.daily_risk for a in rows] == (pop.five_year_risk / DAYS_PER_FIVE_YEARS).tolist()
+    # built at each read and kept nowhere
+    rows[0].sbp = -1.0
+    assert pop.agents is not rows and pop.agents[0].sbp == pop.sbp[0] != -1.0
 
 
 def test_bundled_population_heads(bundled_population):
@@ -572,10 +603,10 @@ def test_bundled_population_household_sizes(bundled_population):
 
 # --- the per-agent reference ---
 #
-# `build_population` and `assign_risk_factors` draw in bulk.  These are the
-# per-agent forms they replaced (one generator call per agent, household or
-# band field); the batched forms must give the same population and leave
-# the generator in the same state.
+# `build_population` and `assign_risk_factors` draw in bulk, into columns.
+# These are the per-agent forms they replaced (one generator call per agent,
+# household or band field, filling `Agent` rows); the columns must hold the
+# rows' values and leave the generator in the same state.
 
 
 def _reference_spread(rng, counts):
@@ -587,6 +618,7 @@ def _reference_spread(rng, counts):
 
 
 def reference_build_population(spec, rng):
+    """Agent rows, household members and household types."""
     spec.validate()
     region_counts = apportion(spec.total_agents, {r.name: r.share for r in spec.regions})
     agents, households, household_types = [], {}, {}
@@ -621,16 +653,17 @@ def reference_build_population(spec, rng):
             household_types[next_household] = htype
             next_household += 1
             cursor += size
-    return Population(agents=agents, households=households, household_types=household_types)
+    return agents, households, household_types
 
 
-def reference_assign_risk_factors(pop, tables, rng):
+def reference_assign_risk_factors(agents, tables, rng):
+    """Fill in the risk factors of ``agents``, rows built by the above."""
     tables.validate()
-    for agent in pop.agents:
+    for agent in agents:
         if not any(band.age_lo <= agent.age <= band.age_hi for band in tables.bands):
             raise ConfigurationError(f"no risk factor band covers age {agent.age}")
     for band in tables.bands:
-        members = [a for a in pop.agents if band.age_lo <= a.age <= band.age_hi]
+        members = [a for a in agents if band.age_lo <= a.age <= band.age_hi]
         n = len(members)
         if n == 0:
             continue
@@ -649,33 +682,37 @@ def reference_assign_risk_factors(pop, tables, rng):
         cigs = max(1, round_half_up(band.cigs_per_day_mean))
         for agent in members:
             agent.cigs_per_day = cigs if agent.smoker else 0
-    return pop
 
 
 def assert_same_synthesis(spec, tables, seed, primed=False):
-    """Build and assign with both forms from one seed; everything must match,
-    the generator's final state included."""
-    results = []
-    for build_fn, assign_fn in ((build_population, assign_risk_factors),
-                                (reference_build_population, reference_assign_risk_factors)):
-        rng = np.random.default_rng(seed)
+    """Build and assign with the columns and with the reference rows from
+    one seed; every column must hold the rows' values, of the rows' types,
+    and the generator must end in the same state."""
+    rngs = []
+    for _ in range(2):
+        rngs.append(np.random.default_rng(seed))
         if primed:  # leaves half of a uint32 pair cached in the bit generator
-            rng.integers(0, 10)
-        pop = build_fn(spec, rng)
-        households = {h: list(m) for h, m in pop.households.items()}
-        if tables is not None:
-            assign_fn(pop, tables, rng)
-        results.append((pop, households, rng.bit_generator.state))
-    (pop, households, state), (ref, ref_households, ref_state) = results
-    assert pop.agents == ref.agents
-    names = [f.name for f in fields(Agent)]
-    for a, b in zip(pop.agents, ref.agents):  # the CSV writes these with repr
-        assert [type(getattr(a, f)) for f in names] == [type(getattr(b, f)) for f in names]
+            rngs[-1].integers(0, 10)
+    rng, ref_rng = rngs
+    pop = build_population(spec, rng)
+    households = {h: list(m) for h, m in pop.households.items()}
+    agents, ref_households, ref_types = reference_build_population(spec, ref_rng)
+    if tables is not None:
+        assert assign_risk_factors(pop, tables, rng) is pop
+        reference_assign_risk_factors(agents, tables, ref_rng)
+    for name, dtype in COLUMN_TYPES.items():
+        column, want = getattr(pop, name), [getattr(a, name) for a in agents]
+        assert column.dtype == dtype
+        assert column.tolist() == want
+        # the CSV writes floats with repr, and True == 1
+        assert list(map(type, column.tolist())) == list(map(type, want))
+    assert pop.agents == agents
     assert list(households.items()) == list(ref_households.items())
-    assert list(pop.household_types.items()) == list(ref.household_types.items())
-    # the engine's stats, from its feature columns, equal the reference's
+    assert list(pop.household_types.items()) == list(ref_types.items())
+    # the engine's stats, from the columns, equal the reference rows'
+    ref = population_from_agents(agents, ref_households, ref_types)
     assert PopulationArrays.from_population(pop).stats == population_stats(ref)
-    assert state == ref_state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     return pop
 
 

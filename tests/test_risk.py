@@ -7,7 +7,7 @@ import pytest
 
 from strokesim.config import load_risk_model
 from strokesim.errors import CalibrationError, ConfigurationError
-from strokesim.population import Agent, Population
+from strokesim.population import Agent
 from strokesim.risk import (
     DAYS_PER_FIVE_YEARS,
     FEATURE_NAMES,
@@ -26,6 +26,8 @@ from strokesim.risk import (
     weights_for_age,
 )
 from strokesim.risk import _scorer
+
+from conftest import population_from_agents
 
 
 def agent(age=60, sex="male", **kwargs):
@@ -50,11 +52,8 @@ def one_member(model):
 
 
 def population_of(agents):
-    return Population(
-        agents=agents,
-        households={a.id: [a.id] for a in agents},
-        household_types={a.id: "single" for a in agents},
-    )
+    return population_from_agents(agents, {a.id: [a.id] for a in agents},
+                                  {a.id: "single" for a in agents})
 
 
 # --- feature encoding ---
@@ -373,9 +372,7 @@ def test_calibrate_hits_analytic_offset():
     # identical agents make the offset solvable by hand:
     # d = 1 - (1 - target*years)^(1/horizon), delta = logit(1826*d) - intercept
     ens = one_member(constant_model(0.2))
-    pop = population_of([agent() for _ in range(10)])
-    for i, a in enumerate(pop.agents):
-        a.id = i
+    pop = population_of([agent(id=i) for i in range(10)])
     target = 0.003
     calibrated = calibrate_intercepts(ens, pop, target)
 
@@ -387,7 +384,7 @@ def test_calibrate_hits_analytic_offset():
     assert ens.calibration_offset == 0.0
 
     achieved = expected_stroke_count(calibrated, pop, 3650)
-    assert achieved == pytest.approx(target * 10 * len(pop.agents), abs=1e-9)
+    assert achieved == pytest.approx(target * 10 * len(pop), abs=1e-9)
 
 
 def test_calibrate_target_range_enforced():
