@@ -38,8 +38,12 @@ print(f"age: min {pop.age.min()}, median {int(np.median(pop.age))}, max {pop.age
 females = int((pop.sex == "female").sum())
 print(f"sex: {females} female / {len(pop) - females} male")
 
-sizes = collections.Counter(len(m) for m in pop.households.values())
-print(f"households: {len(pop.households)} total, sizes {dict(sorted(sizes.items()))}")
+# Households are columns too: a dense index per agent, and per household a
+# type and its member rows, members[member_start[h]:member_start[h + 1]].
+sizes = collections.Counter(np.diff(pop.member_start).tolist())
+types = collections.Counter(pop.household_type.tolist())
+print(f"households: {len(pop.household_type)} total, sizes {dict(sorted(sizes.items()))}, "
+      f"types {dict(sorted(types.items()))}")
 
 print(f"risk factors: {pop.smoker.mean():.1%} smokers, "
       f"SBP {pop.sbp.mean():.1f} +- {pop.sbp.std():.1f} mmHg")
@@ -47,7 +51,7 @@ print(f"risk factors: {pop.smoker.mean():.1%} smokers, "
 # `pop.agents` builds one `Agent` row per agent from the columns when asked.
 first = pop.agents[0]
 print(f"agent {first.id}: {first.age}-year-old {first.sex} in {first.region}, "
-      f"household {first.household_id} ({pop.household_types[first.household_id]})")
+      f"household {first.household_id} ({pop.household_type[pop.household[0]]})")
 
 stats = population_stats(pop)
 print(f"frozen baseline stats: bmi {stats.bmi_mean:.2f} +- {stats.bmi_sd:.2f} "

@@ -2,10 +2,11 @@
 
 A seed-deterministic daily-timestep model: a synthetic household-
 structured population is scored with an ensemble logistic risk model,
-strokes arrive as Bernoulli events (skip-sampled in production), each
-stroke gets an arrival delay, a delay-adjusted severity, and a DALY
-contribution, and intervention scenarios (health conversations, family
-spillover) are compared against baseline over Monte Carlo replications.
+strokes arrive as Bernoulli events (each agent's first stroke day in a
+year is one geometric draw), each stroke gets an arrival delay, a
+delay-adjusted severity, and a DALY contribution, and intervention
+scenarios (health conversations, family spillover) are compared against
+baseline over Monte Carlo replications.
 """
 
 __version__ = "0.1.0"

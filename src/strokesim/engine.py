@@ -490,8 +490,9 @@ class PopulationArrays:
     """Column-oriented copy of a Population for the replication hot path.
 
     Row order is agent order; `features` columns follow FEATURE_NAMES and
-    `age` holds the entry ages.  `stats` are the population's baseline
-    factor stats.  Replications only read it.
+    `age` holds the entry ages; the household columns are the population's
+    own.  `stats` are the population's baseline factor stats.  Replications
+    only read it.
     """
 
     features: np.ndarray
@@ -506,12 +507,10 @@ class PopulationArrays:
     @staticmethod
     def from_population(pop: Population) -> "PopulationArrays":
         features = population_features(pop)
-        _, household = np.unique(pop.household_id, return_inverse=True)
         return PopulationArrays(
             features=features, age=pop.age.astype(np.int64),
-            male=features[:, _COL["male"]].copy(), household=household,
-            members=np.argsort(household), stats=population_stats(pop),
-            member_start=np.concatenate(([0], np.cumsum(np.bincount(household)))),
+            male=features[:, _COL["male"]].copy(), household=pop.household,
+            members=pop.members, member_start=pop.member_start, stats=population_stats(pop),
         )
 
 

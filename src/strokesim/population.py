@@ -15,11 +15,12 @@ each band's factors as columns) and consume exactly the stream that one
 draw per agent or household would: the tests keep that per-agent form as
 the reference the batched one must match, generator state included.
 
-A `Population` holds one array per `Agent` field, in agent order, and
-every stage reads and writes these columns; `Population.agents` builds
-`Agent` rows from them at each read.  Each fact is stored once:
-`Agent.daily_risk` is derived from the five-year risk, and the baseline
-factor stats are computed when needed.
+A `Population` holds one array per `Agent` field, in agent order, and its
+households as columns: a dense household index per agent, and per
+household a type and its member rows with offsets.  Every stage reads
+and writes these columns; `Population.agents` and `Population.households`
+build rows and member lists from them at each read.  `Agent.daily_risk`
+and the baseline factor stats are derived when needed, not stored.
 
 `write_population_csv` writes UTF-8, a column at a time: each column is
 formatted by `str` (ints, and flags as 0/1) or `repr` (floats), and each
@@ -40,7 +41,6 @@ from .errors import ConfigurationError
 from .files import atomic_open
 
 SEXES = ("female", "male")
-HOUSEHOLD_TYPES = ("single", "couple", "with_children")
 HOUSEHOLD_SIZES = {"single": 1, "couple": 2, "with_children": 2}
 
 # Clamp ranges for sampled factors (draws are clamped, never resampled).
@@ -104,7 +104,7 @@ class RegionSpec:
             if sex not in SEXES:
                 raise ConfigurationError(f"{prefix}.sex: unknown category {sex!r}")
         for htype in self.households:
-            if htype not in HOUSEHOLD_TYPES:
+            if htype not in HOUSEHOLD_SIZES:
                 raise ConfigurationError(f"{prefix}.households: unknown type {htype!r}")
 
 
@@ -169,12 +169,10 @@ class RiskFactorBand:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ConfigurationError(f"{prefix}.{name} = {p} outside [0, 1]")
-        if not (SBP_RANGE[0] <= self.sbp_mean <= SBP_RANGE[1]):
-            raise ConfigurationError(f"{prefix}.sbp_mean = {self.sbp_mean} not physiologic")
-        if not (DBP_RANGE[0] <= self.dbp_mean <= DBP_RANGE[1]):
-            raise ConfigurationError(f"{prefix}.dbp_mean = {self.dbp_mean} not physiologic")
-        if not (BMI_RANGE[0] <= self.bmi_mean <= BMI_RANGE[1]):
-            raise ConfigurationError(f"{prefix}.bmi_mean = {self.bmi_mean} not physiologic")
+        for name, (lo, hi) in (("sbp_mean", SBP_RANGE), ("dbp_mean", DBP_RANGE),
+                               ("bmi_mean", BMI_RANGE)):
+            if not (lo <= getattr(self, name) <= hi):
+                raise ConfigurationError(f"{prefix}.{name} = {getattr(self, name)} not physiologic")
         if self.cigs_per_day_mean < 0:
             raise ConfigurationError(f"{prefix}.cigs_per_day_mean must be >= 0")
 
@@ -244,7 +242,8 @@ COLUMN_TYPES = {
 @dataclass(eq=False)
 class Population:
     """The agents as columns, one array per `Agent` field (typed as in
-    `COLUMN_TYPES`) in agent order, with each household's member ids and type."""
+    `COLUMN_TYPES`) in agent order, then each agent's dense household index
+    and, per household h, its type and rows `members[member_start[h]:member_start[h + 1]]`."""
 
     id: np.ndarray
     age: np.ndarray
@@ -260,8 +259,10 @@ class Population:
     smoker: np.ndarray
     cigs_per_day: np.ndarray
     five_year_risk: np.ndarray
-    households: dict[int, list[int]]
-    household_types: dict[int, str]
+    household: np.ndarray
+    household_type: np.ndarray
+    members: np.ndarray
+    member_start: np.ndarray
 
     def __len__(self) -> int:
         return len(self.id)
@@ -273,6 +274,14 @@ class Population:
         # a block of agents at a time, so no column is a whole list at once
         return [agent for start in range(0, len(self), 4096) for agent in map(Agent, *(
             getattr(self, name)[start:start + 4096].tolist() for name in COLUMN_TYPES))]
+
+    @property
+    def households(self) -> dict[int, list[int]]:
+        """Each household's member ids under its `household_id`, in household
+        order, built from the columns at each read and not kept."""
+        ids, bounds = self.id[self.members].tolist(), self.member_start.tolist()
+        labels = self.household_id[self.members[self.member_start[:-1]]].tolist()
+        return {label: ids[start:stop] for label, start, stop in zip(labels, bounds, bounds[1:])}
 
 
 def apportion(total: int, proportions: dict[str, float]) -> dict[str, int]:
@@ -339,9 +348,7 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
     region_counts = apportion(spec.total_agents, {r.name: r.share for r in spec.regions})
 
     chunks: list[tuple[np.ndarray, ...]] = []
-    households: dict[int, list[int]] = {}
-    household_types: dict[int, str] = {}
-    first_agent = 0
+    first_agent = first_household = 0
 
     for region in spec.regions:
         n = region_counts[region.name]
@@ -357,30 +364,26 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
         jitter = rng.uniform(0.0, 6.0, size=n)
         pool = np.argsort(ages + jitter, kind="stable")
         types, sizes = _draw_households(rng, region.households, n)
-        first_household = len(households)
-        hids = range(first_household, first_household + len(types))
-        household_id = np.empty(n, dtype=np.int64)
-        household_id[pool] = np.repeat(hids, sizes)
-        members = (pool + first_agent).tolist()
-        bounds = np.concatenate(([0], sizes.cumsum())).tolist()
-        type_labels = list(region.households)
-        for hid, htype, start, stop in zip(hids, types.tolist(), bounds, bounds[1:]):
-            households[hid] = members[start:stop]
-            household_types[hid] = type_labels[htype]
+        household = np.empty(n, dtype=np.int64)
+        household[pool] = np.repeat(np.arange(types.size) + first_household, sizes)
 
         chunks.append((
             ages, np.array(list(region.sex), dtype=object)[sexes],
-            np.array([region.name] * n, dtype=object), household_id,
-            np.array(list(region.employment), dtype=object)[jobs],
+            np.array([region.name] * n, dtype=object), household,
+            np.array(list(region.employment), dtype=object)[jobs], household,
+            np.array(list(region.households), dtype=object)[types], pool + first_agent, sizes,
         ))
         first_agent += n
+        first_household += types.size
 
-    named = dict(zip(("age", "sex", "region", "household_id", "employment"),
-                     map(np.concatenate, zip(*chunks))), id=np.arange(first_agent))
+    # households are numbered in draw order, so `household` equals `household_id`
+    named = dict(zip(("age", "sex", "region", "household_id", "employment", "household",
+                      "household_type", "members", "sizes"), map(np.concatenate, zip(*chunks))),
+                 id=np.arange(first_agent))
+    named["member_start"] = np.concatenate(([0], named.pop("sizes").cumsum()))
     # risk factors and scores are 0 until assigned
     return Population(**named, **{name: np.zeros(first_agent, dtype) for name, dtype in
-                                  COLUMN_TYPES.items() if name not in named},
-                      households=households, household_types=household_types)
+                                  COLUMN_TYPES.items() if name not in named})
 
 
 def assign_risk_factors(
@@ -401,9 +404,7 @@ def assign_risk_factors(
     in_band = [(band.age_lo <= ages) & (ages <= band.age_hi) for band in tables.bands]
     covered = np.logical_or.reduce(in_band)
     if not covered.all():
-        raise ConfigurationError(
-            f"no risk factor band covers age {ages[np.argmin(covered)]}"
-        )
+        raise ConfigurationError(f"no risk factor band covers age {ages[np.argmin(covered)]}")
 
     n = len(ages)
     sbp, dbp, bmi = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -474,12 +475,11 @@ def _csv_block(pop: Population, rows: slice, text: _CsvText) -> str:
     def column(name: str, fmt=str):
         return map(fmt, getattr(pop, name)[rows].tolist())
 
-    hids = pop.household_id[rows].tolist()
     quote, flag = text.__getitem__, "01".__getitem__  # "01"[False] == "0"
     columns = (
         column("id"), column("age"), column("sex", quote), column("region", quote),
-        column("employment", quote), map(str, hids),
-        map(quote, map(pop.household_types.__getitem__, hids)),
+        column("employment", quote), column("household_id"),
+        map(quote, pop.household_type[pop.household[rows]].tolist()),
         column("sbp", repr), column("dbp", repr), column("bmi", repr),
         column("diabetes", flag), column("afib", flag), column("smoker", flag),
         column("cigs_per_day"), column("five_year_risk", repr),
@@ -490,7 +490,7 @@ def _csv_block(pop: Population, rows: slice, text: _CsvText) -> str:
 def write_population_csv(pop: Population, path) -> None:
     """Dump one agent per row, in `CSV_COLUMNS` order, as UTF-8 with
     ``\\r\\n`` line ends.  Floats use repr so a round trip is exact.  A
-    household without a type raises KeyError and leaves no file."""
+    household without a type raises IndexError and leaves no file."""
     text = _CsvText()
     with atomic_open(path, newline="") as handle:
         csv.writer(handle).writerow(CSV_COLUMNS)
@@ -536,7 +536,9 @@ def _not_utf8(path) -> ConfigurationError:
 def read_population_csv(path) -> Population:
     """Rebuild a Population from `write_population_csv` output.
 
-    Household membership is reconstructed from the household_id column.  A
+    The household columns are rebuilt from the household_id column:
+    households are indexed in the order of their first row, and members
+    listed in file order; the file's ids stay as the household_id column.  A
     header other than `CSV_COLUMNS`, a row with the wrong field count, a
     non-numeric number cell, a flag other than 0/1, a repeated id, an
     unknown household type, a household whose rows name different types and
@@ -545,8 +547,10 @@ def read_population_csv(path) -> Population:
     is not UTF-8, naming its line, and an integer beyond 64 bits.
     """
     cells: dict[str, list] = {name: [] for name in COLUMN_TYPES}
-    households: dict[int, list[int]] = {}
-    household_types: dict[int, str] = {}
+    households: dict[int, list] = {}  # household_id -> [index, type, members so far]
+    household: list[int] = []  # each row's household index
+    # bound once: the row loop calls each of them once per row
+    columns, find, to_household = cells.values(), households.get, household.append
     line_of: dict[int, int] = {}  # agent id -> its line
     flag = _FLAGS.__getitem__
     shared = {}.setdefault  # one str per distinct text value, as synthesis stores them
@@ -581,21 +585,28 @@ def read_population_csv(path) -> Population:
                 if size is None:
                     raise error(f"household_type = {htype!r}, expected one of "
                                 f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
-                members = households.setdefault(household_id, [])
-                if members and household_types[household_id] != htype:
+                entry = find(household_id)
+                if entry is None:
+                    households[household_id] = entry = [len(households), shared(htype, htype), 0]
+                elif entry[1] != htype:
                     raise error(f"household_type = {htype!r}, but household_id {hid} is "
-                                f"{household_types[household_id]!r} on an earlier line")
-                if len(members) == size:
+                                f"{entry[1]!r} on an earlier line")
+                if entry[2] == size:
                     raise error(f"household_id = {hid!r} has more members than a {htype!r} "
                                 f"household holds ({size})")
+                entry[2] += 1
                 line_of[agent_id] = reader.line_num
-                any(map(list.append, cells.values(), values))  # each cell onto its column
-                members.append(agent_id)
-                household_types[household_id] = shared(htype, htype)
+                any(map(list.append, columns, values))  # each cell onto its column
+                to_household(entry[0])
+        index = np.array(household, dtype=np.int64)
         # each list goes as soon as its column is made
         return Population(**{name: np.array(cells.pop(name), dtype=dtype)
                              for name, dtype in COLUMN_TYPES.items()},
-                          households=households, household_types=household_types)
+                          household=index, members=np.argsort(index, kind="stable"),
+                          household_type=np.array([t for _, t, _ in households.values()],
+                                                  dtype=object),
+                          member_start=np.concatenate(([0], np.cumsum(np.bincount(
+                              index, minlength=len(households))))))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except OverflowError:  # from an integer column

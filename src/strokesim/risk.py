@@ -56,17 +56,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def agent_features(agent: Agent) -> tuple[float, ...]:
     """Feature vector for one agent, in `FEATURE_NAMES` order."""
-    return (
-        float(agent.age),
-        1.0 if agent.sex == "male" else 0.0,
-        agent.sbp,
-        agent.dbp,
-        agent.bmi,
-        1.0 if agent.diabetes else 0.0,
-        1.0 if agent.afib else 0.0,
-        1.0 if agent.smoker else 0.0,
-        float(agent.cigs_per_day),
-    )
+    return (float(agent.age), float(agent.sex == "male"), agent.sbp, agent.dbp, agent.bmi,
+            float(agent.diabetes), float(agent.afib), float(agent.smoker),
+            float(agent.cigs_per_day))
 
 
 def feature_matrix(agents: list[Agent]) -> np.ndarray:
@@ -129,9 +121,7 @@ class EnsembleRiskModel:
         prev_hi: int | None = None
         for i, row in enumerate(self.weights):
             if len(row.weights) != n:
-                raise ConfigurationError(
-                    f"weights[{i}]: {len(row.weights)} weights for {n} models"
-                )
+                raise ConfigurationError(f"weights[{i}]: {len(row.weights)} weights for {n} models")
             if any(w < 0 for w in row.weights):
                 raise ConfigurationError(f"weights[{i}]: negative weight")
             if abs(sum(row.weights) - 1.0) > 1e-9:
@@ -139,18 +129,14 @@ class EnsembleRiskModel:
             if row.age_hi < row.age_lo:
                 raise ConfigurationError(f"weights[{i}]: empty age range")
             if prev_hi is not None and row.age_lo != prev_hi + 1:
-                raise ConfigurationError(
-                    f"weights[{i}]: bands must be contiguous and ascending"
-                )
+                raise ConfigurationError(f"weights[{i}]: bands must be contiguous and ascending")
             prev_hi = row.age_hi
         if self.crossfade_years < 0:
             raise ConfigurationError("crossfade_years must be >= 0")
         if self.crossfade_years > 0:
             narrowest = min(r.age_hi - r.age_lo + 1 for r in self.weights)
             if 2 * self.crossfade_years > narrowest:
-                raise ConfigurationError(
-                    "crossfade_years too wide for the narrowest weight band"
-                )
+                raise ConfigurationError("crossfade_years too wide for the narrowest weight band")
 
 
 def logistic_score(model: LogisticModel, agent: Agent, offset: float = 0.0) -> float:

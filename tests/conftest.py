@@ -31,7 +31,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def population_from_agents(agents, households, household_types) -> Population:
-    """A `Population` whose columns hold the fields of `agents`, in order."""
+    """A `Population` whose columns hold the fields of `agents`, in order,
+    and whose household columns hold `households` (member ids under each
+    household_id) with their `household_types`, in the dicts' order."""
+    row = {a.id: i for i, a in enumerate(agents)}
+    assert len(row) == len(agents), "agent ids repeat"
+    members = np.array([row[m] for ids in households.values() for m in ids], dtype=np.int64)
+    sizes = np.array([len(ids) for ids in households.values()], dtype=np.int64)
+    household = np.empty(len(agents), dtype=np.int64)
+    household[members] = np.repeat(np.arange(len(households)), sizes)
     return Population(**{name: np.array([getattr(a, name) for a in agents], dtype=dtype)
                          for name, dtype in COLUMN_TYPES.items()},
-                      households=households, household_types=household_types)
+                      household=household, members=members,
+                      household_type=np.array([household_types[h] for h in households],
+                                              dtype=object),
+                      member_start=np.concatenate(([0], sizes.cumsum())))

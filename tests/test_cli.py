@@ -505,14 +505,18 @@ def test_run_scores_the_population_it_builds(config_path, tmp_path, monkeypatch)
 
 
 def test_commands_build_no_agent_rows(config_path, tmp_path, monkeypatch):
-    # the commands read and write the population's columns; `Agent` rows are
-    # only for readers that ask for `Population.agents`
+    # the commands read and write the population's columns; `Agent` rows and
+    # the `households` mapping are only for readers that ask for them
     import strokesim.population
 
     class NoRows:
         def __init__(self, *args, **kwargs):
             raise AssertionError("an Agent row was built")
+
+    def no_households(pop):
+        raise AssertionError("Population.households was read")
     monkeypatch.setattr(strokesim.population, "Agent", NoRows)
+    monkeypatch.setattr(strokesim.population.Population, "households", property(no_households))
     assert main(["generate", "--config", config_path, "--out", str(tmp_path / "pop.csv")]) == 0
     assert main(["calibrate", "--config", config_path,
                  "--out", str(tmp_path / "model.json")]) == 0

@@ -84,7 +84,7 @@ def one_member(intercept, coefficients=None):
 
 def population_of(agents, household_types=None):
     households = {}
-    for a in agents:
+    for a in sorted(agents, key=lambda a: a.household_id):
         households.setdefault(a.household_id, []).append(a.id)
     types = household_types or {
         hid: "single" if len(m) == 1 else "couple" for hid, m in households.items()
@@ -1388,8 +1388,10 @@ from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
 columns = {name: np.zeros(40, dtype=dtype) for name, dtype in COLUMN_TYPES.items()}
 columns.update(id=np.arange(40), age=np.full(40, 60), sex=np.array(["male"] * 40, dtype=object),
                household_id=np.arange(40) // 2, smoker=np.ones(40, dtype=bool),
-               cigs_per_day=np.full(40, 10))
-arrays = PopulationArrays.from_population(Population(**columns, households={}, household_types={}))
+               cigs_per_day=np.full(40, 10), household=np.arange(40) // 2)
+arrays = PopulationArrays.from_population(Population(
+    **columns, household_type=np.array(["couple"] * 20, dtype=object), members=np.arange(40),
+    member_start=np.arange(0, 41, 2)))
 life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
 scenarios = [ScenarioConfig(scenario=kind, conversation_ages=(61, 63)) for kind in Scenario]

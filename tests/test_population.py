@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 from strokesim.config import load_population_file
-from strokesim.engine import PopulationArrays
+from strokesim.engine import (
+    DelayModel,
+    LifeTable,
+    OddsRatioTable,
+    PopulationArrays,
+    Scenario,
+    ScenarioConfig,
+    SeverityDistribution,
+    prepare,
+    run_replication,
+)
 from strokesim.errors import ConfigurationError
 from strokesim.population import (
     BMI_RANGE,
@@ -34,10 +44,21 @@ from strokesim.population import (
     round_half_up,
     write_population_csv,
 )
-from strokesim.risk import feature_matrix, population_features
+from strokesim.risk import (
+    EnsembleRiskModel,
+    LogisticModel,
+    WeightRow,
+    feature_matrix,
+    population_features,
+)
 from strokesim.seeds import derive_seed
 
 from conftest import population_from_agents
+
+
+def types_by_id(pop):
+    """Each household's type under its household_id."""
+    return dict(zip(pop.households, pop.household_type.tolist()))
 
 
 def region(name="east", share=1.0, sex=None, age_bands=None, employment=None, households=None):
@@ -106,7 +127,7 @@ def test_degenerate_population_all_single():
     assert [a.id for a in pop.agents] == list(range(10))
     assert len(pop.households) == 10
     assert all(len(m) == 1 for m in pop.households.values())
-    assert all(t == "single" for t in pop.household_types.values())
+    assert pop.household_type.tolist() == ["single"] * 10
 
 
 def test_sex_split_even():
@@ -123,12 +144,13 @@ def test_ages_inside_declared_bands():
 
 def test_households_sized_by_type_and_consistent():
     pop = build(total=200)
-    for hid, members in pop.households.items():
-        htype = pop.household_types[hid]
+    for h, (hid, members) in enumerate(pop.households.items()):
+        htype = pop.household_type[h]
         # the tail household may be cut short when the region pool runs out
         assert 1 <= len(members) <= HOUSEHOLD_SIZES[htype]
         for agent_id in members:
             assert pop.agents[agent_id].household_id == hid
+            assert pop.household[agent_id] == h
 
 
 def test_household_members_share_region():
@@ -304,7 +326,13 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert len(set(map(id, column))) == len(set(column))
     for hid, members in pop.households.items():
         assert sorted(back.households[hid]) == sorted(members)
-    assert back.household_types == pop.household_types
+    assert types_by_id(back) == types_by_id(pop)
+    # the household columns group the same agents under the same types
+    for h in range(len(back.household_type)):
+        rows = back.members[back.member_start[h]:back.member_start[h + 1]]
+        assert (back.household[rows] == h).all()
+        assert len(set(pop.household[rows].tolist())) == 1
+    assert (back.household_type[back.household] == pop.household_type[pop.household]).all()
 
 
 def test_csv_write_deterministic_bytes(tmp_path):
@@ -346,10 +374,39 @@ def test_agent_and_population_store_each_fact_once():
         "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
     assert list(COLUMN_TYPES) == [f.name for f in fields(Agent)]
     assert [f.name for f in fields(Population)] == [
-        *COLUMN_TYPES, "households", "household_types"]
+        *COLUMN_TYPES, "household", "household_type", "members", "member_start"]
     assert CSV_COLUMNS == [
         "id", "age", "sex", "region", "employment", "household_id", "household_type",
         "sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
+
+
+def test_read_back_population_drives_the_engine_identically(tmp_path):
+    # the file numbers households by first row and lists members in file
+    # order; synthesis numbers them in draw order, members in pool order.
+    # Both must be the same households to the engine, in every scenario.
+    pop = build(total=400, seed=21, households={"single": 0.2, "couple": 0.8})
+    assign_risk_factors(pop, RiskFactorTables(bands=[flat_band(smoker_prev=0.4)]),
+                        np.random.default_rng(22))
+    write_population_csv(pop, tmp_path / "pop.csv")
+    back = read_population_csv(tmp_path / "pop.csv")
+    ens = EnsembleRiskModel([LogisticModel(0, 200, -10.0, {"sbp": 0.06, "smoker": 0.5})],
+                            [WeightRow(0, 200, [1.0])])
+    life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
+    scenarios = [ScenarioConfig(scenario=kind, horizon_days=3650) for kind in Scenario]
+    models = [prepare(PopulationArrays.from_population(p), ens, DelayModel.default(),
+                      SeverityDistribution.default(), OddsRatioTable.default(), life, scenarios)
+              for p in (pop, back)]
+    for scenario in scenarios:
+        built, read = (run_replication(model, 5, scenario) for model in models)
+        assert built.stroke_day.tolist() == read.stroke_day.tolist()
+        assert built.severity.tolist() == read.severity.tolist()
+        assert built.total_dalys == read.total_dalys
+        assert (built.total_strokes, built.conversations, built.risk_reductions,
+                built.family_reductions) == (read.total_strokes, read.conversations,
+                                             read.risk_reductions, read.family_reductions)
+        assert built.total_strokes > 0
+        if scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY:
+            assert built.family_reductions > 0
 
 
 def test_csv_daily_risk_is_derived_from_five_year_risk(tmp_path):
@@ -367,9 +424,9 @@ def test_csv_daily_risk_is_derived_from_five_year_risk(tmp_path):
 
 def test_csv_writer_rejects_a_household_without_a_type(tmp_path):
     pop = build(total=6)
-    del pop.household_types[pop.agents[0].household_id]
+    pop.household_type = pop.household_type[:-1]
     path = tmp_path / "pop.csv"
-    with pytest.raises(KeyError):
+    with pytest.raises(IndexError):
         write_population_csv(pop, path)
     assert not path.exists()
 
@@ -482,13 +539,14 @@ def test_csv_skips_blank_lines(tmp_path):
 
 
 def reference_write_population_csv(pop, path):
+    household_types = types_by_id(pop)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for a in pop.agents:
             writer.writerow([
                 a.id, a.age, a.sex, a.region, a.employment, a.household_id,
-                pop.household_types[a.household_id],
+                household_types[a.household_id],
                 repr(a.sbp), repr(a.dbp), repr(a.bmi),
                 int(a.diabetes), int(a.afib), int(a.smoker), a.cigs_per_day,
                 repr(a.five_year_risk),
@@ -503,7 +561,7 @@ def assert_writes_like_the_row_writer(pop, tmp_path):
     for path in (column, row):
         back = read_population_csv(path)
         assert back.agents == pop.agents
-        assert back.household_types == pop.household_types
+        assert types_by_id(back) == types_by_id(pop)
 
 
 # a comma, a double quote, a newline, a leading space, nothing, non-ASCII text
@@ -707,8 +765,15 @@ def assert_same_synthesis(spec, tables, seed, primed=False):
         # the CSV writes floats with repr, and True == 1
         assert list(map(type, column.tolist())) == list(map(type, want))
     assert pop.agents == agents
+    # households are numbered in draw order, so each household index is its household_id
+    assert pop.household.dtype == pop.members.dtype == pop.member_start.dtype == np.int64
+    assert pop.household.tolist() == pop.household_id.tolist()
+    assert pop.household_type.dtype == object
+    assert list(map(type, pop.household_type.tolist())) == [str] * len(ref_types)
+    assert pop.household_type.tolist() == list(ref_types.values())
+    assert pop.id[pop.members].tolist() == [m for ms in ref_households.values() for m in ms]
+    assert np.diff(pop.member_start).tolist() == list(map(len, ref_households.values()))
     assert list(households.items()) == list(ref_households.items())
-    assert list(pop.household_types.items()) == list(ref_types.items())
     # the engine's stats, from the columns, equal the reference rows'
     ref = population_from_agents(agents, ref_households, ref_types)
     assert PopulationArrays.from_population(pop).stats == population_stats(ref)
@@ -750,9 +815,8 @@ def test_batched_households_match_reference(households, total):
     pop = assert_same_synthesis(spec, MIXED_BANDS, seed=total)
     if "single" not in households and total % 2:
         # an odd pool leaves the last household one member short
-        last = max(pop.households)
-        assert len(pop.households[last]) == 1
-        assert HOUSEHOLD_SIZES[pop.household_types[last]] == 2
+        assert np.diff(pop.member_start)[-1] == 1
+        assert HOUSEHOLD_SIZES[pop.household_type[-1]] == 2
 
 
 @pytest.mark.parametrize("seed", [5, 6])
