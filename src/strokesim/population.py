@@ -25,7 +25,12 @@ and the baseline factor stats are derived when needed, not stored.
 `write_population_csv` writes UTF-8, a column at a time: each column is
 formatted by `str` (ints, and flags as 0/1) or `repr` (floats), and each
 distinct text value is quoted once by `csv.writer`, so the bytes are the
-ones a row-by-row `csv.writer` writes.
+ones a row-by-row `csv.writer` writes.  `read_population_csv` reads them
+back with numpy's C parser (`np.loadtxt`), a block of rows at a time, into
+typed columns with one shared str per distinct text value, and checks the
+columns as arrays.  Only when a check fails does a `csv.reader` scan of the
+rows run, to name the first faulty line and field; it builds no columns.
+The tests keep the row-by-row reader and writer as the references.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -500,23 +507,37 @@ def write_population_csv(pop: Population, path) -> None:
 
 _FLAGS = {"0": False, "1": True}
 
+
+def _int_cell(cell: str) -> int:
+    """An int64 cell as numpy's parser reads it: whitespace, an optional
+    sign and ASCII digits, within 64 bits (`int` also takes ``4_0``)."""
+    text = cell.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit() and -2**63 <= (value := int(text)) < 2**63:
+        return value
+    raise ValueError(cell)
+
+
+def _float_cell(cell: str) -> float:
+    """A float64 cell as numpy's parser reads it: `float` on ASCII text
+    without underscores (`float` also takes ``1_5.5`` and non-ASCII digits)."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(cell)
+    return float(text)
+
+
 # Parser and expected form of each non-text column, for naming a bad cell.
 _CELL_TYPES = {
-    **dict.fromkeys(("id", "age", "household_id", "cigs_per_day"), (int, "an integer")),
-    **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk"), (float, "a number")),
+    **dict.fromkeys(("id", "age", "household_id", "cigs_per_day"), (_int_cell, "an integer")),
+    **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk"), (_float_cell, "a number")),
     **dict.fromkeys(("diabetes", "afib", "smoker"), (_FLAGS.__getitem__, "0 or 1")),
 }
 
-
-def _bad_cell(row: list[str]) -> str:
-    """The first cell of a row that its column's parser rejects."""
-    for name, cell in zip(CSV_COLUMNS, row):
-        parse, expected = _CELL_TYPES.get(name, (str, ""))
-        try:
-            parse(cell)
-        except (ValueError, KeyError):
-            return f"{name} = {cell!r}, expected {expected}"
-    return "unparseable row"
+# A CSV row as numpy's parser reads it: numbers typed, text and flags as str.
+_CSV_ROW = np.dtype([
+    (name, object if COLUMN_TYPES.get(name, object) in (object, bool) else COLUMN_TYPES[name])
+    for name in CSV_COLUMNS])
 
 
 def _not_utf8(path) -> ConfigurationError:
@@ -533,81 +554,128 @@ def _not_utf8(path) -> ConfigurationError:
     return ConfigurationError(f"population csv {path}: not UTF-8")
 
 
+def _read_rows(handle) -> dict[str, np.ndarray] | None:
+    """The columns of the rows after the header, typed as in `_CSV_ROW`,
+    read by numpy's C parser `_CSV_BLOCK` rows at a time; None if it rejects
+    a row.  Each distinct text value is one shared str, as synthesis stores them."""
+    blocks: list[np.ndarray] = []
+    shared: dict[str, str] = {}
+    with warnings.catch_warnings():
+        # numpy warns of a blank line, and of a block that starts at the end
+        # of the file; neither holds a row, and neither is a fault
+        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data",
+                                UserWarning)
+        # numpy < 2 reads "40.0" in an int column, with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            while not blocks or len(blocks[-1]) == _CSV_BLOCK:
+                block = np.loadtxt(handle, _CSV_ROW, comments=None, delimiter=",",
+                                   quotechar='"', max_rows=_CSV_BLOCK, ndmin=1)
+                for name in ("sex", "region", "employment", "household_type"):
+                    block[name] = list(map(shared.setdefault, block[name], block[name]))
+                blocks.append(block)
+        except UnicodeDecodeError:
+            raise
+        except (ValueError, DeprecationWarning):
+            return None
+    return {name: np.concatenate([block[name] for block in blocks]) for name in CSV_COLUMNS}
+
+
+def _population(rows: dict[str, np.ndarray]) -> Population | None:
+    """The population that ``rows`` hold, or None if a flag is not 0/1, an
+    id repeats, a household type is unknown, or a household's rows name
+    different types or more members than its type holds."""
+    flags = {name: rows[name] == "1" for name in ("diabetes", "afib", "smoker")}
+    types, ids = rows["household_type"], np.sort(rows["id"])
+    size = np.fromiter(map(HOUSEHOLD_SIZES.get, types, repeat(0)), np.int64, len(types))
+    _, first, index, count = np.unique(rows["household_id"], return_index=True,
+                                       return_inverse=True, return_counts=True)
+    if (not all((flags[name] | (rows[name] == "0")).all() for name in flags)
+            or (ids[1:] == ids[:-1]).any()  # a repeated id; plain np.unique imports numpy.ma
+            or not size.all()  # an unknown type
+            or (types != types[first][index]).any()  # a type other than the first row's
+            or (count > size[first]).any()):
+        return None
+    order = np.argsort(first)  # households in the order of their first row
+    household = np.argsort(order)[index]
+    return Population(**{name: rows[name] for name, dtype in COLUMN_TYPES.items()
+                         if dtype is not bool}, **flags,
+                      household=household, members=np.argsort(household, kind="stable"),
+                      household_type=types[first[order]],
+                      member_start=np.concatenate(([0], np.cumsum(count[order]))))
+
+
+def _first_fault(path) -> ConfigurationError:
+    """The error naming the first faulty line of a population CSV that
+    `read_population_csv` rejects, and its field: the rows are checked in
+    file order as `csv.reader` splits them, keeping only each id's line and
+    each household's type and members so far."""
+    line_of: dict[int, int] = {}  # agent id -> its line
+    households: dict[int, list] = {}  # household_id -> [type, members so far]
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+
+        def error(message: str) -> ConfigurationError:
+            return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
+
+        next(reader)  # the header, checked already
+        for row in reader:
+            if not row:  # blank line
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                return error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
+            cells = dict(zip(CSV_COLUMNS, row))
+            for name, cell in cells.items():
+                parse, expected = _CELL_TYPES.get(name, (str, ""))
+                try:
+                    parse(cell)
+                except (ValueError, KeyError):
+                    return error(f"{name} = {cell!r}, expected {expected}")
+            aid, hid, htype = cells["id"], cells["household_id"], cells["household_type"]
+            agent_id = _int_cell(aid)
+            if agent_id in line_of:
+                return error(f"id = {aid!r} repeats line {line_of[agent_id]}")
+            size = HOUSEHOLD_SIZES.get(htype)
+            if size is None:
+                return error(f"household_type = {htype!r}, expected one of "
+                             f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
+            entry = households.setdefault(_int_cell(hid), [htype, 0])
+            if entry[0] != htype:
+                return error(f"household_type = {htype!r}, but household_id {hid} is "
+                             f"{entry[0]!r} on an earlier line")
+            if entry[1] == size:
+                return error(f"household_id = {hid!r} has more members than a {htype!r} "
+                             f"household holds ({size})")
+            entry[1] += 1
+            line_of[agent_id] = reader.line_num
+    return ConfigurationError(f"population csv {path}: numpy's parser rejects a row "
+                              "that no row check names")
+
+
 def read_population_csv(path) -> Population:
     """Rebuild a Population from `write_population_csv` output.
 
-    The household columns are rebuilt from the household_id column:
-    households are indexed in the order of their first row, and members
-    listed in file order; the file's ids stay as the household_id column.  A
-    header other than `CSV_COLUMNS`, a row with the wrong field count, a
-    non-numeric number cell, a flag other than 0/1, a repeated id, an
-    unknown household type, a household whose rows name different types and
-    a household with more members than its type holds raise
+    numpy's parser reads the rows into typed columns a block at a time, and
+    every check runs on the columns.  The household columns are rebuilt from
+    the household_id column: households are indexed in the order of their
+    first row, and members listed in file order; the file's ids stay as the
+    household_id column.  A header other than `CSV_COLUMNS`, a row with the
+    wrong field count, a number cell numpy does not parse (an integer beyond
+    64 bits included), a flag other than 0/1, a repeated id, an unknown
+    household type, a household whose rows name different types and a
+    household with more members than its type holds raise
     ConfigurationError, naming the line and the field; so does a byte that
-    is not UTF-8, naming its line, and an integer beyond 64 bits.
+    is not UTF-8, naming its line.
     """
-    cells: dict[str, list] = {name: [] for name in COLUMN_TYPES}
-    households: dict[int, list] = {}  # household_id -> [index, type, members so far]
-    household: list[int] = []  # each row's household index
-    # bound once: the row loop calls each of them once per row
-    columns, find, to_household = cells.values(), households.get, household.append
-    line_of: dict[int, int] = {}  # agent id -> its line
-    flag = _FLAGS.__getitem__
-    shared = {}.setdefault  # one str per distinct text value, as synthesis stores them
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-
-            def error(message: str) -> ConfigurationError:
-                return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
-
-            header = next(reader, None)
+            header = next(csv.reader(handle), None)
             if header != CSV_COLUMNS:
                 raise ConfigurationError(f"population csv {path}: unexpected header {header}")
-            for row in reader:
-                if not row:  # blank line
-                    continue
-                if len(row) != len(CSV_COLUMNS):
-                    raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
-                (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
-                 smoker, cigs, five_year) = row
-                try:  # in `COLUMN_TYPES` order
-                    values = (int(aid), int(age), shared(sex, sex), shared(region, region),
-                              int(hid), shared(employment, employment), float(sbp), float(dbp),
-                              float(bmi), flag(diabetes), flag(afib), flag(smoker), int(cigs),
-                              float(five_year))
-                except (ValueError, KeyError):
-                    raise error(_bad_cell(row)) from None
-                agent_id, household_id = values[0], values[4]
-                if agent_id in line_of:
-                    raise error(f"id = {aid!r} repeats line {line_of[agent_id]}")
-                size = HOUSEHOLD_SIZES.get(htype)
-                if size is None:
-                    raise error(f"household_type = {htype!r}, expected one of "
-                                f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
-                entry = find(household_id)
-                if entry is None:
-                    households[household_id] = entry = [len(households), shared(htype, htype), 0]
-                elif entry[1] != htype:
-                    raise error(f"household_type = {htype!r}, but household_id {hid} is "
-                                f"{entry[1]!r} on an earlier line")
-                if entry[2] == size:
-                    raise error(f"household_id = {hid!r} has more members than a {htype!r} "
-                                f"household holds ({size})")
-                entry[2] += 1
-                line_of[agent_id] = reader.line_num
-                any(map(list.append, columns, values))  # each cell onto its column
-                to_household(entry[0])
-        index = np.array(household, dtype=np.int64)
-        # each list goes as soon as its column is made
-        return Population(**{name: np.array(cells.pop(name), dtype=dtype)
-                             for name, dtype in COLUMN_TYPES.items()},
-                          household=index, members=np.argsort(index, kind="stable"),
-                          household_type=np.array([t for _, t, _ in households.values()],
-                                                  dtype=object),
-                          member_start=np.concatenate(([0], np.cumsum(np.bincount(
-                              index, minlength=len(households))))))
+            rows = _read_rows(handle)
+        population = None if rows is None else _population(rows)
+        if population is None:
+            raise _first_fault(path)
+        return population
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    except OverflowError:  # from an integer column
-        raise ConfigurationError(f"population csv {path}: an integer beyond 64 bits") from None

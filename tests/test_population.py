@@ -1,6 +1,7 @@
 """Population synthesis: apportionment, households, factor assignment, CSV round trip."""
 
 import csv
+import io
 import math
 import re
 from dataclasses import fields, replace
@@ -438,7 +439,7 @@ def _corrupt_row(tmp_path, column, value):
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), np.random.default_rng(4))
     path = tmp_path / "pop.csv"
     write_population_csv(pop, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     cells = lines[2].split(",")
     i = CSV_COLUMNS.index(column)
     if value is None:
@@ -446,7 +447,7 @@ def _corrupt_row(tmp_path, column, value):
     else:
         cells[i] = value
     lines[2] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -460,8 +461,15 @@ def _corrupt_row(tmp_path, column, value):
     ("id", "0", "id = '0' repeats line 2"),
     ("household_type", "triple",
      "household_type = 'triple', expected one of 'single', 'couple', 'with_children'"),
+    # numpy's parser takes no float in an int column, and no underscore or
+    # non-ASCII digit, which Python's int() and float() take
+    ("age", "40.0", "age = '40.0', expected an integer"),
+    ("age", "4_0", "age = '4_0', expected an integer"),
+    ("age", "\u0664\u0660", "age = '\u0664\u0660', expected an integer"),
+    ("sbp", "1_5.5", "sbp = '1_5.5', expected a number"),
 ], ids=["field_count", "non_numeric_float", "non_numeric_int", "empty_int", "flag_2",
-        "flag_word", "repeated_id", "unknown_household_type"])
+        "flag_word", "repeated_id", "unknown_household_type", "float_in_int_column",
+        "underscore_int", "arabic_indic_digits", "underscore_float"])
 def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value, message):
     path = _corrupt_row(tmp_path, column, value)
     where = re.escape(f"population csv {path}, line 3: {message}")
@@ -470,9 +478,90 @@ def test_csv_rejects_malformed_row_naming_file_and_line(tmp_path, column, value,
 
 
 def test_csv_rejects_an_integer_beyond_64_bits(tmp_path):
-    # the columns are int64; the cell parses, so the error names the file only
+    # the columns are int64, so the cell is bad like any other that does not parse
     path = _corrupt_row(tmp_path, "household_id", str(2**63))
-    where = re.escape(f"population csv {path}: an integer beyond 64 bits")
+    where = re.escape(f"population csv {path}, line 3: "
+                      "household_id = '9223372036854775808', expected an integer")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("age", "4O", "age = '4O', expected an integer"),
+    ("id", "0", "id = '0' repeats line 2"),
+    ("household_id", "{}",
+     "household_id = '{}' has more members than a 'single' household holds (1)"),
+], ids=["bad_cell", "repeated_id", "over_full_household"])
+def test_csv_rejects_a_fault_past_the_first_block(tmp_path, column, value, message):
+    # line 5000 lies in the second block of rows numpy's parser reads; "{}"
+    # stands for the household_id on line 2
+    pop = build(total=6000, households={"single": 1.0})
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    line_2 = lines[1].split(",")[CSV_COLUMNS.index("household_id")]
+    cells = lines[4999].split(",")
+    cells[CSV_COLUMNS.index(column)] = value.format(line_2)
+    lines[4999] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    where = re.escape(f"population csv {path}, line 5000: {message.format(line_2)}")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
+def test_csv_rejects_a_bad_cell_counting_physical_lines(tmp_path):
+    # agent 1's region spans lines 3 and 4, so agent 2 is on line 5
+    pop = build(total=6)
+    pop.region[1] = "two\nlines"
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    rows = path.read_bytes().decode("utf-8").split("\r\n")  # one agent each
+    cells = rows[3].split(",")
+    cells[CSV_COLUMNS.index("sbp")] = "high"
+    rows[3] = ",".join(cells)
+    path.write_bytes("\r\n".join(rows).encode("utf-8"))
+    where = re.escape(f"population csv {path}, line 5: sbp = 'high', expected a number")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+
+
+def _numpy_reads(cell, dtype):
+    """Whether numpy's parser reads ``cell`` as a ``dtype``."""
+    try:
+        np.loadtxt(io.StringIO(f'"{cell}"'), dtype, delimiter=",", quotechar='"',
+                   comments=None, ndmin=1)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("column, cell", [
+    *((column, cell) for column in ("age", "sbp") for cell in (
+        " 40 ", "+40", "-0", "007", "\t40", "40\u2003", "\x1c40", "\xa040", "4 0", "4\u20030",
+        "40\x00", "- 4", "4_0", "\u0664\u0660", "40.0", "1e3", "", " ", "0x10")),
+    *(("id", cell) for cell in ("9223372036854775807", "-9223372036854775808",
+                                "9223372036854775808", "-9223372036854775809")),
+    *(("sbp", cell) for cell in ("inf", "-Infinity", "nan", "1e500", ".5", "5.", "1.5f",
+                                 "1_5.5", "1.\u20035", "+.5e-3", "1d5")),
+])
+def test_csv_names_a_bad_cell_where_numpy_rejects_it(tmp_path, column, cell):
+    # the bad cell goes on line 3, a repeated id on line 6: the error names
+    # line 3 exactly when numpy's parser rejects the cell
+    pop = build(total=6)
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    for line, name, value in ((3, column, f'"{cell}"'), (6, "id", "0")):
+        cells = lines[line - 1].split(",")
+        cells[CSV_COLUMNS.index(name)] = value
+        lines[line - 1] = ",".join(cells)
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    if _numpy_reads(cell, COLUMN_TYPES[column]):
+        message = "line 6: id = '0' repeats line 2"
+    else:
+        expected = "an integer" if COLUMN_TYPES[column] is np.int64 else "a number"
+        message = f"line 3: {column} = {cell!r}, expected {expected}"
+    where = re.escape(f"population csv {path}, {message}")
     with pytest.raises(ConfigurationError, match=f"{where}$"):
         read_population_csv(path)
 
@@ -570,16 +659,22 @@ AWKWARD_TEXT = ["north,east", 'the "west"', "two\nlines", " leading", "", "Dún 
                 "r\x00"]
 
 
-def test_column_writer_quotes_text_like_the_row_writer(tmp_path):
+def awkward_population(total=90):
+    """A population whose regions and employment categories are `AWKWARD_TEXT`."""
     share = 1 / len(AWKWARD_TEXT)
     spec = DemographicSpec(regions=[
         region(name=name, share=share, employment=dict.fromkeys(AWKWARD_TEXT, share))
         for name in AWKWARD_TEXT
-    ], total_agents=90)
+    ], total_agents=total)
     rng = np.random.default_rng(11)
     pop = build_population(spec, rng)
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band()]), rng)
     pop.five_year_risk = rng.uniform(0.0, 0.5, len(pop))
+    return pop
+
+
+def test_column_writer_quotes_text_like_the_row_writer(tmp_path):
+    pop = awkward_population()
     assert {a.region for a in pop.agents} == set(AWKWARD_TEXT)
     assert {a.employment for a in pop.agents} == set(AWKWARD_TEXT)
     assert_writes_like_the_row_writer(pop, tmp_path)
@@ -594,6 +689,154 @@ def test_column_writer_matches_the_row_writer_on_the_bundled_population(
     _, built = bundled_population
     pop = replace(built, five_year_risk=np.random.default_rng(12).uniform(0.0, 0.5, len(built)))
     assert_writes_like_the_row_writer(pop, tmp_path)
+
+
+# --- the row-by-row reader ---
+#
+# `read_population_csv` reads a block of rows at a time with numpy's parser
+# and checks the columns.  This is the reader it replaced, one `csv.reader`
+# row per agent; on the files below the two must return the same columns,
+# or reject with the same message.
+
+
+def reference_read_population_csv(path):
+    cells = {name: [] for name in COLUMN_TYPES}
+    households = {}  # household_id -> [index, type, members so far]
+    household = []  # each row's household index
+    line_of = {}  # agent id -> its line
+    flag = {"0": False, "1": True}.__getitem__
+    shared = {}.setdefault  # one str per distinct text value
+    parsers = {**dict.fromkeys(("id", "age", "household_id", "cigs_per_day"), (int, "an integer")),
+               **dict.fromkeys(("sbp", "dbp", "bmi", "five_year_risk"), (float, "a number")),
+               **dict.fromkeys(("diabetes", "afib", "smoker"), (flag, "0 or 1"))}
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+
+        def error(message):
+            return ConfigurationError(f"population csv {path}, line {reader.line_num}: {message}")
+
+        def bad_cell(row):
+            for name, cell in zip(CSV_COLUMNS, row):
+                parse, expected = parsers.get(name, (str, ""))
+                try:
+                    parse(cell)
+                except (ValueError, KeyError):
+                    return f"{name} = {cell!r}, expected {expected}"
+
+        header = next(reader, None)
+        if header != CSV_COLUMNS:
+            raise ConfigurationError(f"population csv {path}: unexpected header {header}")
+        for row in reader:
+            if not row:  # blank line
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                raise error(f"{len(row)} fields, expected {len(CSV_COLUMNS)}")
+            (aid, age, sex, region, employment, hid, htype, sbp, dbp, bmi, diabetes, afib,
+             smoker, cigs, five_year) = row
+            try:  # in `COLUMN_TYPES` order
+                values = (int(aid), int(age), shared(sex, sex), shared(region, region),
+                          int(hid), shared(employment, employment), float(sbp), float(dbp),
+                          float(bmi), flag(diabetes), flag(afib), flag(smoker), int(cigs),
+                          float(five_year))
+            except (ValueError, KeyError):
+                raise error(bad_cell(row)) from None
+            agent_id, household_id = values[0], values[4]
+            if agent_id in line_of:
+                raise error(f"id = {aid!r} repeats line {line_of[agent_id]}")
+            size = HOUSEHOLD_SIZES.get(htype)
+            if size is None:
+                raise error(f"household_type = {htype!r}, expected one of "
+                            f"{', '.join(map(repr, HOUSEHOLD_SIZES))}")
+            entry = households.get(household_id)
+            if entry is None:
+                households[household_id] = entry = [len(households), shared(htype, htype), 0]
+            elif entry[1] != htype:
+                raise error(f"household_type = {htype!r}, but household_id {hid} is "
+                            f"{entry[1]!r} on an earlier line")
+            if entry[2] == size:
+                raise error(f"household_id = {hid!r} has more members than a {htype!r} "
+                            f"household holds ({size})")
+            entry[2] += 1
+            line_of[agent_id] = reader.line_num
+            for column, value in zip(cells.values(), values):
+                column.append(value)
+            household.append(entry[0])
+    index = np.array(household, dtype=np.int64)
+    return Population(**{name: np.array(cells[name], dtype=dtype)
+                         for name, dtype in COLUMN_TYPES.items()},
+                      household=index, members=np.argsort(index, kind="stable"),
+                      household_type=np.array([t for _, t, _ in households.values()],
+                                              dtype=object),
+                      member_start=np.concatenate(([0], np.cumsum(np.bincount(
+                          index, minlength=len(households))))))
+
+
+def assert_reads_like_the_row_reader(path):
+    """Both readers return the same columns, typed alike, with one str per
+    distinct text value, and the population is returned; or both reject
+    ``path`` with the same message."""
+    try:
+        expected = reference_read_population_csv(path)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
+            read_population_csv(path)
+        return None
+    got = read_population_csv(path)
+    for f in fields(Population):
+        column, reference = getattr(got, f.name), getattr(expected, f.name)
+        assert column.dtype == reference.dtype, f.name
+        assert column.tolist() == reference.tolist(), f.name
+    for name in ("sex", "region", "employment", "household_type"):
+        column = getattr(got, name).tolist()
+        assert len(set(map(id, column))) == len(set(column))
+    return got
+
+
+def _rewrite(path, new, edit):
+    """``new``, a copy of the CSV at ``path`` with its text passed through ``edit``."""
+    new.write_bytes(edit(path.read_bytes().decode("utf-8")).encode("utf-8"))
+    return new
+
+
+def _number_cells(text):
+    """Ages written as ` 40 `, `+40` and `"40"`, and an sbp as ` 1.5e2`, on
+    the first four rows with no quoted cell."""
+    lines = text.split("\r\n")
+    plain = [i for i, line in enumerate(lines[1:-1], 1) if '"' not in line]
+    for i, (column, cell) in zip(plain, [("age", " 40 "), ("age", "+40"), ("age", '"40"'),
+                                         ("sbp", " 1.5e2")]):
+        cells = lines[i].split(",")
+        cells[CSV_COLUMNS.index(column)] = cell
+        lines[i] = ",".join(cells)
+    return "\r\n".join(lines)
+
+
+def _blank_lines(text):
+    """Blank lines after the header, around the second read block, and at the end."""
+    lines = text.split("\r\n")
+    for line in (4098, 4097, 2):
+        lines.insert(min(line, len(lines)) - 1, "")
+    return "\r\n".join(lines) + "\n\n"
+
+
+@pytest.mark.parametrize("edit", [None, "cr_only", "blank_lines", "number_cells"])
+@pytest.mark.parametrize("source", ["awkward", "bundled", "two_blocks"])
+def test_reader_matches_the_row_reader(bundled_population, tmp_path, source, edit):
+    if source == "awkward":
+        pop = awkward_population()
+    elif source == "bundled":
+        pop = bundled_population[1]
+    else:  # two blocks and one row, with two-line text cells either side of the first boundary
+        pop = awkward_population(total=2 * 4096 + 1)
+        pop.region[4095:4097] = "two\nlines"
+        pop.employment[4096] = "lone\rreturn"
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    if edit is not None:
+        path = _rewrite(path, tmp_path / f"{edit}.csv", {
+            "cr_only": lambda text: text.replace("\r\n", "\r"),
+            "blank_lines": _blank_lines, "number_cells": _number_cells}[edit])
+    assert len(assert_reads_like_the_row_reader(path)) == len(pop)
 
 
 @pytest.fixture(scope="module")
