@@ -5,11 +5,12 @@ birthdays, stroke draws (skip-sampled, so quiet stretches cost nothing),
 treatment delay and severity.  It returns each agent's stroke day and
 severity, and the DALYs of those strokes: a death loses the agent's
 residual life years, a survivor lives them with a disability weight.
-Nothing model-wide is recomputed inside it: `prepare` scores every agent
-once per simulated year beforehand, into one set of risk tables that
-every replication of every scenario reads (the scenarios differ only in
-their kind), and tabulates the outcome model and the residual life
-expectancies once too.
+Nothing model-wide is recomputed inside it: `prepare` takes the
+experiment's one simulation config (horizon, conversation ages,
+threshold, reductions), scores every agent once per simulated year
+beforehand, into one set of risk tables that every replication of every
+scenario kind reads, and tabulates the outcome model and the residual
+life expectancies once too.
 """
 
 import numpy as np
@@ -32,19 +33,20 @@ pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
 # The engine runs on a column copy of the population, built once.
 arrays = PopulationArrays.from_population(pop)
-# Everything a replication reads, built once for the three scenarios (as
-# run_experiment does): each agent's five-year risk at every year's age,
-# with its original factors and, for the agents a conversation can reach,
-# with the intervention's factor reduction; the delay and severity models
-# as lookups; and each agent's residual life expectancy.
+# Everything a replication reads, built once from the experiment's one
+# simulation config (as run_experiment does), whichever scenario kind runs
+# on it: each agent's five-year risk at every year's age, with its
+# original factors and, for the agents a conversation can reach, with the
+# intervention's factor reduction; the delay and severity models as
+# lookups; and each agent's residual life expectancy.
 model = prepare(arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
-                cfg.life_table, cfg.experiment.scenarios)
+                cfg.life_table, cfg.experiment.simulation)
 plain, reduced = model.tables.plain, model.tables.reduced
 print(f"risk tables: {plain.shape[0]} years x {plain.shape[1]} agents, "
       f"{reduced.shape[1]} of them reducible")
 
 seed = 7
-result = run_replication(model, seed, model.scenarios[Scenario.BASELINE])
+result = run_replication(model, seed, Scenario.BASELINE)
 
 print(f"baseline replication, seed {seed}:")
 print(f"  strokes: {result.total_strokes}")
@@ -74,7 +76,7 @@ print("strokes per simulated year:", " ".join(str(n) for n in per_year))
 # sampling noise and can even point the wrong way; the roughly 2 percent
 # true effect only separates from noise across many replications, which
 # is what 05_experiment.py is for.
-treated = run_replication(model, seed, model.scenarios[Scenario.CONVERSATIONS])
+treated = run_replication(model, seed, Scenario.CONVERSATIONS)
 print(f"conversations scenario, same seed: {treated.total_strokes} strokes, "
       f"{treated.conversations} conversations, "
       f"{treated.risk_reductions} risk reductions")

@@ -30,15 +30,17 @@ rng = np.random.default_rng(derive_seed(cfg.experiment.base_seed))
 pop = build_population(cfg.demographics, rng)
 assign_risk_factors(pop, cfg.risk_tables, rng)
 
-# The loaded experiment holds all three scenarios; keep them, run fewer.
+# The loaded experiment runs all three scenario kinds on its one
+# simulation config; keep them, run fewer.
 exp = replace(cfg.experiment, n_runs=30, workers=1)
 start = time.perf_counter()
 result = run_experiment(
     exp, PopulationArrays.from_population(pop), cfg.ensemble, cfg.delay,
     cfg.severity, cfg.odds_ratios, cfg.life_table,
 )
+sim = exp.simulation
 print(f"{exp.n_runs} runs x {len(exp.scenarios)} scenarios "
-      f"({len(pop)} agents, 10 years) in "
+      f"({len(pop)} agents, {sim.horizon_days // sim.days_per_year} years) in "
       f"{time.perf_counter() - start:.1f} s\n")
 
 print(format_summary_table(result))

@@ -20,9 +20,9 @@ from .engine import (
     RiskTables,
     RunResult,
     Scenario,
-    ScenarioConfig,
     Severity,
     SeverityDistribution,
+    SimulationConfig,
     StrokeOutcome,
     build_risk_tables,
     prepare,
@@ -79,9 +79,9 @@ __all__ = [
     "RiskTables",
     "RunResult",
     "Scenario",
-    "ScenarioConfig",
     "Severity",
     "SeverityDistribution",
+    "SimulationConfig",
     "StrokeOutcome",
     "TTestResult",
     "assign_risk_factors",

@@ -224,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _phase(phases, "load"):
         cfg = load_experiment_file(args.config)
     exp = cfg.experiment
-    scenarios = [s for s in exp.scenarios if s.scenario in SCENARIO_CHOICES[args.scenario]]
+    scenarios = [kind for kind in exp.scenarios if kind in SCENARIO_CHOICES[args.scenario]]
     n_runs = args.runs if args.runs is not None else exp.n_runs
     exp = replace(
         exp,

@@ -3,10 +3,11 @@
 Everything the simulation consumes is plain JSON: a population file
 (demographic marginals plus age-banded risk factor tables), a risk model
 file (ensemble members and weights), a life table, and an experiment file
-that ties them together with the delay/severity constants and the Monte
-Carlo settings.  References of the form "strokesim:NAME" resolve to the
-package's bundled data directory; anything else is a filesystem path,
-resolved relative to the referencing file.
+that ties them together with the delay/severity constants, the Monte
+Carlo settings and the `SimulationConfig` every scenario runs on.
+References of the form "strokesim:NAME" resolve to the package's bundled
+data directory; anything else is a filesystem path, resolved relative to
+the referencing file.
 
 Each JSON object maps onto a dataclass and is read by `_record`: every
 field is read from the key of the same name, checked against the field's
@@ -39,8 +40,8 @@ from .engine import (
     OddsRatioRow,
     OddsRatioTable,
     Scenario,
-    ScenarioConfig,
     SeverityDistribution,
+    SimulationConfig,
 )
 from .errors import ConfigurationError
 from .files import atomic_open
@@ -370,22 +371,22 @@ class AppConfig:
     delay: DelayModel
     severity: SeverityDistribution
     odds_ratios: OddsRatioTable
-    experiment: ExperimentConfig  # every scenario, from one `simulation` block
+    experiment: ExperimentConfig
     calibration_target: float
     calibration_tol: float
 
     @property
     def horizon_days(self) -> int:
-        return self.experiment.scenarios[0].horizon_days
+        return self.experiment.simulation.horizon_days
 
     @property
     def days_per_year(self) -> int:
-        return self.experiment.scenarios[0].days_per_year
+        return self.experiment.simulation.days_per_year
 
 
 def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optional[Path] = None) -> AppConfig:
-    """Load an experiment file and what it references; the experiment holds
-    one validated ScenarioConfig per Scenario, built from `simulation`."""
+    """Load an experiment file and what it references; the experiment runs
+    every Scenario on the one validated SimulationConfig of `simulation`."""
     text, name = _read_ref(ref, base_dir)
     data = _parse_json(text, name)
     if not isinstance(ref, str) or not ref.startswith(BUNDLED_PREFIX):
@@ -402,12 +403,12 @@ def load_experiment_file(ref: str | Path = DEFAULT_EXPERIMENT, base_dir: Optiona
     ensemble = load_risk_model(risk_model_ref, base_dir)
     life_table = load_life_table(life_table_ref, base_dir)
 
-    sim = _get(data, "simulation", name, dict, default={})
-    scenarios = [_record(ScenarioConfig, sim, f"{name}.simulation", scenario=kind)
-                 for kind in Scenario]
+    simulation = _record(SimulationConfig, _get(data, "simulation", name, dict, default={}),
+                         f"{name}.simulation")
     # workers is chosen per run (--workers), never by the file
     experiment = _record(ExperimentConfig, _get(data, "experiment", name, dict, default={}),
-                         f"{name}.experiment", scenarios=scenarios, workers=None)
+                         f"{name}.experiment", scenarios=list(Scenario),
+                         simulation=simulation, workers=None)
     _validate(experiment, name)
 
     cal = _get(data, "calibration", name, dict, default={})

@@ -42,10 +42,11 @@ and `_stroke_dalys` (DALY accounting).  The tests exercise these kernels
 directly and check the whole loop against a one-uniform-per-day oracle.
 
 `prepare` builds, once per experiment, the `PreparedModel` that
-`run_replication` reads: the risk tables, an `OutcomeTable` of the delay,
-severity and odds-ratio models, and each agent's residual life
-expectancy at entry.  A stroke then makes only its three draws (a band
-uniform, a normal for the hours, a severity uniform), the values the
+`run_replication(model, rng, kind)` reads for every `Scenario` kind: the
+experiment's one `SimulationConfig`, the risk tables, an `OutcomeTable`
+of the delay, severity and odds-ratio models, and each agent's residual
+life expectancy at entry.  A stroke then makes only its three draws (a
+band uniform, a normal for the hours, a severity uniform), the values the
 scalar path `sample_delay`, `adjust_severity`, `sample_severity` draws,
 in its order, and looks the rest up.  Those scalar functions, with
 `compute_outcome` and `first_success_offset`, are the references the
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -272,10 +273,17 @@ class Scenario(Enum):
     CONVERSATIONS = "conversations"
     CONVERSATIONS_PLUS_FAMILY = "conversations_plus_family"
 
+    @property
+    def scenario(self) -> "Scenario":
+        """The member itself, for perfbench's tracer, which tags replication
+        spans with `args[2].scenario.value`; ROADMAP item 1 deletes this."""
+        return self
 
-@dataclass
-class ScenarioConfig:
-    scenario: Scenario = Scenario.BASELINE
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """The one simulation config of an experiment; every `Scenario` runs on it."""
+
     conversation_ages: tuple[int, ...] = (50, 60, 70, 80, 90)
     high_risk_threshold: float = 0.1  # on the five-year score, not the daily one
     bmi_reduction_sd_fraction: float = 0.5
@@ -564,7 +572,7 @@ def _year_arrivals(
 
 
 def _apply_reduction_rows(
-    arrays: PopulationArrays, rows: np.ndarray, cfg: ScenarioConfig
+    arrays: PopulationArrays, rows: np.ndarray, cfg: SimulationConfig
 ) -> None:
     """One-off risk-factor reduction for `rows`, in place.
 
@@ -615,7 +623,7 @@ def _scheduled_rows(
 
 
 def _conversation_rows(
-    rows: np.ndarray, five_year: np.ndarray, active: np.ndarray, cfg: ScenarioConfig
+    rows: np.ndarray, five_year: np.ndarray, active: np.ndarray, cfg: SimulationConfig
 ) -> np.ndarray:
     """Agents a GP conversation notifies this year: of `rows`, the year's
     `_scheduled_rows`, those stroke-free (`active`) whose five-year risk is
@@ -641,7 +649,7 @@ def _spillover_rows(
     return mates[(stroke_day[mates] < 0) & ~reduced[mates]]
 
 
-def year_count(cfg: ScenarioConfig) -> int:
+def year_count(cfg: SimulationConfig) -> int:
     """Year boundaries in a run: one per started year of the horizon."""
     return -(-cfg.horizon_days // cfg.days_per_year)
 
@@ -657,14 +665,13 @@ class RiskTables:
     for the reducible rows only (`_reducible_rows`): agent i's column is
     `slot[i]`, and `slot` is -1 for an agent whose factors no replication
     can reduce.  `scheduled[y]` holds the rows at a conversation age that
-    year (`_scheduled_rows`).  An experiment with no intervention scenario
-    has no `reduced` table, no `slot` and no schedule.
+    year (`_scheduled_rows`).
     """
 
     plain: np.ndarray
-    reduced: Optional[np.ndarray] = None
-    slot: Optional[np.ndarray] = None
-    scheduled: tuple[np.ndarray, ...] = ()
+    reduced: np.ndarray
+    slot: np.ndarray
+    scheduled: tuple[np.ndarray, ...]
 
 
 def _score_by_year(ens: EnsembleRiskModel, X: np.ndarray, entry_age: np.ndarray,
@@ -713,34 +720,24 @@ def _reducible_rows(arrays: PopulationArrays, plain: np.ndarray,
 
 
 def build_risk_tables(
-    arrays: PopulationArrays, ens: EnsembleRiskModel, scenarios: list[ScenarioConfig]
+    arrays: PopulationArrays, ens: EnsembleRiskModel, sim: SimulationConfig
 ) -> RiskTables:
-    """The one set of risk tables all of an experiment's `scenarios` read,
-    scored once.  They may differ in `scenario` only, else
-    `ConfigurationError` names the first other field that differs; the
-    config they share is validated once.  `plain` covers its horizon, and
-    every score reads one `WeightTable` over the ages agents reach.  When a
-    scenario notifies, the schedule and the `reduced` table of the
-    reducible rows (`_reducible_rows`, reduced from their original factors)
-    are built too."""
-    if not scenarios:
-        raise ConfigurationError("experiment: no scenarios configured")
-    cfg = scenarios[0]
-    cfg.validate()
-    for name in (f.name for f in fields(ScenarioConfig) if f.name != "scenario"):
-        if any(getattr(s, name) != getattr(cfg, name) for s in scenarios):
-            raise ConfigurationError(f"experiment: scenarios differ in {name}")
-    years = year_count(cfg)
+    """The one set of risk tables every scenario of an experiment on `sim`
+    reads, scored once after `sim` is validated.  `plain` covers its
+    horizon, and every score reads one `WeightTable` over the ages agents
+    reach; the schedule and the `reduced` table of the reducible rows
+    (`_reducible_rows`, reduced from their original factors) are built
+    from it."""
+    sim.validate()
+    years = year_count(sim)
     weights = WeightTable.spanning(ens, [arrays.age.min() + 1, arrays.age.max() + years])
     scratch = replace(arrays, features=arrays.features.copy())  # both tables score this
     plain = _score_by_year(ens, scratch.features, arrays.age, years, weights)
-    if all(s.scenario is Scenario.BASELINE for s in scenarios):
-        return RiskTables(plain)
-    scheduled = _scheduled_rows(arrays.age, cfg.conversation_ages, years)
-    rows = _reducible_rows(arrays, plain, scheduled, cfg.high_risk_threshold)
+    scheduled = _scheduled_rows(arrays.age, sim.conversation_ages, years)
+    rows = _reducible_rows(arrays, plain, scheduled, sim.high_risk_threshold)
     slot = np.full(len(arrays.age), -1, dtype=np.int64)
     slot[rows] = np.arange(rows.size)
-    _apply_reduction_rows(scratch, rows, cfg)
+    _apply_reduction_rows(scratch, rows, sim)
     reduced = _score_by_year(ens, scratch.features, arrays.age, years, weights, rows)
     return RiskTables(plain, reduced, slot, scheduled)
 
@@ -760,12 +757,12 @@ def _current_risk(
 
 @dataclass(frozen=True)
 class PreparedModel:
-    """What every replication of an experiment reads, built once by
-    `prepare`: each scenario's config, by `Scenario`, the one `RiskTables`,
+    """What every replication of an experiment reads, built once by `prepare`:
+    the one `SimulationConfig` every `Scenario` runs on, its `RiskTables`,
     the `OutcomeTable` and each agent's residual life expectancy at entry."""
 
     arrays: PopulationArrays
-    scenarios: dict[Scenario, ScenarioConfig]
+    simulation: SimulationConfig
     tables: RiskTables
     outcomes: OutcomeTable
     residual: np.ndarray
@@ -773,41 +770,32 @@ class PreparedModel:
 
 def prepare(arrays: PopulationArrays, ens: EnsembleRiskModel, delay: DelayModel,
             sev: SeverityDistribution, ors: OddsRatioTable, life: LifeTable,
-            scenarios: list[ScenarioConfig]) -> PreparedModel:
-    """Validate the models, then build every table: `build_risk_tables`
-    refuses `scenarios` that differ in more than `scenario`.  The model
-    keeps a copy of each config: one changed later is refused."""
+            sim: SimulationConfig) -> PreparedModel:
+    """Validate the models and `sim`, then build every table."""
     for part in (delay, sev, ors, life):
         part.validate()
     return PreparedModel(
         arrays=arrays,
-        scenarios={s.scenario: replace(s) for s in scenarios},
-        tables=build_risk_tables(arrays, ens, scenarios),
+        simulation=sim,
+        tables=build_risk_tables(arrays, ens, sim),
         outcomes=OutcomeTable.build(delay, sev, ors),
         residual=life.residual_array(arrays.male, arrays.age),
     )
 
 
 def run_replication(
-    model: PreparedModel, rng: np.random.Generator | int, scenario: ScenarioConfig
+    model: PreparedModel, rng: np.random.Generator | int, kind: Scenario
 ) -> RunResult:
-    """Run one replication of `scenario` on `model`; nothing is mutated.
+    """Run one replication of scenario `kind` on `model`; nothing is mutated.
 
-    `scenario` must equal the config `model` was prepared for, else
-    `ConfigurationError`: tables built for another threshold, other
-    conversation ages or another horizon would run on their own schedule.
     `rng` is a seed or a Generator (`default_rng` takes either).
     Identical inputs give an identical result.
     """
-    if model.scenarios.get(scenario.scenario) != scenario:
-        raise ConfigurationError(
-            f"scenario {scenario.scenario.value}: the model was prepared for another config"
-        )
-    arrays, tables, residual = model.arrays, model.tables, model.residual
-    interventions_on = scenario.scenario is not Scenario.BASELINE
-    spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
+    arrays, sim, tables, residual = model.arrays, model.simulation, model.tables, model.residual
+    interventions_on = kind is not Scenario.BASELINE
+    spillover_on = kind is Scenario.CONVERSATIONS_PLUS_FAMILY
     n = len(arrays.age)
-    years = year_count(scenario)
+    years = year_count(sim)
 
     rng = np.random.default_rng(rng)
     stroke_day = np.full(n, -1, dtype=np.int64)
@@ -818,7 +806,7 @@ def run_replication(
     conversations = risk_reductions = family_reductions = 0
 
     for year in range(years):
-        day = year * scenario.days_per_year
+        day = year * sim.days_per_year
 
         # year boundary: birthdays first, then interventions.  Anyone
         # notified in an earlier year was reduced then, with the stroke-free
@@ -826,7 +814,7 @@ def run_replication(
         if interventions_on:
             rows = tables.scheduled[year]
             talk = _conversation_rows(rows, _current_risk(tables, year, rows, reduced),
-                                      stroke_day[rows] < 0, scenario)
+                                      stroke_day[rows] < 0, sim)
             conversations += talk.size
 
             own = talk[~reduced[talk]]
@@ -837,7 +825,7 @@ def run_replication(
                 reduced[spill] = True
                 family_reductions += spill.size
 
-        window = min(scenario.days_per_year, scenario.horizon_days - day)
+        window = min(sim.days_per_year, sim.horizon_days - day)
         at, offsets = _year_arrivals(_current_risk(tables, year, free, lowered),
                                      rng.random(free.size), window)
         hit = free[at]
@@ -852,7 +840,7 @@ def run_replication(
     # agent), as a stroke-by-stroke total would be; np.sum rounds otherwise
     struck = np.flatnonzero(stroke_day >= 0)
     struck = struck[np.argsort(stroke_day[struck], kind="stable")]
-    aged = stroke_day[struck] // scenario.days_per_year + 1
+    aged = stroke_day[struck] // sim.days_per_year + 1
     dalys = _stroke_dalys(residual[struck] - aged, severity[struck])
     return RunResult(
         total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0,

@@ -1,5 +1,6 @@
 """Monte Carlo experiments: many replications per scenario, then t-tests.
 
+An experiment runs a list of `Scenario` kinds on one `SimulationConfig`.
 Seeds are derived per (scenario, run) index from one base seed, so every
 replication is reproducible in isolation and the result does not depend
 on how runs are ordered or spread across worker processes.  Each
@@ -36,8 +37,8 @@ from .engine import (
     PreparedModel,
     RunResult,
     Scenario,
-    ScenarioConfig,
     SeverityDistribution,
+    SimulationConfig,
     prepare,
     run_replication,
 )
@@ -60,7 +61,8 @@ METRICS = ("strokes", "dalys")
 
 @dataclass
 class ExperimentConfig:
-    scenarios: list[ScenarioConfig]
+    scenarios: list[Scenario]
+    simulation: SimulationConfig = SimulationConfig()  # what every scenario runs on
     base_seed: int = 42
     n_runs: int = 1000
     significance_level: float = 0.05
@@ -73,15 +75,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"n_runs = {self.n_runs}, need at least 2")
         if not self.scenarios:
             raise ConfigurationError("experiment: no scenarios configured")
-        kinds = [s.scenario for s in self.scenarios]
-        if Scenario.BASELINE not in kinds:
+        if Scenario.BASELINE not in self.scenarios:
             raise ConfigurationError("experiment: scenario list must include baseline")
-        if len(set(kinds)) != len(kinds):
+        if len(set(self.scenarios)) != len(self.scenarios):
             raise ConfigurationError("experiment: duplicate scenario")
         if not (0.0 < self.significance_level < 1.0):
             raise ConfigurationError("significance_level must be in (0, 1)")
-        for s in self.scenarios:
-            s.validate()
+        self.simulation.validate()
 
 
 @dataclass
@@ -192,7 +192,7 @@ def _run_task(task: tuple[str, int, int], state: Optional[PreparedModel] = None)
     model = state if state is not None else _STATE
     assert model is not None
     try:
-        res = run_replication(model, seed, model.scenarios[Scenario(scenario_value)])
+        res = run_replication(model, seed, Scenario(scenario_value))
     except Exception as exc:
         raise RuntimeError(
             f"replication failed: scenario={scenario_value} run={run_idx} seed={seed}"
@@ -220,17 +220,17 @@ def run_experiment(
     scenario, run and seed that failed.
     """
     cfg.validate()
-    model = prepare(arrays, ens, delay, sev, ors, life, cfg.scenarios)
+    model = prepare(arrays, ens, delay, sev, ors, life, cfg.simulation)
 
     tasks: list[tuple[str, int, int]] = []
-    for sc in cfg.scenarios:
-        s_idx = SCENARIO_SEED_INDEX[sc.scenario]
+    for kind in cfg.scenarios:
+        s_idx = SCENARIO_SEED_INDEX[kind]
         for run in range(cfg.n_runs):
             if cfg.common_random_numbers:
                 seed = derive_seed(cfg.base_seed, run)
             else:
                 seed = derive_seed(cfg.base_seed, s_idx, run)
-            tasks.append((sc.scenario.value, run, seed))
+            tasks.append((kind.value, run, seed))
 
     workers = worker_count(cfg.workers, len(tasks))
     if workers == 1:
@@ -246,7 +246,7 @@ def run_experiment(
                 future.cancel()
             metrics = [future.result() for future in futures]
 
-    runs: dict[str, list[RunMetrics]] = {sc.scenario.value: [] for sc in cfg.scenarios}
+    runs: dict[str, list[RunMetrics]] = {kind.value: [] for kind in cfg.scenarios}
     for m in metrics:
         runs[m.scenario].append(m)
     return ExperimentResult(summary=_summarize(cfg, runs), runs=runs)
@@ -255,8 +255,8 @@ def run_experiment(
 def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> ExperimentSummary:
     scenario_results = []
     samples: dict[tuple[str, str], list[float]] = {}
-    for sc in cfg.scenarios:
-        name = sc.scenario.value
+    for kind in cfg.scenarios:
+        name = kind.value
         strokes = [float(m.strokes) for m in runs[name]]
         dalys = [m.dalys for m in runs[name]]
         deaths = [float(m.death) for m in runs[name]]
@@ -270,7 +270,7 @@ def _summarize(cfg: ExperimentConfig, runs: dict[str, list[RunMetrics]]) -> Expe
         ))
 
     baseline = Scenario.BASELINE.value
-    others = [sc.scenario.value for sc in cfg.scenarios if sc.scenario is not Scenario.BASELINE]
+    others = [kind.value for kind in cfg.scenarios if kind is not Scenario.BASELINE]
     pairs = [(baseline, n) for n in others] + list(itertools.combinations(others, 2))
 
     comparisons = []

@@ -667,6 +667,9 @@ def read_population_csv(path) -> Population:
     ConfigurationError, naming the line and the field; so does a byte that
     is not UTF-8, naming its line.
     """
+    # numpy's parser has no per-field limit: lift `csv.reader`'s (131072
+    # characters by default) while the header and the row scan read
+    limit = csv.field_size_limit(2**31 - 1)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             header = next(csv.reader(handle), None)
@@ -679,3 +682,5 @@ def read_population_csv(path) -> Population:
         return population
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    finally:
+        csv.field_size_limit(limit)

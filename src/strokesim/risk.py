@@ -30,7 +30,7 @@ from .errors import CalibrationError, ConfigurationError
 from .population import DAYS_PER_FIVE_YEARS, Agent, Population
 
 # The default time grid (ten 365-day years) and calibration tolerance;
-# ScenarioConfig and the config loader take theirs from here.
+# SimulationConfig and the config loader take theirs from here.
 DAYS_PER_YEAR = 365
 HORIZON_DAYS = 10 * DAYS_PER_YEAR
 CALIBRATION_TOL = 1e-12

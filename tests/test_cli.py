@@ -17,6 +17,7 @@ import pytest
 import strokesim.cli as cli
 from strokesim.cli import format_summary_table, main
 from strokesim.config import load_experiment_file, load_risk_model
+from strokesim.engine import Scenario
 from strokesim.population import CSV_COLUMNS, read_population_csv
 from strokesim.risk import expected_stroke_count
 from strokesim.seeds import derive_seed
@@ -591,14 +592,23 @@ def test_missing_config_file_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_every_public_name_exists():
+    # `__all__` lists only names the package has, so a rename cannot leave
+    # a stale entry behind
+    import strokesim
+
+    assert [name for name in strokesim.__all__ if not hasattr(strokesim, name)] == []
+    assert len(set(strokesim.__all__)) == len(strokesim.__all__)
+
+
 def test_bundled_default_config_loads():
     cfg = load_experiment_file()
     assert cfg.experiment.n_runs == 1000
     assert cfg.experiment.base_seed == 42
     assert cfg.horizon_days == 3650
-    for scenario in cfg.experiment.scenarios:
-        assert scenario.conversation_ages == (50, 60, 70, 80, 90)
-        assert scenario.high_risk_threshold == 0.1
+    assert cfg.experiment.scenarios == list(Scenario)
+    assert cfg.experiment.simulation.conversation_ages == (50, 60, 70, 80, 90)
+    assert cfg.experiment.simulation.high_risk_threshold == 0.1
     assert cfg.ensemble.calibration_offset != 0.0
     assert cfg.calibration_target > 0.0
 

@@ -17,7 +17,7 @@ from strokesim.config import (
     load_population_file,
     load_risk_model,
 )
-from strokesim.engine import OddsRatioTable, Scenario, ScenarioConfig
+from strokesim.engine import OddsRatioTable, Scenario, SimulationConfig
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import ExperimentConfig
 from strokesim.population import DemographicSpec
@@ -49,13 +49,11 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
     ensemble = EnsembleRiskModel(models=[], weights=[])
     assert cfg.ensemble.crossfade_years == ensemble.crossfade_years
     assert cfg.ensemble.calibration_offset == ensemble.calibration_offset
-    assert [s.scenario for s in cfg.experiment.scenarios] == list(Scenario)
-    for loaded in cfg.experiment.scenarios:
-        assert loaded == ScenarioConfig(scenario=loaded.scenario)
-    scenario = ScenarioConfig()
-    assert (cfg.horizon_days, cfg.days_per_year) == (scenario.horizon_days,
-                                                     scenario.days_per_year)
-    experiment = ExperimentConfig(scenarios=[scenario])
+    assert cfg.experiment.scenarios == list(Scenario)
+    sim = SimulationConfig()
+    assert cfg.experiment.simulation == sim
+    assert (cfg.horizon_days, cfg.days_per_year) == (sim.horizon_days, sim.days_per_year)
+    experiment = ExperimentConfig(scenarios=[Scenario.BASELINE])
     for name in ("base_seed", "n_runs", "significance_level", "workers",
                  "common_random_numbers", "welch"):
         assert getattr(cfg.experiment, name) == getattr(experiment, name), name
@@ -64,8 +62,8 @@ def test_omitted_settings_fall_back_on_the_dataclass_defaults(tmp_path):
     assert cfg.demographics.scale_factor == spec.scale_factor
     assert cfg.calibration_tol == CALIBRATION_TOL == 1e-12
     params = inspect.signature(calibrate_intercepts).parameters
-    assert params["horizon_days"].default == scenario.horizon_days
-    assert params["days_per_year"].default == scenario.days_per_year
+    assert params["horizon_days"].default == sim.horizon_days
+    assert params["days_per_year"].default == sim.days_per_year
     assert params["tol"].default == CALIBRATION_TOL
 
 
@@ -133,6 +131,7 @@ def _write_bundled(tmp_path, edit=lambda docs: None):
     ("experiment", "use_skip_sampling"),
     ("experiment", "workers"),
     ("experiment", "scenarios"),
+    ("experiment", "simulation"),
     ("simulation", "high_risk_treshold"),
     ("simulation", "scenario"),
     ("calibration", "target"),
@@ -290,8 +289,7 @@ def test_conversation_age_must_be_an_integer(tmp_path, entry):
 def test_integer_conversation_ages_load(tmp_path):
     path = write_json(tmp_path / "exp.json",
                       {**BUNDLED_REFS, "simulation": {"conversation_ages": [45, 65]}})
-    for scenario in load_experiment_file(path).experiment.scenarios:
-        assert scenario.conversation_ages == (45, 65)
+    assert load_experiment_file(path).experiment.simulation.conversation_ages == (45, 65)
 
 
 # --- every number in a config is a JSON number ---

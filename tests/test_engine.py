@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,9 @@ from strokesim.engine import (
     RiskTables,
     SEVERITY_ORDER,
     Scenario,
-    ScenarioConfig,
     Severity,
     SeverityDistribution,
+    SimulationConfig,
     StrokeOutcome,
     adjust_severity,
     compute_outcome,
@@ -211,16 +211,16 @@ def test_severity_distribution_validate():
         SeverityDistribution(1.2, -0.2, 0.5, 0.5).validate()
 
 
-def test_scenario_config_validate():
-    ScenarioConfig().validate()
+def test_simulation_config_validate():
+    SimulationConfig().validate()
     with pytest.raises(ConfigurationError, match="high_risk_threshold"):
-        ScenarioConfig(high_risk_threshold=0.0).validate()
+        SimulationConfig(high_risk_threshold=0.0).validate()
     with pytest.raises(ConfigurationError, match="ascending"):
-        ScenarioConfig(conversation_ages=(60, 50)).validate()
+        SimulationConfig(conversation_ages=(60, 50)).validate()
     with pytest.raises(ConfigurationError, match="horizon"):
-        ScenarioConfig(horizon_days=0).validate()
+        SimulationConfig(horizon_days=0).validate()
     with pytest.raises(ConfigurationError, match="bmi_reduction"):
-        ScenarioConfig(bmi_reduction_sd_fraction=-0.1).validate()
+        SimulationConfig(bmi_reduction_sd_fraction=-0.1).validate()
 
 
 # --- geometric skip sampling ---
@@ -689,7 +689,7 @@ def test_stroke_dalys_match_compute_outcome():
 
 
 def test_hold_conversation_age_and_threshold():
-    cfg = ScenarioConfig()
+    cfg = SimulationConfig()
     age = np.array([50, 50, 55, 60, 70])
     five_year = np.array([0.2, 0.1, 0.9, 0.3, 0.3])
     active = np.array([True, True, True, True, False])
@@ -711,7 +711,7 @@ def test_hold_conversation_age_and_threshold():
     active = rng.random(age.size) < 0.9
     for ages in ((50, 60, 70, 80, 90), (0,), (0, 1, 2), (35, 150, 200),
                  (-5, 215), (-6, 216), (-10**6, 10**12), (-2**63, 2**63 - 1), ()):
-        cfg = ScenarioConfig(conversation_ages=ages)
+        cfg = SimulationConfig(conversation_ages=ages)
         cfg.validate()
         schedule = _scheduled_rows(entry, ages, years)
         assert len(schedule) == years
@@ -738,7 +738,7 @@ def test_reduce_risk_applies_all_reductions():
     untouched = agent(sbp=140.0, dbp=85.0, bmi=30.0, smoker=True, cigs_per_day=20)
     untouched.id = 1
     arrays = reduction_arrays([a, untouched], stats)
-    _apply_reduction_rows(arrays, np.array([0]), ScenarioConfig())
+    _apply_reduction_rows(arrays, np.array([0]), SimulationConfig())
     assert column(arrays, "smoker")[0] == 0.0
     assert column(arrays, "cigs_per_day")[0] == 0.0
     assert column(arrays, "bmi")[0] == pytest.approx(30.0 - 0.5 * 4.0)
@@ -754,7 +754,7 @@ def test_reduce_risk_bmi_only_above_mean_and_floors():
     heavy = agent(bmi=27.5)
     heavy.id = 1
     arrays = reduction_arrays([lean, heavy], stats)
-    _apply_reduction_rows(arrays, np.array([0, 1]), ScenarioConfig())
+    _apply_reduction_rows(arrays, np.array([0, 1]), SimulationConfig())
     assert column(arrays, "bmi")[0] == 26.0   # at or below the mean: untouched
     assert column(arrays, "sbp")[0] == 80.0   # floored at the physiologic minimum
     assert column(arrays, "dbp")[0] == 40.0
@@ -768,7 +768,7 @@ def test_reduce_risk_rescores_when_given_model():
     rows = np.array([0])
     before = five_year_matrix(ens, arrays.features[rows], arrays.age[rows])
     assert before[0] == pytest.approx(1.0 / (1.0 + math.exp(1.0)), abs=1e-12)
-    _apply_reduction_rows(arrays, rows, ScenarioConfig())
+    _apply_reduction_rows(arrays, rows, SimulationConfig())
     after = five_year_matrix(ens, arrays.features[rows], arrays.age[rows])
     want = 1.0 / (1.0 + math.exp(2.0))
     assert after[0] == pytest.approx(want, abs=1e-12)
@@ -886,12 +886,12 @@ def test_risk_tables_match_scoring_at_each_years_age():
         check_risk_tables_at_each_years_age(*SCORING_MODELS[model])
 
 
-def reducible_by_definition(pop, plain, scenario):
+def reducible_by_definition(pop, plain, sim):
     """Every member of each household holding an agent at a conversation age
     in some year whose plain risk that year is above the threshold."""
     seeds = {a.household_id for i, a in enumerate(pop.agents) for year in range(len(plain))
-             if a.age + year + 1 in scenario.conversation_ages
-             and plain[year, i] > scenario.high_risk_threshold}
+             if a.age + year + 1 in sim.conversation_ages
+             and plain[year, i] > sim.high_risk_threshold}
     return np.array([i for i, a in enumerate(pop.agents) if a.household_id in seeds],
                     dtype=np.int64)
 
@@ -901,7 +901,7 @@ def check_risk_tables_at_each_years_age(make, ages_move):
     ens = make()
     arrays = PopulationArrays.from_population(pop)
     lowered = PopulationArrays.from_population(pop)
-    _apply_reduction_rows(lowered, np.arange(30), ScenarioConfig())
+    _apply_reduction_rows(lowered, np.arange(30), SimulationConfig())
 
     # the scoring kernel on every agent at each year's age, original and
     # reduced factors; each agent scored alone agrees to rounding (a one-row
@@ -924,20 +924,15 @@ def check_risk_tables_at_each_years_age(make, ages_move):
     # is narrower than the population but not empty
     at_conversation = [want["plain"][year, i] for i, a in enumerate(pop.agents)
                        for year in range(8)
-                       if a.age + year + 1 in ScenarioConfig().conversation_ages]
+                       if a.age + year + 1 in SimulationConfig().conversation_ages]
     for threshold in (0.1, np.median(at_conversation)):
-        scenarios = [ScenarioConfig(scenario=kind, horizon_days=8 * 365,
-                                    high_risk_threshold=threshold) for kind in Scenario]
-        tables = build_risk_tables(arrays, ens, scenarios)
+        sim = SimulationConfig(horizon_days=8 * 365, high_risk_threshold=threshold)
+        tables = build_risk_tables(arrays, ens, sim)
         plain, reduced, slot = tables.plain, tables.reduced, tables.slot
         assert len(tables.scheduled) == 8
-        # baseline alone notifies no one: the same plain table, and no other
-        alone = build_risk_tables(arrays, ens, scenarios[:1])
-        assert alone.reduced is alone.slot is None and alone.scheduled == ()
-        assert np.array_equal(alone.plain, plain)
 
         # the reducible rows have one column each, in row order; the rest none
-        rows = reducible_by_definition(pop, want["plain"], scenarios[1])
+        rows = reducible_by_definition(pop, want["plain"], sim)
         assert slot.shape == (30,) and reduced.shape == (8, rows.size)
         assert np.flatnonzero(slot >= 0).tolist() == rows.tolist()
         assert slot[rows].tolist() == list(range(rows.size))
@@ -952,19 +947,15 @@ def check_risk_tables_at_each_years_age(make, ages_move):
 
 def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
     # an experiment has one horizon and one reduction, which every scenario
-    # shares: a list that mixes horizons or reductions is refused
+    # shares: the tables cover each started year, and each reduction scores
+    # the same reducible rows from their original factors
     arrays = PopulationArrays.from_population(small_pop(n=10))
-    conv = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=3 * 365 + 1)
-    family = replace(conv, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)
-    assert year_count(conv) == 4
-    for change in ({"horizon_days": 365}, {"bp_reduction_sd_fraction": 0.3}):
-        with pytest.raises(ConfigurationError, match=f"differ in {next(iter(change))}$"):
-            build_risk_tables(arrays, strong_ens(), [conv, replace(family, **change)])
+    sim = SimulationConfig(horizon_days=3 * 365 + 1)
+    assert year_count(sim) == 4
     per_reduction = {}
     for bp in (0.1, 0.3):
-        cfg = replace(conv, bp_reduction_sd_fraction=bp)
-        tables = build_risk_tables(arrays, strong_ens(),
-                                   [replace(cfg, scenario=kind) for kind in Scenario])
+        cfg = replace(sim, bp_reduction_sd_fraction=bp)
+        tables = build_risk_tables(arrays, strong_ens(), cfg)
         # one threshold and one list of conversation ages: the same reducible rows
         rows = np.flatnonzero(tables.slot >= 0)
         assert rows.size > 0
@@ -985,16 +976,13 @@ def test_risk_tables_cover_the_longest_horizon_and_each_reduction():
 
 def test_risk_tables_share_a_reduced_table_only_for_one_threshold_and_schedule():
     # the scenarios of one experiment share one threshold and one schedule,
-    # so they read one reduced table: a list that mixes either is refused.
-    # Two experiments that differ in either reduce other rows.
+    # so they read one reduced table.  Two experiments that differ in
+    # either reduce other rows.
     arrays = PopulationArrays.from_population(small_pop(n=40))
-    conv = ScenarioConfig(scenario=Scenario.CONVERSATIONS, horizon_days=4 * 365)
-    a = build_risk_tables(arrays, strong_ens(), [conv])
+    sim = SimulationConfig(horizon_days=4 * 365)
+    a = build_risk_tables(arrays, strong_ens(), sim)
     for change in ({"high_risk_threshold": 0.2}, {"conversation_ages": (55, 65, 75)}):
-        family = replace(conv, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, **change)
-        with pytest.raises(ConfigurationError, match=f"differ in {next(iter(change))}$"):
-            build_risk_tables(arrays, strong_ens(), [conv, family])
-        b = build_risk_tables(arrays, strong_ens(), [family])
+        b = build_risk_tables(arrays, strong_ens(), replace(sim, **change))
         assert not np.array_equal(a.slot, b.slot)
         # a row reducible under both has the same scores in both
         both = (a.slot >= 0) & (b.slot >= 0)
@@ -1013,6 +1001,7 @@ def test_current_risk_reads_each_row_from_its_table():
     slot = np.full(8, -1)
     slot[reducible] = np.arange(5)
     tables = RiskTables(plain, lowered[:, reducible], slot, ())
+    none_reducible = RiskTables(plain, plain[:, :0], np.full(8, -1), ())
     before = plain.copy(), tables.reduced.copy()
     for year in range(3):
         got = _current_risk(tables, year, rows, reduced)
@@ -1021,62 +1010,51 @@ def test_current_risk_reads_each_row_from_its_table():
     assert np.array_equal(plain, before[0]) and np.array_equal(tables.reduced, before[1])
     # no `reduced` array (baseline): every row reads plain, whatever the
     # tables hold
-    for t in (tables, RiskTables(plain)):
+    for t in (tables, none_reducible):
         assert _current_risk(t, 2, rows, None).tolist() == plain[2, rows].tolist()
-    for t, flags in ((tables, reduced), (tables, None), (RiskTables(plain), None)):
+    for t, flags in ((tables, reduced), (tables, None), (none_reducible, None)):
         empty = _current_risk(t, 0, np.empty(0, dtype=np.int64), flags)
         assert empty.shape == (0,) and empty.dtype == np.float64
 
 
-def refused(scenario):
-    """The error `run_replication` raises for a scenario its model was not
-    prepared for."""
-    return pytest.raises(ConfigurationError, match=(
-        rf"^scenario {scenario.scenario.value}: the model was prepared for another config$"))
-
-
 def test_run_replication_rejects_tables_that_do_not_fit():
-    # a model's tables cover the years and scenarios it was prepared for
-    # only: a longer horizon would read past them, a scenario it has no
-    # tables for would read none
+    # a model's tables cover the years of the one config it was prepared
+    # for, and every scenario kind runs on them.  That config is frozen, so
+    # it cannot be changed under the tables once they are built
     pop = small_pop(n=6)
     args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS, horizon=730)
-    model, scenario = args["model"], args["scenario"]
-    assert model.tables.plain.shape == (2, 6)
+    model = args["model"]
+    assert model.tables.plain.shape == (year_count(model.simulation), 6) == (2, 6)
     assert model.residual.shape == (6,)
-    assert run_replication(**args, rng=0).total_strokes >= 0
-    for other in (replace(scenario, horizon_days=1095), replace(scenario, days_per_year=300),
-                  replace(scenario, scenario=Scenario.BASELINE),
-                  replace(scenario, scenario=Scenario.CONVERSATIONS_PLUS_FAMILY)):
-        with refused(other):
-            run_replication(model, 0, other)
-    # the model keeps its own copy of each config: the caller's, changed
-    # after the model was prepared, no longer matches the tables
-    scenario.horizon_days = 1095
-    with refused(scenario):
-        run_replication(model, 0, scenario)
+    for kind in Scenario:
+        assert run_replication(model, 0, kind).total_strokes >= 0
+    with pytest.raises(FrozenInstanceError):
+        model.simulation.horizon_days = 1095
+    with pytest.raises(FrozenInstanceError):
+        model.simulation = replace(model.simulation, horizon_days=1095)
 
 
-def test_run_replication_rejects_a_reduction_without_a_column():
-    # a model prepared for a higher threshold, or for other conversation
-    # ages, has no column for some row the scenario reduces: reading its
-    # slot of -1 would give it the last reducible agent's score.  Such a
-    # model refuses the scenario; so does one with another reduction.
+def test_every_model_has_a_column_for_each_row_it_reduces():
+    # a model prepared for a higher threshold, for other conversation ages
+    # or for another reduction reduces other rows, and has its own columns
+    # for them: each intervention kind on it runs as the full-width oracle
+    # does, and every row the oracle reduces has a column
     pop = small_pop(n=40)
-    args = run_args(pop, strong_ens(), Scenario.CONVERSATIONS_PLUS_FAMILY, horizon=3650)
-    fitting, scenario = args["model"].tables, args["scenario"]
-    assert run_replication(**args, rng=0).risk_reductions > 0
-    for change in ({"high_risk_threshold": 0.3}, {"conversation_ages": (55, 65, 75)},
+    ens = strong_ens()
+    fitting = run_args(pop, ens)["model"].tables
+    for change in ({}, {"high_risk_threshold": 0.3}, {"conversation_ages": (55, 65, 75)},
                    {"bmi_reduction_sd_fraction": 0.25}):
-        other = run_args(pop, strong_ens(), scenario.scenario, horizon=3650, **change)
-        assert run_replication(**other, rng=0).total_strokes > 0
-        if "bmi_reduction_sd_fraction" not in change:
-            slot = other["model"].tables.slot
+        args = run_args(pop, ens, **change)
+        model, slot = args["model"], args["model"].tables.slot
+        if "high_risk_threshold" in change or "conversation_ages" in change:
             assert ((slot < 0) & (fitting.slot >= 0)).any()
-        with refused(scenario):
-            run_replication(other["model"], 0, scenario)
-        with refused(other["scenario"]):
-            run_replication(args["model"], 0, other["scenario"])
+        full = full_width_tables(model.arrays, ens, model.simulation)
+        for kind in (Scenario.CONVERSATIONS, Scenario.CONVERSATIONS_PLUS_FAMILY):
+            want, _, _, ever = reference_replication(model, full, kind, 0)
+            assert ever.any() and (slot[ever] >= 0).all(), (change, kind)
+            got = run_replication(model, 0, kind)
+            assert got.risk_reductions > 0
+            assert_same_result(got, want)
 
 
 # --- full replications ---
@@ -1102,25 +1080,24 @@ def small_pop(n=40, seed=3, risk_spread=True):
 LIFE = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 
 
-def run_args(pop, ens, scenario_kind=Scenario.BASELINE, horizon=3650, models=None,
-             **cfg_kwargs):
+def run_args(pop, ens, kind=Scenario.BASELINE, horizon=3650, models=None, **sim_kwargs):
     """run_replication's arguments but the generator, by name: the model
-    `prepare` builds for one scenario, as run_experiment does, and that
-    scenario; `models` are (delay, sev, ors), the defaults when None."""
-    scenario = ScenarioConfig(scenario=scenario_kind, horizon_days=horizon, **cfg_kwargs)
+    `prepare` builds for one `SimulationConfig`, as run_experiment does,
+    and the scenario kind; `models` are (delay, sev, ors), the defaults
+    when None."""
+    sim = SimulationConfig(horizon_days=horizon, **sim_kwargs)
     delay, sev, ors = models or (
         DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default())
-    model = prepare(PopulationArrays.from_population(pop), ens, delay, sev, ors, LIFE,
-                    [scenario])
-    return {"model": model, "scenario": scenario}
+    model = prepare(PopulationArrays.from_population(pop), ens, delay, sev, ors, LIFE, sim)
+    return {"model": model, "kind": kind}
 
 
 def oracle_args(args, ens):
     """`reference_replication`'s arguments before the seed: the prepared
     model, the risk tables the oracle reads in place of the replication's
-    (`full_width_tables`), and the scenario."""
-    model, scenario = args["model"], args["scenario"]
-    return model, full_width_tables(model.arrays, ens, scenario), scenario
+    (`full_width_tables`), and the scenario kind."""
+    model = args["model"]
+    return model, full_width_tables(model.arrays, ens, model.simulation), args["kind"]
 
 
 def assert_same_result(a, b):
@@ -1154,16 +1131,16 @@ def test_baseline_replication_reads_plain_only():
     # every scenario of a model reads one set of tables; baseline reduces no
     # one, so it reads `plain` alone and never gathers from `reduced`
     pop = small_pop()
-    model = prepare(PopulationArrays.from_population(pop), strong_ens(), DelayModel.default(),
-                    SeverityDistribution.default(), OddsRatioTable.default(), LIFE,
-                    [ScenarioConfig(scenario=kind) for kind in Scenario])
-    assert model.tables.reduced is not None
-    plain_only = replace(model, tables=RiskTables(model.tables.plain))
-    baseline = model.scenarios[Scenario.BASELINE]
+    model = run_args(pop, strong_ens())["model"]
+    assert model.tables.reduced.size > 0
+    tables = model.tables
+    plain_only = replace(model, tables=replace(
+        tables, reduced=np.full_like(tables.reduced, np.nan), slot=np.full_like(tables.slot, -1),
+        scheduled=()))
     for seed in (3, 4):
-        want = run_replication(model, seed, baseline)
+        want = run_replication(model, seed, Scenario.BASELINE)
         assert want.total_strokes > 0
-        assert_same_result(run_replication(plain_only, seed, baseline), want)
+        assert_same_result(run_replication(plain_only, seed, Scenario.BASELINE), want)
 
 
 def test_run_replication_does_not_mutate_inputs():
@@ -1297,10 +1274,10 @@ def afib_ens():
     return one_member(-4.3, {"afib": 2.2})
 
 
-def find_quiet_seed(scenario_kind):
+def find_quiet_seed(kind):
     pop = couple_pop()
     for s in range(60):
-        result = run_replication(**run_args(pop, afib_ens(), scenario_kind),
+        result = run_replication(**run_args(pop, afib_ens(), kind),
                                  rng=s)
         if result.total_strokes == 0:
             return s, result
@@ -1381,8 +1358,8 @@ def test_replication_imports_no_module():
 import sys
 import numpy as np
 from strokesim.engine import (
-    DelayModel, LifeTable, OddsRatioTable, PopulationArrays, Scenario, ScenarioConfig,
-    SeverityDistribution, prepare, run_replication)
+    DelayModel, LifeTable, OddsRatioTable, PopulationArrays, Scenario, SeverityDistribution,
+    SimulationConfig, prepare, run_replication)
 from strokesim.population import COLUMN_TYPES, Population
 from strokesim.risk import EnsembleRiskModel, LogisticModel, WeightRow
 columns = {name: np.zeros(40, dtype=dtype) for name, dtype in COLUMN_TYPES.items()}
@@ -1394,14 +1371,13 @@ arrays = PopulationArrays.from_population(Population(
     member_start=np.arange(0, 41, 2)))
 life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
-scenarios = [ScenarioConfig(scenario=kind, conversation_ages=(61, 63)) for kind in Scenario]
 model = prepare(arrays, ens, DelayModel.default(), SeverityDistribution.default(),
-                OddsRatioTable.default(), life, scenarios)
+                OddsRatioTable.default(), life, SimulationConfig(conversation_ages=(61, 63)))
 np.random.default_rng(0)  # the process that forks the workers has drawn its population
 before = set(sys.modules)
-for s in scenarios:
-    result = run_replication(model, 3, s)
-    assert result.total_strokes > 0 and (s.scenario is Scenario.BASELINE or result.conversations)
+for kind in Scenario:
+    result = run_replication(model, 3, kind)
+    assert result.total_strokes > 0 and (kind is Scenario.BASELINE or result.conversations)
 print(sorted(set(sys.modules) - before))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1426,21 +1402,16 @@ def test_counter_invariants_across_seeds():
 
 
 def test_run_replication_validates_configs():
-    # `prepare` validates every scenario and model once; a replication
-    # refuses a config the model was not prepared for, an invalid one too
+    # `prepare` validates the simulation config and every model once,
+    # before any table is built
     pop = small_pop(n=4)
-    args = run_args(pop, strong_ens())
-    bad = ScenarioConfig(high_risk_threshold=2.0)
+    arrays = PopulationArrays.from_population(pop)
     models = [DelayModel.default(), SeverityDistribution.default(), OddsRatioTable.default(), LIFE]
     with pytest.raises(ConfigurationError, match="high_risk_threshold = 2.0"):
-        prepare(args["model"].arrays, strong_ens(), *models, [bad])
-    with pytest.raises(ConfigurationError, match="^experiment: no scenarios configured$"):
-        prepare(args["model"].arrays, strong_ens(), *models, [])
+        prepare(arrays, strong_ens(), *models, SimulationConfig(high_risk_threshold=2.0))
     for i, broken in enumerate((DelayModel([]), SeverityDistribution(0.5, 0.5, 0.5, 0.0),
                                 OddsRatioTable([]),
                                 LifeTable(ages=[50, 50], female=[1.0, 1.0], male=[1.0, 1.0]))):
         with pytest.raises(ConfigurationError):
-            prepare(args["model"].arrays, strong_ens(),
-                    *models[:i], broken, *models[i + 1:], [ScenarioConfig()])
-    with refused(bad):
-        run_replication(args["model"], 0, bad)
+            prepare(arrays, strong_ens(), *models[:i], broken, *models[i + 1:],
+                    SimulationConfig())

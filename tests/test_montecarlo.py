@@ -1,12 +1,13 @@
 """Experiment harness: seed derivation, run merging, summaries, output files."""
 
 import csv
+import importlib.resources
 import json
 import os
 import signal
 import time
 from concurrent.futures import Executor, Future
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from strokesim.engine import (
     OutcomeTable,
     PopulationArrays,
     Scenario,
-    ScenarioConfig,
     SeverityDistribution,
+    SimulationConfig,
     prepare,
     run_replication,
     year_count,
 )
+from strokesim.cli import SCENARIO_CHOICES
+from strokesim.config import load_experiment_file
 from strokesim.errors import ConfigurationError
 from strokesim.montecarlo import (
     SCENARIO_SEED_INDEX,
@@ -99,30 +102,27 @@ def test_percent_difference():
 # --- config validation ---
 
 
-def scenario_list(horizon=730):
-    return [
-        ScenarioConfig(scenario=kind, horizon_days=horizon) for kind in Scenario
-    ]
-
-
 def test_experiment_config_validate():
-    ExperimentConfig(base_seed=1, scenarios=scenario_list(), n_runs=2).validate()
+    ExperimentConfig(base_seed=1, scenarios=list(Scenario), n_runs=2).validate()
     with pytest.raises(ConfigurationError, match="n_runs"):
-        ExperimentConfig(base_seed=1, scenarios=scenario_list(), n_runs=1).validate()
+        ExperimentConfig(base_seed=1, scenarios=list(Scenario), n_runs=1).validate()
     with pytest.raises(ConfigurationError, match="no scenarios"):
         ExperimentConfig(base_seed=1, scenarios=[]).validate()
     with pytest.raises(ConfigurationError, match="baseline"):
-        ExperimentConfig(base_seed=1, scenarios=[
-            ScenarioConfig(scenario=Scenario.CONVERSATIONS)]).validate()
+        ExperimentConfig(base_seed=1, scenarios=[Scenario.CONVERSATIONS]).validate()
     with pytest.raises(ConfigurationError, match="duplicate"):
-        ExperimentConfig(base_seed=1, scenarios=[
-            ScenarioConfig(), ScenarioConfig()]).validate()
+        ExperimentConfig(base_seed=1, scenarios=[Scenario.BASELINE] * 2).validate()
     with pytest.raises(ConfigurationError, match="significance"):
-        ExperimentConfig(base_seed=1, scenarios=scenario_list(),
+        ExperimentConfig(base_seed=1, scenarios=list(Scenario),
                          significance_level=1.0).validate()
+    with pytest.raises(ConfigurationError, match="high_risk_threshold"):
+        ExperimentConfig(base_seed=1, scenarios=list(Scenario),
+                         simulation=SimulationConfig(high_risk_threshold=0.0)).validate()
 
 
-# a value other than the default of each ScenarioConfig field but `scenario`
+# a value other than the one each SimulationConfig field takes on a
+# two-year run (the tiny experiment below), which sets the horizon only
+TWO_YEARS = {"horizon_days": 730}
 OTHER_VALUES = [
     ("horizon_days", 3650), ("days_per_year", 360), ("high_risk_threshold", 0.2),
     ("conversation_ages", (55, 65, 75)), ("bmi_reduction_sd_fraction", 0.25),
@@ -131,27 +131,31 @@ OTHER_VALUES = [
 
 
 @pytest.mark.parametrize("field, value", OTHER_VALUES, ids=str)
-def test_experiment_config_rejects_scenarios_on_different_time_grids(monkeypatch, field, value):
+def test_experiment_config_rejects_scenarios_on_different_time_grids(tmp_path, field, value):
     # the scenarios of an experiment differ in their kind only: they share
     # the time grid the summary's tests compare over, and the schedule,
     # threshold and reduction of the one set of risk tables they all read.
-    # `prepare` refuses any other list before it scores a table, and
-    # `run_experiment` before any replication runs.
-    assert {f for f, _ in OTHER_VALUES} == {f.name for f in fields(ScenarioConfig)} - {"scenario"}
-    scenarios = scenario_list()
-    scenarios[1] = replace(scenarios[1], **{field: value})
-    scored = counting_scores(monkeypatch)
-    replications = []
-    monkeypatch.setattr(montecarlo, "run_replication",
-                        lambda *args: replications.append(args))
-    differ = f"^experiment: scenarios differ in {field}$"
-    with pytest.raises(ConfigurationError, match=differ):
-        prepare(PopulationArrays.from_population(tiny_population()), tiny_ens(),
-                DelayModel.default(), SeverityDistribution.default(),
-                OddsRatioTable.default(), tiny_life(), scenarios)
-    with pytest.raises(ConfigurationError, match=differ):
-        run_tiny(make_config(scenarios=scenarios))
-    assert scored == [] and replications == []
+    # The experiment file has one `simulation` block: a value set there is
+    # the one every scenario runs on, and a block that tries to set it for
+    # one scenario is rejected when the file is loaded.
+    assert {f for f, _ in OTHER_VALUES} == {f.name for f in fields(SimulationConfig)}
+    assert getattr(SimulationConfig(**TWO_YEARS), field) != value
+    doc = json.loads(importlib.resources.files("strokesim")
+                     .joinpath("data", "experiment_ie.json").read_text())
+    doc["simulation"] = {**TWO_YEARS, field: value}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    experiment = load_experiment_file(path).experiment
+    assert experiment.scenarios == list(Scenario)
+    assert experiment.simulation == SimulationConfig(**{**TWO_YEARS, field: value})
+    for section, per_scenario in (("simulation", {"conversations": {field: value}}),
+                                  ("experiment", {"scenarios": [
+                                      {"scenario": "conversations", field: value}]})):
+        path.write_text(json.dumps({**doc, section: {**doc[section], **per_scenario}}))
+        key = next(iter(per_scenario))
+        with pytest.raises(ConfigurationError,
+                           match=rf"exp\.json\.{section}: unknown key '{key}'$"):
+            load_experiment_file(path)
 
 
 # --- a small experiment everything below shares ---
@@ -198,7 +202,8 @@ def run_tiny(cfg, delay=None, sev=None, ors=None, life=None):
 
 
 def make_config(**overrides):
-    params = dict(base_seed=99, scenarios=scenario_list(), n_runs=6, workers=1)
+    params = dict(base_seed=99, scenarios=list(Scenario),
+                  simulation=SimulationConfig(**TWO_YEARS), n_runs=6, workers=1)
     params.update(overrides)
     return ExperimentConfig(**params)
 
@@ -220,11 +225,11 @@ def test_every_run_reproducible_in_isolation(experiment):
     """Each row of runs must be replayable from its recorded seed alone."""
     model = prepare(PopulationArrays.from_population(tiny_population()), tiny_ens(),
                     DelayModel.default(), SeverityDistribution.default(),
-                    OddsRatioTable.default(), tiny_life(), scenario_list())
+                    OddsRatioTable.default(), tiny_life(), make_config().simulation)
     for name, metrics in experiment.runs.items():
         for m in metrics[:3]:
             assert m.seed == derive_seed(99, SCENARIO_SEED_INDEX[Scenario(name)], m.run)
-            direct = run_replication(model, m.seed, model.scenarios[Scenario(name)])
+            direct = run_replication(model, m.seed, Scenario(name))
             assert direct.total_strokes == m.strokes
             assert direct.total_dalys == m.dalys
             assert direct.conversations == m.conversations
@@ -279,10 +284,7 @@ def test_worker_count_caps_at_the_affinity_mask(monkeypatch):
 
 
 def test_scenario_subset_reuses_seeds(experiment):
-    subset_cfg = make_config(scenarios=[
-        ScenarioConfig(scenario=Scenario.BASELINE, horizon_days=730),
-        ScenarioConfig(scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=730),
-    ])
+    subset_cfg = make_config(scenarios=[Scenario.BASELINE, Scenario.CONVERSATIONS_PLUS_FAMILY])
     subset = run_tiny(subset_cfg)
     for name in ("baseline", "conversations_plus_family"):
         assert [vars(m) for m in subset.runs[name]] == \
@@ -321,31 +323,56 @@ def counting_scores(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("scenarios, reduced_tables", [
-    (scenario_list(horizon=1095), 1),     # both intervention scenarios share one
-    (scenario_list(horizon=1095)[:1], 0),  # baseline alone reduces no one
-    # scenarios with two reductions are refused before anything is scored
-    (scenario_list(horizon=1095)[:2] + [ScenarioConfig(
-        scenario=Scenario.CONVERSATIONS_PLUS_FAMILY, horizon_days=1095,
-        bmi_reduction_sd_fraction=0.25)], None),
-], ids=["shared_reduction", "baseline_only", "two_reductions"])
-def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios, reduced_tables):
+@pytest.mark.parametrize("scenarios", [list(Scenario), [Scenario.BASELINE]],
+                         ids=["shared_reduction", "baseline_only"])
+def test_scoring_is_per_experiment_not_per_replication(monkeypatch, scenarios):
+    # one plain and one reduced table per experiment, whichever kinds it runs
     calls = counting_scores(monkeypatch)
-    if reduced_tables is None:
-        with pytest.raises(ConfigurationError, match="differ in bmi_reduction_sd_fraction$"):
-            run_tiny(make_config(scenarios=scenarios))
-        assert calls == []
-        return
+    sim = SimulationConfig(horizon_days=1095)
     counts = []
     for n_runs in (2, 5):
         calls.clear()
-        result = run_tiny(make_config(scenarios=scenarios, n_runs=n_runs))
+        result = run_tiny(make_config(scenarios=scenarios, simulation=sim, n_runs=n_runs))
         assert all(len(v) == n_runs for v in result.runs.values())
         counts.append(len(calls))
-    years = year_count(scenarios[0])
+    years = year_count(sim)
     assert years == 3
-    assert counts == [1 + reduced_tables] * 2
+    assert counts == [2] * 2
     assert set(calls) == {years}
+
+
+def prepared_models(monkeypatch):
+    """Record the model each `run_experiment` prepares."""
+    models = []
+    original = montecarlo.prepare
+
+    def recorded(*args):
+        models.append(original(*args))
+        return models[-1]
+
+    monkeypatch.setattr(montecarlo, "prepare", recorded)
+    return models
+
+
+def test_every_prepared_model_runs_every_kind(monkeypatch):
+    # an experiment prepares its model from its one simulation config,
+    # whichever kinds it lists: each model runs all three kinds, and each
+    # kind runs the same on every model, bit for bit
+    models = prepared_models(monkeypatch)
+    for kinds in SCENARIO_CHOICES.values():
+        run_tiny(make_config(scenarios=kinds, n_runs=2))
+    assert len(models) == len(SCENARIO_CHOICES) == 4
+    for seed in (5, 6):
+        want = {kind: run_replication(models[-1], seed, kind) for kind in Scenario}
+        assert want[Scenario.BASELINE].total_strokes > 0
+        assert want[Scenario.CONVERSATIONS_PLUS_FAMILY].family_reductions > 0
+        for model, kinds in zip(models, SCENARIO_CHOICES.values()):
+            for kind in Scenario:
+                got = run_replication(model, seed, kind)
+                assert np.array_equal(got.stroke_day, want[kind].stroke_day), (kinds, kind)
+                assert np.array_equal(got.severity, want[kind].severity), (kinds, kind)
+                assert (np.float64(got.total_dalys).tobytes()
+                        == np.float64(want[kind].total_dalys).tobytes()), (kinds, kind)
 
 
 def test_outcome_table_and_residuals_are_per_experiment(monkeypatch):

@@ -16,8 +16,8 @@ from strokesim.engine import (
     OddsRatioTable,
     PopulationArrays,
     Scenario,
-    ScenarioConfig,
     SeverityDistribution,
+    SimulationConfig,
     prepare,
     run_replication,
 )
@@ -355,6 +355,13 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("id,age\n1,40\n")
     with pytest.raises(ConfigurationError, match="header"):
         read_population_csv(path)
+    # a header field longer than the csv module's default field limit
+    limit = csv.field_size_limit()
+    path.write_text("id," + "a" * (limit + 1) + "\n1,40\n")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"population csv {path}: unexpected header ['id', 'aaa")):
+        read_population_csv(path)
+    assert csv.field_size_limit() == limit
 
 
 def test_csv_rejects_the_old_nineteen_column_header(tmp_path):
@@ -393,12 +400,12 @@ def test_read_back_population_drives_the_engine_identically(tmp_path):
     ens = EnsembleRiskModel([LogisticModel(0, 200, -10.0, {"sbp": 0.06, "smoker": 0.5})],
                             [WeightRow(0, 200, [1.0])])
     life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
-    scenarios = [ScenarioConfig(scenario=kind, horizon_days=3650) for kind in Scenario]
     models = [prepare(PopulationArrays.from_population(p), ens, DelayModel.default(),
-                      SeverityDistribution.default(), OddsRatioTable.default(), life, scenarios)
+                      SeverityDistribution.default(), OddsRatioTable.default(), life,
+                      SimulationConfig(horizon_days=3650))
               for p in (pop, back)]
-    for scenario in scenarios:
-        built, read = (run_replication(model, 5, scenario) for model in models)
+    for kind in Scenario:
+        built, read = (run_replication(model, 5, kind) for model in models)
         assert built.stroke_day.tolist() == read.stroke_day.tolist()
         assert built.severity.tolist() == read.severity.tolist()
         assert built.total_dalys == read.total_dalys
@@ -406,7 +413,7 @@ def test_read_back_population_drives_the_engine_identically(tmp_path):
                 built.family_reductions) == (read.total_strokes, read.conversations,
                                              read.risk_reductions, read.family_reductions)
         assert built.total_strokes > 0
-        if scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY:
+        if kind is Scenario.CONVERSATIONS_PLUS_FAMILY:
             assert built.family_reductions > 0
 
 
@@ -523,6 +530,28 @@ def test_csv_rejects_a_bad_cell_counting_physical_lines(tmp_path):
     where = re.escape(f"population csv {path}, line 5: sbp = 'high', expected a number")
     with pytest.raises(ConfigurationError, match=f"{where}$"):
         read_population_csv(path)
+
+
+def test_csv_reads_and_rejects_past_a_field_beyond_the_csv_limit(tmp_path):
+    # agent 1's region on line 3 is longer than the csv module's default
+    # field limit, which numpy's parser does not have: the file reads, and a
+    # bad cell on line 5 is named like any other; the limit is restored
+    limit = csv.field_size_limit()
+    pop = build(total=6)
+    pop.region[1] = "r" * 200_000
+    path = tmp_path / "pop.csv"
+    write_population_csv(pop, path)
+    assert read_population_csv(path).region.tolist() == pop.region.tolist()
+    assert csv.field_size_limit() == limit
+    rows = path.read_bytes().decode("utf-8").split("\r\n")  # one agent each
+    cells = rows[4].split(",")
+    cells[CSV_COLUMNS.index("age")] = "4O"
+    rows[4] = ",".join(cells)
+    path.write_bytes("\r\n".join(rows).encode("utf-8"))
+    where = re.escape(f"population csv {path}, line 5: age = '4O', expected an integer")
+    with pytest.raises(ConfigurationError, match=f"{where}$"):
+        read_population_csv(path)
+    assert csv.field_size_limit() == limit
 
 
 def _numpy_reads(cell, dtype):

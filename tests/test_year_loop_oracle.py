@@ -42,13 +42,13 @@ from test_cli import age_graded_experiment
 SEEDS = (5, 23, 101)
 
 
-def full_width_tables(arrays, ens, scenario):
-    """Every agent's five-year risk in each of the scenario's years, with its
-    original factors and with `_apply_reduction_rows` applied to every row:
-    `five_year_matrix` at each year's age."""
-    years, n = year_count(scenario), len(arrays.age)
+def full_width_tables(arrays, ens, sim):
+    """Every agent's five-year risk in each year of the simulation config
+    `sim`, with its original factors and with `_apply_reduction_rows`
+    applied to every row: `five_year_matrix` at each year's age."""
+    years, n = year_count(sim), len(arrays.age)
     lowered = replace(arrays, features=arrays.features.copy())
-    _apply_reduction_rows(lowered, np.arange(n), scenario)
+    _apply_reduction_rows(lowered, np.arange(n), sim)
     plain, reduced = np.empty((years, n)), np.empty((years, n))
     for year in range(years):
         age = arrays.age + (year + 1)
@@ -59,21 +59,22 @@ def full_width_tables(arrays, ens, scenario):
     return plain, reduced
 
 
-def reference_replication(model, full_tables, scenario, seed, use_skip_sampling=True):
-    """The earlier year loop on `full_width_tables`, with `model`'s arrays,
-    outcome table and residuals, and with how often it re-notified an
-    agent and notified two members of one household in one year, and
-    whose factors it reduced."""
+def reference_replication(model, full_tables, kind, seed, use_skip_sampling=True):
+    """The earlier year loop of scenario `kind` on `full_width_tables`, with
+    `model`'s simulation config, arrays, outcome table and residuals, and
+    with how often it re-notified an agent and notified two members of one
+    household in one year, and whose factors it reduced."""
     arrays, outcome_table, residual = model.arrays, model.outcomes, model.residual
+    sim = model.simulation
     plain, lowered = full_tables
     rng = np.random.default_rng(seed)
-    interventions_on = scenario.scenario is not Scenario.BASELINE
-    spillover_on = scenario.scenario is Scenario.CONVERSATIONS_PLUS_FAMILY
+    interventions_on = kind is not Scenario.BASELINE
+    spillover_on = kind is Scenario.CONVERSATIONS_PLUS_FAMILY
     n = len(arrays.age)
-    years = year_count(scenario)
+    years = year_count(sim)
     age_lo = int(arrays.age.min()) + 1
     schedule = np.pad(np.isin(np.arange(age_lo, int(arrays.age.max()) + years + 1),
-                              scenario.conversation_ages), 1)
+                              sim.conversation_ages), 1)
     stroke_day = np.full(n, -1, dtype=np.int64)
     severity = np.full(n, -1, dtype=np.int64)
     notified = np.zeros(n, dtype=bool)
@@ -86,13 +87,13 @@ def reference_replication(model, full_tables, scenario, seed, use_skip_sampling=
         severity[rows] = [outcome_table.draw(rng)[1] for _ in range(rows.size)]
 
     for year in range(years):
-        day = year * scenario.days_per_year
+        day = year * sim.days_per_year
         active = stroke_day < 0
         five_year = plain[year]
         if interventions_on:
             five_year = np.where(reduced, lowered[year], five_year)
             talk = (active & schedule.take(arrays.age + (year + 1) - age_lo + 1, mode="clip")
-                    & (five_year > scenario.high_risk_threshold))
+                    & (five_year > sim.high_risk_threshold))
             conversations += int(talk.sum())
             renotified += int((talk & notified).sum())
             shared += int((np.bincount(arrays.household[talk]) > 1).sum())
@@ -109,7 +110,7 @@ def reference_replication(model, full_tables, scenario, seed, use_skip_sampling=
                 family_reductions += int(spill.sum())
             five_year = np.where(reduced, lowered[year], plain[year])
 
-        window = min(scenario.days_per_year, scenario.horizon_days - day)
+        window = min(sim.days_per_year, sim.horizon_days - day)
         act_rows = np.flatnonzero(active)
         if use_skip_sampling:
             u = rng.random(act_rows.size)
@@ -129,7 +130,7 @@ def reference_replication(model, full_tables, scenario, seed, use_skip_sampling=
 
     struck = np.flatnonzero(stroke_day >= 0)
     struck = struck[np.argsort(stroke_day[struck], kind="stable")]
-    aged = stroke_day[struck] // scenario.days_per_year + 1
+    aged = stroke_day[struck] // sim.days_per_year + 1
     dalys = _stroke_dalys(residual[struck] - aged, severity[struck])
     result = RunResult(
         total_dalys=float(np.cumsum(dalys)[-1]) if dalys.size else 0.0,
@@ -164,10 +165,10 @@ def experiment(request, tmp_path_factory):
     cfg = load_experiment_file() if path is None else load_experiment_file(path)
     pop = _build_population(cfg, cfg.experiment.base_seed)
     arrays = PopulationArrays.from_population(pop)
-    scenarios = cfg.experiment.scenarios
-    full = full_width_tables(arrays, cfg.ensemble, scenarios[0])  # every scenario reads them
+    sim = cfg.experiment.simulation
+    full = full_width_tables(arrays, cfg.ensemble, sim)  # every scenario reads them
     model = prepare(arrays, cfg.ensemble, cfg.delay, cfg.severity, cfg.odds_ratios,
-                    cfg.life_table, scenarios)
+                    cfg.life_table, sim)
     return request.param, cfg, model, full
 
 
@@ -186,11 +187,10 @@ def assert_same_result(a, b):
 def test_replication_matches_the_earlier_year_loop(experiment):
     name, cfg, model, full = experiment
     renotified = shared = 0
-    for scenario in cfg.experiment.scenarios:
+    for kind in cfg.experiment.scenarios:
         for seed in SEEDS:
-            want, again, both, _ = reference_replication(
-                model, full, scenario, seed)
-            assert_same_result(run_replication(model, seed, scenario), want)
+            want, again, both, _ = reference_replication(model, full, kind, seed)
+            assert_same_result(run_replication(model, seed, kind), want)
             assert want.total_strokes > 0
             renotified += again
             shared += both
@@ -202,14 +202,14 @@ def test_every_row_a_replication_reduces_has_a_column(experiment):
     # the oracle reduces from the full-width tables and never reads `slot`;
     # each row it reduces must have a column in the compact table
     name, cfg, model, full = experiment
-    for scenario in cfg.experiment.scenarios:
-        if scenario.scenario is Scenario.BASELINE:
+    for kind in cfg.experiment.scenarios:
+        if kind is Scenario.BASELINE:
             continue
         slot = model.tables.slot
         ever = np.zeros(len(model.arrays.age), dtype=bool)
         for seed in range(10):
-            ever |= reference_replication(model, full, scenario, seed)[3]
+            ever |= reference_replication(model, full, kind, seed)[3]
         assert ever.any()
-        assert (slot[ever] >= 0).all(), (name, scenario.scenario.value)
+        assert (slot[ever] >= 0).all(), (name, kind.value)
         # the table is narrower than the population
-        assert (slot < 0).any(), (name, scenario.scenario.value)
+        assert (slot < 0).any(), (name, kind.value)
