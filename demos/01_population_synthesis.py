@@ -38,9 +38,9 @@ print(f"age: min {pop.age.min()}, median {int(np.median(pop.age))}, max {pop.age
 females = int((pop.sex == "female").sum())
 print(f"sex: {females} female / {len(pop) - females} male")
 
-# Households are columns too: a dense index per agent, and per household a
-# type and its member rows, members[member_start[h]:member_start[h + 1]].
-sizes = collections.Counter(np.diff(pop.member_start).tolist())
+# Households are two columns: a dense index per agent (`pop.household`), and
+# one type per household; a household's size is the count of its index.
+sizes = collections.Counter(np.bincount(pop.household).tolist())
 types = collections.Counter(pop.household_type.tolist())
 print(f"households: {len(pop.household_type)} total, sizes {dict(sorted(sizes.items()))}, "
       f"types {dict(sorted(types.items()))}")

@@ -233,6 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         n_runs=n_runs,
         workers=worker_count(args.workers, len(scenarios) * n_runs),
     )
+    exp.validate()  # before the population is synthesized
     with _phase(phases, "synthesis"):
         pop = _build_population(cfg, exp.base_seed)
     with _phase(phases, "arrays"):

@@ -34,10 +34,11 @@ table build calls: `_current_risk` (an agent's risk this year),
 `_scheduled_rows` and `_conversation_rows` (notification: the rows at a
 conversation age each year, listed once per experiment, then the
 threshold on those rows only), `_apply_reduction_rows` (risk reduction),
-`_spillover_rows` (family spillover, gathered from the notified
-households' members), `_year_arrivals` (arrival sampling: a bound that no
-year's hit exceeds picks the candidates, and `_first_success_offsets`
-runs on those only), `OutcomeTable.draw` (a stroke's delay and severity)
+`_spillover_rows` (family spillover: the stroke-free, unreduced rows of
+the notified households, found by `_household_rows`, which
+`_reducible_rows` also calls), `_year_arrivals` (arrival sampling: a
+bound that no year's hit exceeds picks the candidates, and
+`_first_success_offsets` runs on those only), `OutcomeTable.draw` (a stroke's delay and severity)
 and `_stroke_dalys` (DALY accounting).  The tests exercise these kernels
 directly and check the whole loop against a one-uniform-per-day oracle.
 
@@ -498,27 +499,21 @@ class PopulationArrays:
     """Column-oriented copy of a Population for the replication hot path.
 
     Row order is agent order; `features` columns follow FEATURE_NAMES and
-    `age` holds the entry ages; the household columns are the population's
-    own.  `stats` are the population's baseline factor stats.  Replications
-    only read it.
+    `age` holds the entry ages; `household` is the population's own dense
+    household index per agent.  `stats` are the population's baseline
+    factor stats.  Replications only read it.
     """
 
     features: np.ndarray
     age: np.ndarray
-    male: np.ndarray
-    household: np.ndarray  # dense household index per agent
-    # household h's rows, in no set order: members[member_start[h]:member_start[h + 1]]
-    members: np.ndarray
-    member_start: np.ndarray
+    household: np.ndarray
     stats: BaselineStats
 
     @staticmethod
     def from_population(pop: Population) -> "PopulationArrays":
-        features = population_features(pop)
         return PopulationArrays(
-            features=features, age=pop.age.astype(np.int64),
-            male=features[:, _COL["male"]].copy(), household=pop.household,
-            members=pop.members, member_start=pop.member_start, stats=population_stats(pop),
+            features=population_features(pop), age=pop.age.astype(np.int64),
+            household=pop.household, stats=population_stats(pop),
         )
 
 
@@ -632,20 +627,20 @@ def _conversation_rows(
     return rows[active & (five_year > cfg.high_risk_threshold)]
 
 
+def _household_rows(household: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows, ascending, of every household that holds a row of `rows`,
+    for `household` a dense household index per row."""
+    flagged = np.zeros(household.size, dtype=bool)  # dense: fewer households than rows
+    flagged[household[rows]] = True
+    return np.flatnonzero(flagged[household])
+
+
 def _spillover_rows(
     arrays: PopulationArrays, talk: np.ndarray, stroke_day: np.ndarray, reduced: np.ndarray
 ) -> np.ndarray:
     """Stroke-free, not-yet-reduced agents sharing a household with an
-    agent of `talk`: the members of those households, gathered household
-    by household."""
-    flagged = np.zeros(arrays.member_start.size - 1, dtype=bool)
-    flagged[arrays.household[talk]] = True
-    households = np.flatnonzero(flagged)
-    start = arrays.member_start[households]
-    size = arrays.member_start[households + 1] - start
-    # each household's run of members: its start, then consecutive positions
-    at = np.repeat(start - (np.cumsum(size) - size), size) + np.arange(size.sum())
-    mates = arrays.members[at]
+    agent of `talk`, ascending."""
+    mates = _household_rows(arrays.household, talk)
     return mates[(stroke_day[mates] < 0) & ~reduced[mates]]
 
 
@@ -713,10 +708,8 @@ def _reducible_rows(arrays: PopulationArrays, plain: np.ndarray,
     either not reduced, and then i puts the household in H the same way,
     or reduced earlier, and then its household is in H by induction.
     """
-    flagged = np.zeros(arrays.member_start.size - 1, dtype=bool)
-    for year, rows in enumerate(scheduled):
-        flagged[arrays.household[rows[plain[year, rows] > threshold]]] = True
-    return np.flatnonzero(flagged[arrays.household])
+    above = [rows[plain[year, rows] > threshold] for year, rows in enumerate(scheduled)]
+    return _household_rows(arrays.household, np.concatenate(above))
 
 
 def build_risk_tables(
@@ -779,7 +772,7 @@ def prepare(arrays: PopulationArrays, ens: EnsembleRiskModel, delay: DelayModel,
         simulation=sim,
         tables=build_risk_tables(arrays, ens, sim),
         outcomes=OutcomeTable.build(delay, sev, ors),
-        residual=life.residual_array(arrays.male, arrays.age),
+        residual=life.residual_array(arrays.features[:, _COL["male"]], arrays.age),
     )
 
 

@@ -16,11 +16,11 @@ draw per agent or household would: the tests keep that per-agent form as
 the reference the batched one must match, generator state included.
 
 A `Population` holds one array per `Agent` field, in agent order, and its
-households as columns: a dense household index per agent, and per
-household a type and its member rows with offsets.  Every stage reads
-and writes these columns; `Population.agents` and `Population.households`
-build rows and member lists from them at each read.  `Agent.daily_risk`
-and the baseline factor stats are derived when needed, not stored.
+households as two columns: a dense household index per agent, and one type
+per household.  Every stage reads and writes these columns;
+`Population.agents` and `Population.households` build rows and member
+lists from them at each read.  `Agent.daily_risk` and the baseline factor
+stats are derived when needed, not stored.
 
 `write_population_csv` writes UTF-8, a column at a time: each column is
 formatted by `str` (ints, and flags as 0/1) or `repr` (floats), and each
@@ -57,6 +57,9 @@ BMI_RANGE = (12.0, 60.0)
 
 _PROP_TOL = 1e-9
 
+# The oldest age an open age band ("70+") reaches.
+MAX_AGE = 110
+
 # A five-year risk is spread uniformly over the days in five years.
 DAYS_PER_FIVE_YEARS = 1826
 
@@ -66,12 +69,13 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def parse_age_range(label: str, max_age: int = 110) -> tuple[int, int]:
-    """Parse an age band label like ``"50-59"`` or ``"70+"`` into (lo, hi)."""
+def parse_age_range(label: str) -> tuple[int, int]:
+    """Parse an age band label like ``"50-59"`` or ``"70+"`` into (lo, hi);
+    an open band ends at `MAX_AGE`."""
     label = label.strip()
     try:
         if label.endswith("+"):
-            return int(label[:-1]), max_age
+            return int(label[:-1]), MAX_AGE
         lo, hi = label.split("-")
         return int(lo), int(hi)
     except ValueError as exc:
@@ -146,9 +150,8 @@ class DemographicSpec:
             for label in region.age_bands:
                 lo, hi = parse_age_range(label)
                 if lo < self.min_age or hi < lo:
-                    raise ConfigurationError(
-                        f"regions[{i}].age_bands[{label}]: band outside [{self.min_age}, 110]"
-                    )
+                    raise ConfigurationError(f"regions[{i}].age_bands[{label}]: "
+                                             f"band outside [{self.min_age}, {MAX_AGE}]")
 
 
 @dataclass
@@ -250,7 +253,8 @@ COLUMN_TYPES = {
 class Population:
     """The agents as columns, one array per `Agent` field (typed as in
     `COLUMN_TYPES`) in agent order, then each agent's dense household index
-    and, per household h, its type and rows `members[member_start[h]:member_start[h + 1]]`."""
+    and, per household, its type: household h's rows are those where
+    `household == h`, and its type is `household_type[h]`."""
 
     id: np.ndarray
     age: np.ndarray
@@ -268,8 +272,6 @@ class Population:
     five_year_risk: np.ndarray
     household: np.ndarray
     household_type: np.ndarray
-    members: np.ndarray
-    member_start: np.ndarray
 
     def __len__(self) -> int:
         return len(self.id)
@@ -284,10 +286,13 @@ class Population:
 
     @property
     def households(self) -> dict[int, list[int]]:
-        """Each household's member ids under its `household_id`, in household
-        order, built from the columns at each read and not kept."""
-        ids, bounds = self.id[self.members].tolist(), self.member_start.tolist()
-        labels = self.household_id[self.members[self.member_start[:-1]]].tolist()
+        """Each household's member ids, in agent order, under its
+        `household_id`, in household order, built from the columns at each
+        read and not kept."""
+        rows = np.argsort(self.household, kind="stable")
+        stops = np.bincount(self.household).cumsum()
+        ids, labels = self.id[rows].tolist(), self.household_id[rows[stops - 1]].tolist()
+        bounds = [0, *stops.tolist()]
         return {label: ids[start:stop] for label, start, stop in zip(labels, bounds, bounds[1:])}
 
 
@@ -378,16 +383,15 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
             ages, np.array(list(region.sex), dtype=object)[sexes],
             np.array([region.name] * n, dtype=object), household,
             np.array(list(region.employment), dtype=object)[jobs], household,
-            np.array(list(region.households), dtype=object)[types], pool + first_agent, sizes,
+            np.array(list(region.households), dtype=object)[types],
         ))
         first_agent += n
         first_household += types.size
 
     # households are numbered in draw order, so `household` equals `household_id`
     named = dict(zip(("age", "sex", "region", "household_id", "employment", "household",
-                      "household_type", "members", "sizes"), map(np.concatenate, zip(*chunks))),
+                      "household_type"), map(np.concatenate, zip(*chunks))),
                  id=np.arange(first_agent))
-    named["member_start"] = np.concatenate(([0], named.pop("sizes").cumsum()))
     # risk factors and scores are 0 until assigned
     return Population(**named, **{name: np.zeros(first_agent, dtype) for name, dtype in
                                   COLUMN_TYPES.items() if name not in named})
@@ -600,9 +604,7 @@ def _population(rows: dict[str, np.ndarray]) -> Population | None:
     household = np.argsort(order)[index]
     return Population(**{name: rows[name] for name, dtype in COLUMN_TYPES.items()
                          if dtype is not bool}, **flags,
-                      household=household, members=np.argsort(household, kind="stable"),
-                      household_type=types[first[order]],
-                      member_start=np.concatenate(([0], np.cumsum(count[order]))))
+                      household=household, household_type=types[first[order]])
 
 
 def _first_fault(path) -> ConfigurationError:
@@ -658,14 +660,13 @@ def read_population_csv(path) -> Population:
     numpy's parser reads the rows into typed columns a block at a time, and
     every check runs on the columns.  The household columns are rebuilt from
     the household_id column: households are indexed in the order of their
-    first row, and members listed in file order; the file's ids stay as the
-    household_id column.  A header other than `CSV_COLUMNS`, a row with the
-    wrong field count, a number cell numpy does not parse (an integer beyond
-    64 bits included), a flag other than 0/1, a repeated id, an unknown
-    household type, a household whose rows name different types and a
-    household with more members than its type holds raise
-    ConfigurationError, naming the line and the field; so does a byte that
-    is not UTF-8, naming its line.
+    first row; the file's ids stay as the household_id column.  A header
+    other than `CSV_COLUMNS`, a row with the wrong field count, a number
+    cell numpy does not parse (an integer beyond 64 bits included), a flag
+    other than 0/1, a repeated id, an unknown household type, a household
+    whose rows name different types and a household with more members than
+    its type holds raise ConfigurationError, naming the line and the field;
+    so does a byte that is not UTF-8, naming its line.
     """
     # numpy's parser has no per-field limit: lift `csv.reader`'s (131072
     # characters by default) while the header and the row scan read

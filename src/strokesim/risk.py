@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -267,19 +267,17 @@ def ensemble_mix(probs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _scorer(
-    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray,
-    weights: Optional[WeightTable] = None,
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
 ) -> Callable[[float], np.ndarray]:
     """Five-year ensemble scores of the rows of `features` as a function of
     the calibration offset.
 
     Member by member: the linear predictors (`_linear_predictors`) and the
-    member weights at `ages` (from `weights`, a table spanning them, or one
-    built here) are computed once, so each further offset costs one
-    sigmoid and one `ensemble_mix`.
+    member weights at `ages` are computed once, so each further offset
+    costs one sigmoid and one `ensemble_mix`.
     """
     lps = _linear_predictors(ensemble, features)
-    w = (weights or WeightTable.spanning(ensemble, ages)).at(ages)
+    w = WeightTable.spanning(ensemble, ages).at(ages)
 
     def five_year(offset: float) -> np.ndarray:
         return ensemble_mix(_sigmoid(lps + offset), w)
@@ -287,8 +285,7 @@ def _scorer(
 
 
 def five_year_matrix(
-    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray,
-    weights: Optional[WeightTable] = None,
+    ensemble: EnsembleRiskModel, features: np.ndarray, ages: np.ndarray
 ) -> np.ndarray:
     """Vectorized ensemble score for many agents at once.
 
@@ -296,7 +293,7 @@ def five_year_matrix(
     engine's per-year risk tables (`engine.build_risk_tables`) are tested
     against.
     """
-    return _scorer(ensemble, features, ages, weights)(ensemble.calibration_offset)
+    return _scorer(ensemble, features, ages)(ensemble.calibration_offset)
 
 
 def ensemble_score(ensemble: EnsembleRiskModel, agent: Agent) -> float:
@@ -349,7 +346,6 @@ def calibrate_intercepts(
     horizon_days: int = HORIZON_DAYS,
     days_per_year: int = DAYS_PER_YEAR,
     tol: float = CALIBRATION_TOL,
-    max_iter: int = 60,
 ) -> EnsembleRiskModel:
     """Find the calibration offset matching a target annual stroke risk.
 
@@ -379,7 +375,7 @@ def calibrate_intercepts(
             achieved=nearest / (len(pop) * years),
         )
     delta = 0.0
-    for _ in range(max_iter):
+    for _ in range(60):  # a cap: the 1e-15 width check stops after 55 halvings
         delta = 0.5 * (lo + hi)
         f_mid = expected(delta) - target_count
         if abs(f_mid) <= tol_count or (hi - lo) < 1e-15:

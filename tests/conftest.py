@@ -32,17 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def population_from_agents(agents, households, household_types) -> Population:
     """A `Population` whose columns hold the fields of `agents`, in order,
-    and whose household columns hold `households` (member ids under each
-    household_id) with their `household_types`, in the dicts' order."""
+    and whose household columns index `households` (member ids under each
+    household_id) in the dict's order, each with its `household_types` entry."""
     row = {a.id: i for i, a in enumerate(agents)}
     assert len(row) == len(agents), "agent ids repeat"
-    members = np.array([row[m] for ids in households.values() for m in ids], dtype=np.int64)
-    sizes = np.array([len(ids) for ids in households.values()], dtype=np.int64)
-    household = np.empty(len(agents), dtype=np.int64)
-    household[members] = np.repeat(np.arange(len(households)), sizes)
+    household = np.full(len(agents), -1, dtype=np.int64)
+    for h, ids in enumerate(households.values()):
+        household[[row[m] for m in ids]] = h
+    assert (household >= 0).all(), "an agent is in no household"
     return Population(**{name: np.array([getattr(a, name) for a in agents], dtype=dtype)
                          for name, dtype in COLUMN_TYPES.items()},
-                      household=household, members=members,
+                      household=household,
                       household_type=np.array([household_types[h] for h in households],
-                                              dtype=object),
-                      member_start=np.concatenate(([0], sizes.cumsum())))
+                                              dtype=object))

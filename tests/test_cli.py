@@ -230,6 +230,17 @@ def test_calibrate_rejects_out_of_range_target(config_path, tmp_path, capsys, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("runs", ["1", "0", "-3"])
+def test_run_rejects_too_few_runs_before_synthesis(config_path, tmp_path, capsys, monkeypatch,
+                                                   runs):
+    monkeypatch.setattr(cli, "build_population", lambda *args: pytest.fail("synthesized"))
+    code = main(["run", "--config", config_path, "--out", str(tmp_path / "out"),
+                 "--runs", runs])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: n_runs = ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_calibrate_unreachable_target_reports_closest(config_dir, tmp_path, capsys):
     code = main(["calibrate", "--config", str(config_dir / "experiment_weak.json"),
                  "--out", str(tmp_path / "m.json"), "--target", "0.003"])

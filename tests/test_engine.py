@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from strokesim.engine import (
 )
 from strokesim.config import load_experiment_file
 from strokesim.errors import ConfigurationError
-from strokesim.population import Agent, BaselineStats
+from strokesim.population import Agent, BaselineStats, assign_risk_factors, build_population
 from strokesim.risk import (
     DAYS_PER_FIVE_YEARS,
     FEATURE_NAMES,
@@ -61,6 +61,7 @@ from strokesim.risk import (
     feature_matrix,
     five_year_matrix,
 )
+from strokesim.seeds import derive_seed
 from conftest import population_from_agents
 from test_year_loop_oracle import full_width_tables, reference_replication
 
@@ -807,18 +808,68 @@ def test_family_spillover_gathers_interleaved_households():
     for talk, mates in (([0, 2], [0, 2, 6]), ([4, 6], [0, 1, 2, 4, 6]), ([5], [5]),
                         ([3, 1, 3], [1, 3, 4]), ([], [])):
         spill = _spillover_rows(arrays, np.array(talk, dtype=np.int64), np.full(7, -1), none)
-        assert sorted(spill.tolist()) == mates, talk
+        assert spill.tolist() == mates, talk
+
+
+def spillover_by_households(household, talk, stroke_day, reduced):
+    """`_spillover_rows` by Python sets: the stroke-free, unreduced rows of
+    each household that holds a row of `talk`."""
+    household, mates = household.tolist(), {}
+    for row, h in enumerate(household):
+        mates.setdefault(h, set()).add(row)
+    return sorted(row for h in {household[t] for t in talk.tolist()} for row in mates[h]
+                  if stroke_day[row] < 0 and not reduced[row])
+
+
+@pytest.fixture(scope="module")
+def bundled_model():
+    cfg = load_experiment_file()
+    rng = np.random.default_rng(derive_seed(cfg.experiment.base_seed))
+    pop = assign_risk_factors(build_population(cfg.demographics, rng), cfg.risk_tables, rng)
+    return prepare(PopulationArrays.from_population(pop), cfg.ensemble, cfg.delay,
+                   cfg.severity, cfg.odds_ratios, cfg.life_table, cfg.experiment.simulation)
+
+
+def test_spillover_rows_match_the_household_sets_on_the_bundled_population(bundled_model):
+    arrays = bundled_model.arrays
+    n = len(arrays.age)
+    rng = np.random.default_rng(3)
+    stroke_day = np.where(rng.random(n) < 0.05, 100, -1)
+    reduced = rng.random(n) < 0.1
+    for talk in (np.empty(0, dtype=np.int64), np.array([7, 7, 3, 7]), np.arange(n),
+                 rng.integers(0, n, 500)):
+        for state in ((np.full(n, -1), np.zeros(n, dtype=bool)), (stroke_day, reduced)):
+            spill = _spillover_rows(arrays, talk, *state)
+            assert spill.dtype == np.int64
+            assert spill.tolist() == spillover_by_households(arrays.household, talk, *state)
+
+
+def test_spillover_rows_match_the_household_sets_in_family_replications(bundled_model,
+                                                                        monkeypatch):
+    # the rows each year notifies, in the state the replication holds then
+    checked = []
+
+    def checking(arrays, talk, stroke_day, reduced):
+        spill = _spillover_rows(arrays, talk, stroke_day, reduced)
+        assert spill.tolist() == spillover_by_households(arrays.household, talk, stroke_day,
+                                                         reduced)
+        checked.append(talk.size)
+        return spill
+
+    monkeypatch.setattr(engine, "_spillover_rows", checking)
+    for seed in (1, 2, 3):
+        run_replication(bundled_model, seed, Scenario.CONVERSATIONS_PLUS_FAMILY)
+    assert len(checked) == 3 * year_count(bundled_model.simulation) and sum(checked) > 0
 
 
 # --- population arrays ---
 
 
 def test_population_arrays_dense_households():
+    # the arrays keep the population's own household index
     arrays = household_arrays((40, 9, 40))
     assert arrays.household.tolist() == [1, 0, 1]
-    assert arrays.member_start.tolist() == [0, 1, 3]
-    assert arrays.members[:1].tolist() == [1]
-    assert sorted(arrays.members[1:].tolist()) == [0, 2]
+    assert [f.name for f in fields(PopulationArrays)] == ["features", "age", "household", "stats"]
 
 
 def test_population_arrays_rejects_empty():
@@ -1367,8 +1418,7 @@ columns.update(id=np.arange(40), age=np.full(40, 60), sex=np.array(["male"] * 40
                household_id=np.arange(40) // 2, smoker=np.ones(40, dtype=bool),
                cigs_per_day=np.full(40, 10), household=np.arange(40) // 2)
 arrays = PopulationArrays.from_population(Population(
-    **columns, household_type=np.array(["couple"] * 20, dtype=object), members=np.arange(40),
-    member_start=np.arange(0, 41, 2)))
+    **columns, household_type=np.array(["couple"] * 20, dtype=object)))
 life = LifeTable(ages=[35, 110], female=[48.0, 1.0], male=[45.0, 1.0])
 ens = EnsembleRiskModel([LogisticModel(0, 200, -1.5, {"smoker": 0.5})], [WeightRow(0, 200, [1.0])])
 model = prepare(arrays, ens, DelayModel.default(), SeverityDistribution.default(),

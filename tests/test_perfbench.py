@@ -32,10 +32,13 @@ TRACED_CHECKS = CHECKS | {"every_layer_reports", "spans_nest"}
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("trace", [0, 1], ids=["trace-0", "trace-1"])
-def test_perfbench_checks_pass(trace):
+# the benchmark measures both workloads untraced
+@pytest.mark.parametrize("workload, trace", [
+    ("bundled_serial", 0), ("bundled_serial", 1), ("bundled_pool", 0),
+], ids=["trace-0", "trace-1", "pool-trace-0"])
+def test_perfbench_checks_pass(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "bundled_serial",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "7", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

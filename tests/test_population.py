@@ -319,21 +319,34 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert (a.sbp, a.dbp, a.bmi) == (b.sbp, b.dbp, b.bmi)
         assert (a.diabetes, a.afib, a.smoker, a.cigs_per_day) == (
             b.diabetes, b.afib, b.smoker, b.cigs_per_day)
-    # member lists come back in file order, so compare membership
-    assert set(back.households) == set(pop.households)
     # one str object per distinct text value, as synthesis stores them
     for name in ("sex", "region", "employment"):
         column = getattr(back, name).tolist()
         assert len(set(map(id, column))) == len(set(column))
-    for hid, members in pop.households.items():
-        assert sorted(back.households[hid]) == sorted(members)
+    # the same members under each household_id (the file indexes households
+    # by first row, synthesis in draw order), with the same types
+    assert back.households == pop.households
     assert types_by_id(back) == types_by_id(pop)
-    # the household columns group the same agents under the same types
-    for h in range(len(back.household_type)):
-        rows = back.members[back.member_start[h]:back.member_start[h + 1]]
-        assert (back.household[rows] == h).all()
-        assert len(set(pop.household[rows].tolist())) == 1
     assert (back.household_type[back.household] == pop.household_type[pop.household]).all()
+
+
+@pytest.mark.parametrize("source", ["built", "read_back"])
+def test_households_group_the_agents_by_household_id(bundled_population, tmp_path, source):
+    pop = bundled_population[1]
+    if source == "read_back":
+        write_population_csv(pop, tmp_path / "pop.csv")
+        pop = read_population_csv(tmp_path / "pop.csv")
+    grouped = {}
+    for agent_id, hid in zip(pop.id.tolist(), pop.household_id.tolist()):
+        grouped.setdefault(hid, []).append(agent_id)
+    households = pop.households
+    assert {hid: sorted(ids) for hid, ids in households.items()} == grouped
+    # keys in household order: household h's key is the household_id of its rows
+    labels = np.empty(len(pop.household_type), dtype=np.int64)
+    labels[pop.household] = pop.household_id
+    assert list(households) == labels.tolist()
+    # each household index holds one household_id, and each id one index
+    assert len(set(zip(pop.household.tolist(), pop.household_id.tolist()))) == len(grouped)
 
 
 def test_csv_write_deterministic_bytes(tmp_path):
@@ -382,15 +395,14 @@ def test_agent_and_population_store_each_fact_once():
         "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
     assert list(COLUMN_TYPES) == [f.name for f in fields(Agent)]
     assert [f.name for f in fields(Population)] == [
-        *COLUMN_TYPES, "household", "household_type", "members", "member_start"]
+        *COLUMN_TYPES, "household", "household_type"]
     assert CSV_COLUMNS == [
         "id", "age", "sex", "region", "employment", "household_id", "household_type",
         "sbp", "dbp", "bmi", "diabetes", "afib", "smoker", "cigs_per_day", "five_year_risk"]
 
 
 def test_read_back_population_drives_the_engine_identically(tmp_path):
-    # the file numbers households by first row and lists members in file
-    # order; synthesis numbers them in draw order, members in pool order.
+    # the file numbers households by first row, synthesis in draw order.
     # Both must be the same households to the engine, in every scenario.
     pop = build(total=400, seed=21, households={"single": 0.2, "couple": 0.8})
     assign_risk_factors(pop, RiskFactorTables(bands=[flat_band(smoker_prev=0.4)]),
@@ -790,14 +802,11 @@ def reference_read_population_csv(path):
             for column, value in zip(cells.values(), values):
                 column.append(value)
             household.append(entry[0])
-    index = np.array(household, dtype=np.int64)
     return Population(**{name: np.array(cells[name], dtype=dtype)
                          for name, dtype in COLUMN_TYPES.items()},
-                      household=index, members=np.argsort(index, kind="stable"),
+                      household=np.array(household, dtype=np.int64),
                       household_type=np.array([t for _, t, _ in households.values()],
-                                              dtype=object),
-                      member_start=np.concatenate(([0], np.cumsum(np.bincount(
-                          index, minlength=len(households))))))
+                                              dtype=object))
 
 
 def assert_reads_like_the_row_reader(path):
@@ -1038,14 +1047,13 @@ def assert_same_synthesis(spec, tables, seed, primed=False):
         assert list(map(type, column.tolist())) == list(map(type, want))
     assert pop.agents == agents
     # households are numbered in draw order, so each household index is its household_id
-    assert pop.household.dtype == pop.members.dtype == pop.member_start.dtype == np.int64
+    assert pop.household.dtype == np.int64
     assert pop.household.tolist() == pop.household_id.tolist()
     assert pop.household_type.dtype == object
     assert list(map(type, pop.household_type.tolist())) == [str] * len(ref_types)
     assert pop.household_type.tolist() == list(ref_types.values())
-    assert pop.id[pop.members].tolist() == [m for ms in ref_households.values() for m in ms]
-    assert np.diff(pop.member_start).tolist() == list(map(len, ref_households.values()))
-    assert list(households.items()) == list(ref_households.items())
+    # the reference's members, in agent order (pool order is not kept)
+    assert list(households.items()) == [(h, sorted(ms)) for h, ms in ref_households.items()]
     # the engine's stats, from the columns, equal the reference rows'
     ref = population_from_agents(agents, ref_households, ref_types)
     assert PopulationArrays.from_population(pop).stats == population_stats(ref)
@@ -1087,7 +1095,7 @@ def test_batched_households_match_reference(households, total):
     pop = assert_same_synthesis(spec, MIXED_BANDS, seed=total)
     if "single" not in households and total % 2:
         # an odd pool leaves the last household one member short
-        assert np.diff(pop.member_start)[-1] == 1
+        assert np.bincount(pop.household)[-1] == 1
         assert HOUSEHOLD_SIZES[pop.household_type[-1]] == 2
 
 
