@@ -597,10 +597,11 @@ def _scheduled_rows(
     entry_age: np.ndarray, conversation_ages: tuple[int, ...], years: int
 ) -> tuple[np.ndarray, ...]:
     """Per year y, the rows at a conversation age on year boundary y (entry
-    age + y + 1), ascending.  Each conversation age is one block of a
-    stable argsort of the entry ages, found by `searchsorted`; entry ages
-    are computed as Python ints, so no conversation age can overflow."""
-    order = np.argsort(entry_age, kind="stable")
+    age + y + 1), ascending.  Each conversation age is one block of an
+    argsort of the entry ages, found by `searchsorted`, and each year's
+    blocks are sorted into row order; entry ages are computed as Python
+    ints, so no conversation age can overflow."""
+    order = np.argsort(entry_age)
     by_age = entry_age[order]
     youngest, oldest = int(by_age[0]), int(by_age[-1])
     schedule = []

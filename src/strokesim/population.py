@@ -318,6 +318,16 @@ def _spread_categories(rng: np.random.Generator, counts: dict[str, int]) -> np.n
     return indices[rng.permutation(len(indices))]
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` of finite keys, by the faster
+    default sort: without two equal keys every sort gives that one order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        return np.argsort(keys, kind="stable")
+    return order
+
+
 def _draw_households(
     rng: np.random.Generator, probs: dict[str, float], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +384,7 @@ def build_population(spec: DemographicSpec, rng: np.random.Generator) -> Populat
 
         # Households: age-jittered ordering keeps cohabitants age-proximate.
         jitter = rng.uniform(0.0, 6.0, size=n)
-        pool = np.argsort(ages + jitter, kind="stable")
+        pool = _stable_argsort(ages + jitter)
         types, sizes = _draw_households(rng, region.households, n)
         household = np.empty(n, dtype=np.int64)
         household[pool] = np.repeat(np.arange(types.size) + first_household, sizes)

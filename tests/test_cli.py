@@ -457,8 +457,8 @@ def test_generate_bundled_config_matches_golden_digest(tmp_path):
 
 
 # Digest of the model JSON `strokesim calibrate --seed 42` writes on the
-# bundled config: the calibration offset the bisection lands on, in full.
-GOLDEN_CALIBRATE_DIGEST = "80bb68d75440931759e7fa9fb1c4ab49146070181f1f1db7b71714f61c68bf19"
+# bundled config: the calibration offset the root finder lands on, in full.
+GOLDEN_CALIBRATE_DIGEST = "3e5f9c45451bb548eea5a3bfb3739d2569fb10f56822493e97c9551058c6a0a2"
 
 
 def test_calibrate_bundled_config_matches_golden_digest(tmp_path):
@@ -467,10 +467,27 @@ def test_calibrate_bundled_config_matches_golden_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CALIBRATE_DIGEST
 
 
+@pytest.mark.parametrize("command, digest", [
+    ("generate", GOLDEN_GENERATE_DIGEST), ("calibrate", GOLDEN_CALIBRATE_DIGEST),
+], ids=["generate", "calibrate"])
+def test_golden_digests_hold_on_one_blas_thread(command, digest, tmp_path):
+    # the linear predictors are a BLAS product, which may split its work
+    # over threads; one thread must give the same bytes as the default
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "strokesim", command, "--seed", "42",
+                           "--out", str(out)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_each_command_builds_the_feature_matrix_as_often_as_it_needs(
         config_path, tmp_path, monkeypatch):
-    # generate scores from its one build; calibrate builds once to bisect and
-    # once to report; run scores from the engine's arrays
+    # generate scores from its one build; calibrate builds once to calibrate
+    # and once to report; run scores from the engine's arrays
     import strokesim.cli
     import strokesim.engine
     import strokesim.risk

@@ -45,6 +45,7 @@ from strokesim.population import (
     round_half_up,
     write_population_csv,
 )
+from strokesim.population import _stable_argsort
 from strokesim.risk import (
     EnsembleRiskModel,
     LogisticModel,
@@ -174,6 +175,18 @@ def test_determinism_same_seed_same_population():
     ] == [
         (x.id, x.age, x.sex, x.region, x.employment, x.household_id) for x in b.agents
     ]
+
+
+@pytest.mark.parametrize("keys", [
+    np.random.default_rng(5).integers(0, 4, 300) + 0.5,
+    np.random.default_rng(5).integers(35, 90, 300) + np.random.default_rng(6).uniform(0, 6, 300),
+    np.array([7.0]),
+    np.array([], dtype=float),
+], ids=["ties", "distinct", "one", "empty"])
+def test_household_pool_order_is_the_stable_argsort(keys):
+    # the pool order must not depend on the sort algorithm: tied keys keep
+    # their draw order
+    assert np.array_equal(_stable_argsort(keys), np.argsort(keys, kind="stable"))
 
 
 def test_invalid_proportions_rejected():

@@ -1,11 +1,14 @@
 """Ensemble risk scoring and horizon calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from strokesim.config import load_risk_model
+import strokesim.risk as risk
+from strokesim.cli import _build_population
+from strokesim.config import DEFAULT_EXPERIMENT, load_experiment_file, load_risk_model
 from strokesim.errors import CalibrationError, ConfigurationError
 from strokesim.population import Agent
 from strokesim.risk import (
@@ -25,7 +28,7 @@ from strokesim.risk import (
     logistic_score,
     weights_for_age,
 )
-from strokesim.risk import _scorer
+from strokesim.risk import _expectation, _scorer
 
 from conftest import population_from_agents
 
@@ -360,6 +363,50 @@ def test_refresh_risks_updates_agents_in_place():
 # --- calibration ---
 
 
+def reference_calibrate(ensemble, pop, target_annual_risk, horizon_days=3650,
+                        days_per_year=365, tol=risk.CALIBRATION_TOL):
+    """The calibration offset by plain bisection of the same objective over
+    [-10, 10], 60 steps at most: the solver `calibrate_intercepts` used
+    before regula falsi, kept as the reference its offsets are held to."""
+    expected = _expectation(ensemble, pop, horizon_days)
+    years = horizon_days / days_per_year
+    target_count = target_annual_risk * len(pop) * years
+    tol_count = tol * len(pop) * years
+    lo, hi = -10.0, 10.0
+    f_lo = expected(lo) - target_count
+    f_hi = expected(hi) - target_count
+    if f_lo > 0 or f_hi < 0:
+        nearest = expected(hi) if f_hi < 0 else expected(lo)
+        raise CalibrationError("unreachable", achieved=nearest / (len(pop) * years))
+    delta = 0.0
+    for _ in range(60):
+        delta = 0.5 * (lo + hi)
+        f_mid = expected(delta) - target_count
+        if abs(f_mid) <= tol_count or (hi - lo) < 1e-15:
+            break
+        if f_mid > 0:
+            hi = delta
+        else:
+            lo = delta
+    return delta
+
+
+def assert_matches_reference(ens, pop, target, tol=risk.CALIBRATION_TOL):
+    """`calibrate_intercepts` meets `tol` in target units, and lies within
+    the offset distance that `tol` allows of the bisection reference."""
+    offset = calibrate_intercepts(ens, pop, target, tol=tol).calibration_offset
+    reference = reference_calibrate(ens, pop, target, tol=tol)
+    expected = _expectation(ens, pop, 3650)
+    tol_count = tol * len(pop) * 10
+    assert abs(expected(offset) - target * len(pop) * 10) <= tol_count
+    # both ends meet tol, so they are apart by at most 2 tol over the slope
+    # of the expectation, which varies little over the short span between them
+    h = 1e-4
+    slope = min((expected(d + h) - expected(d - h)) / (2 * h) for d in (offset, reference))
+    assert abs(offset - reference) <= 1.01 * 2 * tol_count / slope + 1e-15
+    return offset
+
+
 def test_expected_stroke_count_closed_form():
     ens = one_member(constant_model(0.2))
     pop = population_of([agent()])
@@ -396,12 +443,18 @@ def test_calibrate_target_range_enforced():
 
 
 def test_calibrate_unreachable_target_reports_achievable():
-    # an offset of +-10 cannot push this member's risk low enough
-    ens = one_member(constant_model(0.9999))
+    # an offset of +-10 cannot push these members' risk low (0.9999) or high
+    # (1e-6) enough; the error reports the nearer end of the bracket, as
+    # bisection did
     pop = population_of([agent()])
-    with pytest.raises(CalibrationError) as info:
-        calibrate_intercepts(ens, pop, 0.0001)
-    assert info.value.achieved > 0.0001
+    for five_year, target in ((0.9999, 0.0001), (1e-6, 0.01)):
+        ens = one_member(constant_model(five_year))
+        with pytest.raises(CalibrationError) as info:
+            calibrate_intercepts(ens, pop, target)
+        with pytest.raises(CalibrationError) as reference:
+            reference_calibrate(ens, pop, target)
+        assert info.value.achieved == reference.value.achieved
+        assert (info.value.achieved > target) == (five_year > 0.5)
 
 
 def test_calibrate_respects_heterogeneous_population():
@@ -415,6 +468,74 @@ def test_calibrate_respects_heterogeneous_population():
     calibrated = calibrate_intercepts(ens, pop, target)
     achieved = expected_stroke_count(calibrated, pop, 3650)
     assert achieved == pytest.approx(target * 10 * len(agents), abs=1e-6)
+
+
+BUNDLED = load_experiment_file(DEFAULT_EXPERIMENT)
+TARGETS = (0.0005, BUNDLED.calibration_target, 0.05)
+
+
+@pytest.fixture(scope="module")
+def bundled_populations():
+    return {seed: _build_population(BUNDLED, seed) for seed in (1, 2, 3)}
+
+
+def unit_populations():
+    hetero = one_member(LogisticModel(
+        age_lo=35, age_hi=200, intercept=-6.0, coefficients={"sbp": 0.02}))
+    return {
+        "identical": (one_member(constant_model(0.2)),
+                      population_of([agent(id=i) for i in range(10)])),
+        "sbp-graded": (hetero, population_of([agent(id=i, sbp=110.0 + 10.0 * i)
+                                              for i in range(8)])),
+        "one-high-risk": (one_member(constant_model(0.9)), population_of([agent()])),
+    }
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("name", ["identical", "sbp-graded", "one-high-risk"])
+def test_calibrate_matches_bisection_on_unit_populations(name, target):
+    ens, pop = unit_populations()[name]
+    assert_matches_reference(ens, pop, target)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_calibrate_matches_bisection_in_few_evaluations(
+        bundled_populations, seed, target, monkeypatch):
+    # every evaluation of the objective is one sigmoid of the scoring kernel
+    calls = []
+    original = risk._sigmoid
+
+    def counted(x):
+        calls.append(1)
+        return original(x)
+    monkeypatch.setattr(risk, "_sigmoid", counted)
+    pop = bundled_populations[seed]
+    calibrate_intercepts(BUNDLED.ensemble, pop, target)
+    assert len(calls) <= 14  # 9-14 here, against 33-40 by bisection
+    calls.clear()
+    calibrate_intercepts(BUNDLED.ensemble, pop, target, tol=0.0)
+    assert len(calls) <= 2 + 60  # both ends, then the step cap
+    monkeypatch.undo()
+    assert_matches_reference(BUNDLED.ensemble, pop, target)
+
+
+def test_calibrate_bisects_where_the_expectation_underflows():
+    # at offset -10 this member's daily risk is below half an ulp of 1, so
+    # the expectation is exactly 0 and has no logarithm
+    ens = one_member(LogisticModel(age_lo=35, age_hi=200, intercept=-27.0, coefficients={}))
+    pop = population_of([agent(id=i) for i in range(3)])
+    assert expected_stroke_count(replace(ens, calibration_offset=-10.0), pop, 3650) == 0.0
+    assert_matches_reference(ens, pop, 5e-9)
+
+
+@pytest.mark.parametrize("end, five_year", [(-10.0, 0.2), (10.0, 1e-6)])
+def test_calibrate_target_at_an_end_of_the_bracket(end, five_year):
+    ens = one_member(constant_model(five_year))
+    pop = population_of([agent(id=i) for i in range(4)])
+    target = expected_stroke_count(replace(ens, calibration_offset=end), pop, 3650) / (4 * 10)
+    assert 0 < target <= 0.05
+    assert assert_matches_reference(ens, pop, target) == end
 
 
 # --- bundled model file ---
